@@ -9,11 +9,16 @@ the kernel states — are precisely the eigenstates of the optimal
 measurement operator M(rho1, rho2), which this module verifies
 numerically.
 
-The minimum eigenvalue of rho(t) = C(t) C(t)* is nonnegative for all t,
-so boundary contacts are tangential zeros rather than sign crossings;
-they are located as local minima of the sampled eigenvalue curve and
-polished by bounded scalar minimization.  The signed diagnostic is the
-determinant of the chord C(t) itself, which is real (up to roundoff) on
+The contacts come in closed form.  The chord factors as
+C(t) = cos(t) e1 + sin(t) e2 = e1 (cos(t) I + sin(t) K) with K = e1^-1 e2,
+so det C(t) = det(e1) prod_i (cos t + kappa_i sin t), a trigonometric
+polynomial of degree N whose zeros in [0, pi) are t_i = atan2(1, -kappa_i)
+for the real eigenvalues kappa_i of K.  On a geodesic() path K = (M - c)/s
+with c = sqrt(F), s = sqrt(1 - F), giving t_i = atan2(s, c - mu_i) for the
+eigenvalues mu_i of M.  Each contact is then verified on rho(t_i) itself,
+whose eigendecomposition also supplies the kernel state, so the theorem
+check never reads M's eigenvectors.  The signed diagnostic is the
+determinant of the chord C(t), which is real (up to roundoff) on
 horizontal circles and flips sign at each simple contact.
 """
 
@@ -23,11 +28,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize_scalar
+from scipy.optimize import linear_sum_assignment
 
 from .bures import GeodesicPath, geodesic
 from .errors import DegenerateRootWarning, ScanFailureError
-from .linalg import eig_hermitian, fix_phases, hermitian_part
+from .linalg import eig_hermitian, fix_phases
 from .measurement import fuchs_caves_operator
 
 __all__ = [
@@ -37,11 +42,11 @@ __all__ = [
     "real_roots_check",
 ]
 
-# Eigenvalues at a refined contact parameter below this are counted as
-# vanishing; a contact with two of them is a multiple root.
-_KERNEL_TOL = 1e-6
-# A refined local minimum qualifies as a boundary contact when the
-# minimum eigenvalue is this small.
+# Contact parameters closer than this are one multiple root; a kappa whose
+# root lies this far off the real t axis is not a contact.
+_MERGE_TOL = 1e-6
+# A contact of multiplicity m is verified when the m smallest eigenvalues
+# of rho(t) are at most this.
 _CONTACT_TOL = 1e-10
 
 
@@ -62,109 +67,63 @@ class BouncePoint:
     min_eigenvalue: float
 
 
-def _contact_candidates(path: GeodesicPath, samples: int) -> list[tuple[float, float]]:
-    """Brackets around local minima of the sampled min-eigenvalue curve."""
-    ts = np.linspace(0.0, np.pi, samples, endpoint=False)
-    lam = np.asarray(path.min_eigenvalue(ts))
-    # rho(t) is pi-periodic, so the grid is circular.
-    left = np.roll(lam, 1)
-    right = np.roll(lam, -1)
-    is_min = (lam <= left) & (lam <= right) & (lam < 1e-3)
-    h = np.pi / samples
-    return [(float(ts[i] - h), float(ts[i] + h)) for i in np.where(is_min)[0]]
+def _contact_groups(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster roots on the circle [0, pi): each cluster's first root and size."""
+    ts = np.sort(ts)
+    # gap from each root to the next, the last one wrapping round to ts[0] + pi
+    ends = np.flatnonzero(np.diff(ts, append=ts[:1] + np.pi) > _MERGE_TOL)
+    starts = np.roll(ends + 1, 1) % ts.size
+    sizes = (ends - starts) % ts.size + 1
+    order = np.argsort(ts[starts])
+    return ts[starts][order], sizes[order]
 
 
-def _refine_contact(path: GeodesicPath, lo: float, hi: float) -> tuple[float, float]:
-    result = minimize_scalar(
-        lambda t: float(path.min_eigenvalue(t)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(result.x) % np.pi, float(result.fun)
-
-
-def bounce_points(path: GeodesicPath, samples: int = 2048) -> list[BouncePoint]:
+def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
     """All boundary contacts of the great circle in one half-period [0, pi).
 
-    Scans a dense parameter grid (densified up to 16x on shortfall),
-    refines each candidate to |min eigenvalue| <= 1e-10, and returns the
-    contacts sorted by parameter.  Generic input yields exactly N simple
-    contacts.  Contacts closer than 1e-6 in parameter, or with more than
-    one vanishing eigenvalue, raise DegenerateRootWarning and are merged
-    with raised multiplicity.  If fewer than N vanishing eigenvalues are
-    found at maximum refinement, ScanFailureError is raised.
+    Solves for the contact parameters t_i = atan2(1, -kappa_i) from the
+    real eigenvalues kappa_i of e1^-1 e2 (``e1`` must be invertible, as
+    it is on every geodesic()), verifies each on the eigenvalues of
+    rho(t_i), and returns the contacts sorted by parameter.  Generic
+    input yields exactly N simple contacts.  Roots closer than 1e-6 in
+    parameter are merged into one contact of raised multiplicity with a
+    DegenerateRootWarning.  A contact of multiplicity m is kept only if
+    the m smallest eigenvalues of rho(t) are at most 1e-10; since det C(t)
+    has at most N zeros, N verified vanishing eigenvalues prove the list
+    complete, and fewer raise ScanFailureError.
     """
-    dim = path.dim
-    roots: list[tuple[float, float]] = []
-    for factor in (1, 4, 16):
-        roots = []
-        for lo, hi in _contact_candidates(path, samples * factor):
-            t, value = _refine_contact(path, lo, hi)
-            if value <= _CONTACT_TOL:
-                roots.append((t, value))
-        roots.sort()
-        deduped: list[tuple[float, float]] = []
-        for t, value in roots:
-            if deduped and abs(t - deduped[-1][0]) < 1e-9:
-                continue  # the same contact found from adjacent brackets
-            deduped.append((t, value))
-        roots = deduped
-        if sum(_multiplicity(path, t) for t, _ in roots) >= dim:
-            break
+    kappa = np.linalg.eigvals(np.linalg.solve(path.e1, path.e2))
+    real = np.abs(kappa.imag) <= _MERGE_TOL * (1.0 + np.abs(kappa) ** 2)
+    ts, sizes = _contact_groups(np.arctan2(1.0, -kappa.real[real]) % np.pi)
+    states = path.state(ts)
+    ws, vs = np.linalg.eigh(states)
     points: list[BouncePoint] = []
-    for t, value in roots:
-        if points and abs(t - points[-1].t) < 1e-6:
+    for t, size, rho_b, w, v in zip(ts, sizes, states, ws, vs):
+        if size > 1:
             warnings.warn(
-                f"contacts at t = {points[-1].t:.9f} and {t:.9f} merged "
-                "as a multiple root",
+                f"{size} contacts within {_MERGE_TOL:g} of t = {t:.9f} "
+                "merged as a multiple root",
                 DegenerateRootWarning,
                 stacklevel=2,
             )
-            prev = points.pop()
-            points.append(
-                BouncePoint(
-                    t=prev.t,
-                    rho_b=prev.rho_b,
-                    kernel_state=prev.kernel_state,
-                    multiplicity=prev.multiplicity + 1,
-                    min_eigenvalue=min(prev.min_eigenvalue, value),
-                )
-            )
+        if w[size - 1] > _CONTACT_TOL:
             continue
-        points.append(_bounce_point(path, t, value))
+        points.append(
+            BouncePoint(
+                t=float(t),
+                rho_b=rho_b,
+                kernel_state=fix_phases(v[:, :1])[:, 0],
+                multiplicity=int(size),
+                min_eigenvalue=float(w[0]),
+            )
+        )
     total = sum(p.multiplicity for p in points)
-    if total < dim:
+    if total < path.dim:
         raise ScanFailureError(
-            f"found {total} vanishing eigenvalues, expected {dim}; "
-            "the scan did not resolve every boundary contact"
+            f"verified {total} vanishing eigenvalues, expected {path.dim}; "
+            "not every root of det C(t) is a real boundary contact"
         )
     return points
-
-
-def _multiplicity(path: GeodesicPath, t: float) -> int:
-    w = np.linalg.eigvalsh(path.state(t))
-    return int(np.sum(w <= _KERNEL_TOL))
-
-
-def _bounce_point(path: GeodesicPath, t: float, value: float) -> BouncePoint:
-    rho_b = hermitian_part(path.state(t))
-    w, v = eig_hermitian(rho_b)
-    multiplicity = int(np.sum(w <= _KERNEL_TOL))
-    if multiplicity > 1:
-        warnings.warn(
-            f"contact at t = {t:.9f} has {multiplicity} vanishing eigenvalues",
-            DegenerateRootWarning,
-            stacklevel=3,
-        )
-    kernel = fix_phases(v[:, :1])[:, 0]
-    return BouncePoint(
-        t=t,
-        rho_b=rho_b,
-        kernel_state=kernel,
-        multiplicity=multiplicity,
-        min_eigenvalue=float(w[0]),
-    )
 
 
 def verify_billiard_theorem(rho1, rho2) -> dict:
@@ -235,7 +194,7 @@ def real_roots_check(
     signs = np.sign(real_part[keep])
     sign_changes = int(np.sum(signs[1:] != signs[:-1]))
     if bounce_ts is None:
-        bounce_ts = [p.t for p in bounce_points(path, samples=samples)]
+        bounce_ts = [p.t for p in bounce_points(path)]
     bounce_dets = np.linalg.det(path.chord(np.asarray(bounce_ts, dtype=float)))
     bounce_residual = float(np.max(np.abs(bounce_dets))) / scale if len(bounce_ts) else 0.0
     return {

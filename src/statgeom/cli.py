@@ -34,7 +34,7 @@ from .measurement import (
 from .linalg import eig_hermitian
 from .monotone import density_matrix, monotone_ds2, tangent_perturbation
 from .sampling import random_density_matrix, substream
-from .serialize import dumps_canonical, read_matrix_file, read_vector_file
+from .serialize import _float_token, dumps_canonical, read_matrix_file, read_vector_file
 
 __all__ = ["main"]
 
@@ -44,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _float_token(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, out: str | None) -> None:

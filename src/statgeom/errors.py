@@ -38,7 +38,7 @@ class DegenerateError(NumericalError):
 
 
 class ScanFailureError(NumericalError):
-    """A root scan found fewer zeros than required at maximum refinement."""
+    """Fewer boundary contacts were verified than the dimension requires."""
 
 
 class ParseError(ValidationError):

@@ -11,9 +11,11 @@ from statgeom import (
     ScanFailureError,
     bounce_points,
     eig_hermitian,
+    fidelity,
     fuchs_caves_operator,
     geodesic,
     random_invertible_density_matrix,
+    random_unitary,
     real_roots_check,
     substream,
     verify_billiard_theorem,
@@ -47,6 +49,51 @@ def test_commuting_qubit_bounces_match_trigonometry():
     for pt in points:
         weights = np.abs(pt.kernel_state)
         assert weights.max() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_commuting_bounces_match_trigonometry_to_roundoff():
+    for p, q in (
+        ([0.7, 0.3], [0.4, 0.6]),
+        ([0.5, 0.3, 0.2], [0.3, 0.2, 0.5]),
+        ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
+    ):
+        points = bounce_points(geodesic(*_diag_pair(p, q)))
+        assert [pt.multiplicity for pt in points] == [1] * len(p)
+        predicted = _predicted_diagonal_bounces(p, q)
+        assert np.allclose([pt.t for pt in points], predicted, rtol=0.0, atol=1e-12)
+
+
+def test_bounce_ts_match_the_spectrum_of_m():
+    # t_i = atan2(s, c - mu_i) mod pi, with c = sqrt(F), s = sqrt(1 - F)
+    rng = substream(5, "billiard-tests")
+    for dim in range(2, 13):
+        for _ in range(3):
+            rho1 = random_invertible_density_matrix(dim, rng)
+            rho2 = random_invertible_density_matrix(dim, rng)
+            ts = [pt.t for pt in bounce_points(geodesic(rho1, rho2))]
+            mu = np.linalg.eigvalsh(fuchs_caves_operator(rho1, rho2))
+            f = fidelity(rho1, rho2)
+            predicted = np.sort(
+                np.arctan2(math.sqrt(1.0 - f), math.sqrt(f) - mu) % math.pi
+            )
+            assert len(ts) == dim
+            assert np.allclose(ts, predicted, rtol=0.0, atol=1e-10)
+
+
+def test_near_coincident_contacts_are_resolved():
+    # two likelihood ratios 1e-3 apart put two contacts 6.9e-4 apart, well
+    # above the merge tolerance: three simple contacts, none flagged
+    p = np.array([0.5, 0.3, 0.2])
+    q = p * np.array([0.5, 0.5 * (1.0 + 1e-3), 3.0])
+    q /= q.sum()
+    u = random_unitary(3, substream(7, "billiard-tests"))
+    rho1 = u @ np.diag(p) @ u.conj().T
+    rho2 = u @ np.diag(q) @ u.conj().T
+    report = verify_billiard_theorem(rho1, rho2)
+    assert report["multiplicities"] == [1, 1, 1]
+    assert min(np.diff(report["bounce_ts"])) == pytest.approx(6.9e-4, rel=0.01)
+    assert report["matched"]
+    assert not report["flagged"]
 
 
 def test_bounce_points_lie_on_the_boundary(rng):
@@ -106,6 +153,17 @@ def test_degenerate_contact_is_flagged_and_merged():
     report = verify_billiard_theorem(rho1, rho2)
     assert report["flagged"]
     assert not report["matched"]  # two contacts cannot cover three eigenvectors
+
+
+def test_contacts_straddling_the_period_merge():
+    # roots at pi - 1e-8 and 1e-8 are 2e-8 apart on the pi-periodic circle
+    e1 = np.diag([1e-8, 1e-8, 1.0]).astype(complex)
+    e2 = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
+    with pytest.warns(DegenerateRootWarning):
+        points = bounce_points(path)
+    assert [pt.multiplicity for pt in points] == [1, 2]
+    assert [pt.t for pt in points] == pytest.approx([0.75 * math.pi, math.pi], abs=1e-7)
 
 
 def test_scan_failure_when_circle_avoids_boundary():
