@@ -23,7 +23,8 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import hermitian_part, hs_inner, matrix_inv_sqrt, matrix_sqrt
+from .linalg import _sqrt_and_inv_sqrt, hermitian_part, hs_inner, matrix_sqrt
+from .means import _congruence_mean
 from .monotone import density_matrix
 
 __all__ = [
@@ -60,6 +61,17 @@ def _matched_pair(rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
     return rho1, rho2
 
 
+def _lift_operator(rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M unsymmetrized, sqrt(rho1)) for validated states; rho1 invertible."""
+    root, inv_root = _sqrt_and_inv_sqrt(rho1)
+    return _congruence_mean(inv_root, root, rho2, np.sqrt), root
+
+
+def _angle_from_fidelity(fid: float) -> float:
+    """Bures angle arccos(sqrt(F)) from a fidelity F."""
+    return float(np.arccos(np.clip(np.sqrt(fid), 0.0, 1.0)))
+
+
 def fidelity(rho1, rho2) -> float:
     """Fidelity (Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)))^2, in [0, 1].
 
@@ -77,7 +89,7 @@ def fidelity(rho1, rho2) -> float:
 
 def bures_angle(rho1, rho2) -> float:
     """Bures-Uhlmann angle arccos(sqrt(fidelity)), in [0, pi/2]."""
-    return float(np.arccos(np.clip(np.sqrt(fidelity(rho1, rho2)), 0.0, 1.0)))
+    return _angle_from_fidelity(fidelity(rho1, rho2))
 
 
 def purification(a, atol: float = 1e-10) -> np.ndarray:
@@ -109,7 +121,7 @@ def project(a) -> np.ndarray:
 def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
     """Purification of rho2 aligned with the purification a1 of rho1.
 
-    Returns A2 = rho1^(-1/2) sqrt(sqrt(rho1) rho2 sqrt(rho1)) rho1^(-1/2) A1.
+    Returns A2 = M A1 with M = fuchs_caves_operator(rho1, rho2) = rho1^(-1) # rho2.
     The alignment makes A1* A2 positive semidefinite with
     Tr(A1* A2) = sqrt(fidelity(rho1, rho2)) — the largest overlap any
     purification of rho2 can reach, so the straight-line (great-circle)
@@ -119,17 +131,13 @@ def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
     must be invertible (SingularError otherwise).
     """
     rho1, rho2 = _matched_pair(rho1, rho2)
-    if a1 is None:
-        a1 = matrix_sqrt(rho1)
-    else:
+    if a1 is not None:
         a1 = purification(a1)
         resid = float(np.linalg.norm(a1 @ a1.conj().T - rho1))
         if resid > 1e-8:
             raise ValidationError(f"a1 does not purify rho1 (residual {resid:.3e})")
-    inv_root = matrix_inv_sqrt(rho1)
-    root = matrix_sqrt(rho1)
-    core = matrix_sqrt(hermitian_part(root @ rho2 @ root))
-    return inv_root @ core @ inv_root @ a1
+    m, root = _lift_operator(rho1, rho2)
+    return m @ (root if a1 is None else a1)
 
 
 @dataclass(frozen=True)
@@ -190,8 +198,8 @@ def geodesic(rho1, rho2) -> GeodesicPath:
                 f"geodesic endpoint has eigenvalue {float(w[0]):.3e}; "
                 "both endpoints must be strictly positive"
             )
-    a1 = matrix_sqrt(rho1)
-    a2 = horizontal_lift(rho1, rho2, a1)
+    m, a1 = _lift_operator(rho1, rho2)
+    a2 = m @ a1
     overlap = hs_inner(a1, a2).real  # = sqrt(fidelity), real by alignment
     overlap = min(1.0, max(-1.0, overlap))
     sine = np.sqrt(max(0.0, 1.0 - overlap * overlap))

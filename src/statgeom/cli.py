@@ -15,7 +15,7 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_all
 from .billiard import verify_billiard_theorem
-from .bures import bures_angle, fidelity, geodesic
+from .bures import _angle_from_fidelity, bures_angle, fidelity, geodesic
 from .classical import (
     fr_geodesic_distance,
     jeffreys_density,
@@ -27,7 +27,6 @@ from .errors import NumericalError, ValidationError
 from .means import operator_mean
 from .measurement import (
     fuchs_caves_operator,
-    optimal_measurement,
     povm_classical_angle,
     qubit_povm_search,
 )
@@ -147,7 +146,8 @@ def _cmd_fidelity(args) -> dict:
 def _cmd_bures_distance(args) -> dict:
     a = density_matrix(read_matrix_file(args.a))
     b = density_matrix(read_matrix_file(args.b))
-    return {"angle": bures_angle(a, b), "fidelity": fidelity(a, b)}
+    fid = fidelity(a, b)
+    return {"angle": _angle_from_fidelity(fid), "fidelity": fid}
 
 
 def _cmd_geodesic(args):
@@ -172,9 +172,8 @@ def _cmd_geodesic(args):
 def _cmd_optimal_measurement(args) -> dict:
     a = density_matrix(read_matrix_file(args.a))
     b = density_matrix(read_matrix_file(args.b))
-    m = fuchs_caves_operator(a, b)
-    eigenvalues, eigenvectors = eig_hermitian(m)
-    elements = optimal_measurement(a, b)
+    eigenvalues, eigenvectors = eig_hermitian(fuchs_caves_operator(a, b))
+    elements = [np.outer(v, v.conj()) for v in eigenvectors.T]  # optimal_measurement
     return {
         "bures_angle": bures_angle(a, b),
         "classical_angle": povm_classical_angle(elements, a, b),

@@ -75,12 +75,9 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     equal moduli resolve to the lowest row index.
     """
     out = np.array(vectors, dtype=complex, copy=True)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            out[:, k] = col * (np.abs(pivot) / pivot)
+    pivot = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    keep = np.abs(pivot) > 0
+    out[:, keep] *= np.abs(pivot[keep]) / pivot[keep]
     return out
 
 
@@ -123,19 +120,26 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
     return matrix_function(h, np.sqrt, domain_floor=0.0)
 
 
-def matrix_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
-    """Inverse square root of a positive-definite Hermitian matrix.
-
-    Raises :class:`SingularError` when the smallest eigenvalue is below
-    ``rel_floor`` times the largest eigenvalue magnitude.
-    """
+def _sqrt_and_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> tuple:
+    """(sqrt(H), H^(-1/2)) from one decomposition; see :func:`matrix_inv_sqrt`."""
     w, v = eig_hermitian(h)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0 or float(w.min()) <= rel_floor * scale:
         raise SingularError(
             f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
         )
-    return hermitian_part((v * (1.0 / np.sqrt(w))) @ v.conj().T)
+    root, vh = np.sqrt(w), v.conj().T  # a complex root repeats matrix_sqrt bit for bit
+    return (hermitian_part((v * root.astype(complex)) @ vh),
+            hermitian_part((v * (1.0 / root)) @ vh))
+
+
+def matrix_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
+    """Inverse square root of a positive-definite Hermitian matrix.
+
+    Raises :class:`SingularError` when the smallest eigenvalue is below
+    ``rel_floor`` times the largest eigenvalue magnitude.
+    """
+    return _sqrt_and_inv_sqrt(h, rel_floor)[1]
 
 
 def min_eigenvalue(h: np.ndarray) -> float:

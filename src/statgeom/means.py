@@ -18,13 +18,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
-    eig_hermitian,
+    _sqrt_and_inv_sqrt,
     hermitian_part,
     hs_norm,
     is_hermitian,
     matrix_function,
-    matrix_inv_sqrt,
-    matrix_sqrt,
     min_eigenvalue,
     psd_order_geq,
 )
@@ -64,16 +62,21 @@ def validate_mean_function(f, grid: np.ndarray | None = None) -> None:
     The normalization is required to 1e-12 and the symmetry to 1e-10 on a
     log grid over [1e-3, 1e3].  Raises ValidationError on failure.
     """
-    if grid is None:
-        grid = np.logspace(-3.0, 3.0, 61)
     one = float(f(1.0))
     if abs(one - 1.0) > 1e-12:
         raise ValidationError(f"f(1) = {one!r}, expected 1")
-    ft = np.asarray(f(grid), dtype=float)
-    finv = np.asarray(f(1.0 / grid), dtype=float)
-    defect = np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid)))
+    defect = _symmetry_defect(f, grid)
     if defect > 1e-10:
         raise ValidationError(f"f(1/t) = f(t)/t fails on the grid (defect {defect:.3e})")
+
+
+def _symmetry_defect(f, grid: np.ndarray | None = None) -> float:
+    """Largest relative defect of f(1/t) = f(t)/t, by default over [1e-3, 1e3]."""
+    if grid is None:
+        grid = np.logspace(-3.0, 3.0, 61)
+    ft = np.asarray(f(grid), dtype=float)
+    finv = np.asarray(f(1.0 / grid), dtype=float)
+    return float(np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid))))
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,10 +102,15 @@ def operator_mean(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
     a, b = _check_pair(a, b)
     if min_eigenvalue(b) < -1e-12:
         raise ValidationError("second operand is not positive semidefinite")
-    ra = matrix_inv_sqrt(a)  # raises SingularError if a is not invertible
-    inner = hermitian_part(ra @ b @ ra)
-    mean = matrix_sqrt(a) @ matrix_function(inner, f, domain_floor=0.0) @ matrix_sqrt(a)
-    return hermitian_part(mean)
+    root, inv_root = _sqrt_and_inv_sqrt(a)  # SingularError if a is not invertible
+    return hermitian_part(_congruence_mean(root, inv_root, b, f))
+
+
+def _congruence_mean(outer, inner, b, f) -> np.ndarray:
+    """Unsymmetrized, unvalidated outer f(inner b inner) outer: M_f(A, B) from
+    (sqrt(A), A^(-1/2)); the operator M from (rho1^(-1/2), sqrt(rho1)), f = sqrt."""
+    core = matrix_function(hermitian_part(inner @ b @ inner), f, domain_floor=0.0)
+    return outer @ core @ outer
 
 
 def arithmetic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,11 +223,12 @@ def operator_monotone_test(f, dim: int, seed: int, trials: int) -> dict:
 
 def _apply_scalar(f, h: np.ndarray) -> np.ndarray:
     """f lifted to a Hermitian matrix, with a finiteness check on f(spectrum)."""
-    w, v = eig_hermitian(h)
-    fw = np.asarray(f(np.clip(w, 0.0, None)), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("f is undefined on part of the sampled spectrum")
-    return hermitian_part((v * fw) @ v.conj().T)
+    def clipped(w):
+        fw = np.asarray(f(np.clip(w, 0.0, None)), dtype=float)
+        if not np.all(np.isfinite(fw)):
+            raise DomainError("f is undefined on part of the sampled spectrum")
+        return fw
+    return matrix_function(h, clipped)
 
 
 def square_monotonicity_counterexample() -> dict:

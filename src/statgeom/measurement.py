@@ -20,16 +20,9 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import (
-    eig_hermitian,
-    hermitian_part,
-    is_hermitian,
-    matrix_inv_sqrt,
-    matrix_sqrt,
-    min_eigenvalue,
-)
+from .linalg import eig_hermitian, hermitian_part, is_hermitian, min_eigenvalue
 from .monotone import density_matrix
-from .bures import bloch_vector
+from .bures import _lift_operator, _matched_pair, bloch_vector
 
 __all__ = [
     "povm",
@@ -89,21 +82,13 @@ def fuchs_caves_operator(rho1, rho2) -> np.ndarray:
     """The operator M with rho2 = M rho1 M, optimal for telling the states apart.
 
     M = rho1^(-1/2) sqrt(sqrt(rho1) rho2 sqrt(rho1)) rho1^(-1/2) is Hermitian
-    and positive semidefinite, coincides with the geometric mean of
-    rho1^(-1) and rho2, and obeys M(rho1, rho2) M(rho2, rho1) = identity,
-    so both argument orders define the same projective measurement.
+    and positive semidefinite, is the geometric mean rho1^(-1) # rho2 (the
+    congruence formula of operator_mean; horizontal_lift is M A1), and obeys
+    M(rho1, rho2) M(rho2, rho1) = identity, so both argument orders define
+    the same projective measurement.
     ``rho1`` must be invertible (SingularError otherwise).
     """
-    rho1 = density_matrix(rho1)
-    rho2 = density_matrix(rho2)
-    if rho1.shape != rho2.shape:
-        raise DimensionMismatchError(
-            f"states have shapes {rho1.shape} and {rho2.shape}"
-        )
-    inv_root = matrix_inv_sqrt(rho1)
-    root = matrix_sqrt(rho1)
-    core = matrix_sqrt(hermitian_part(root @ rho2 @ root))
-    return hermitian_part(inv_root @ core @ inv_root)
+    return hermitian_part(_lift_operator(*_matched_pair(rho1, rho2))[0])
 
 
 def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
@@ -114,8 +99,7 @@ def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
     the eigenbasis inside each eigenspace is an arbitrary orthonormal
     choice; any such refinement attains the bound.
     """
-    m = fuchs_caves_operator(rho1, rho2)
-    _, vectors = eig_hermitian(m)
+    _, vectors = eig_hermitian(fuchs_caves_operator(rho1, rho2))
     return [np.outer(v, v.conj()) for v in vectors.T]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BoundaryError, ValidationError
 from .linalg import eig_hermitian, hermitian_part, is_hermitian
-from .means import mean_function, operator_monotone_test
+from .means import _symmetry_defect, mean_function, operator_monotone_test
 
 __all__ = [
     "density_matrix",
@@ -106,12 +106,7 @@ def f_conditions_check(f, seed: int = 0) -> dict:
         if report["counterexample"] is not None:
             counterexample_dim = dim
             break
-    grid = np.logspace(-3.0, 3.0, 61)
-    ft = np.asarray(f(grid), dtype=float)
-    finv = np.asarray(f(1.0 / grid), dtype=float)
-    sym_defect = float(
-        np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid)))
-    )
+    sym_defect = _symmetry_defect(f)
     report = {
         "operator_monotone": counterexample_dim is None,
         "counterexample_dim": counterexample_dim,

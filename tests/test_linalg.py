@@ -11,7 +11,10 @@ from statgeom import (
     SingularError,
     eig_hermitian,
     fix_phases,
+    fuchs_caves_operator,
+    geodesic,
     hermitian_part,
+    horizontal_lift,
     hs_inner,
     hs_norm,
     is_hermitian,
@@ -19,6 +22,7 @@ from statgeom import (
     matrix_inv_sqrt,
     matrix_sqrt,
     min_eigenvalue,
+    operator_mean,
     psd_order_geq,
     random_density_matrix,
 )
@@ -63,6 +67,68 @@ def test_fix_phases_is_idempotent(rng):
     assert np.allclose(fix_phases(fixed), fixed)
     # columns only change by a phase
     assert np.allclose(np.abs(fixed), np.abs(v))
+
+
+def _fix_phases_reference(vectors):
+    """Column-by-column phase fixing, the definition fix_phases vectorizes."""
+    out = np.array(vectors, dtype=complex, copy=True)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        if np.abs(pivot) > 0:
+            out[:, k] = col * (np.abs(pivot) / pivot)
+    return out
+
+
+def test_fix_phases_matches_column_loop_exactly(rng):
+    for shape in [(2, 1), (2, 2), (3, 5), (8, 8), (16, 4)]:
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(fix_phases(v), _fix_phases_reference(v))
+    # One row with one nonzero column is the one case where numpy multiplies
+    # a single-element 2-D block without the fused multiply-add of its 1-D
+    # loop, so the imaginary roundoff of the real result may differ.
+    v = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
+    ulps = 4.0 * np.finfo(float).eps * np.abs(v)
+    assert np.all(np.abs(fix_phases(v) - _fix_phases_reference(v)) <= ulps)
+    assert np.all(np.abs(fix_phases(v) - np.abs(v)) <= ulps)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    _, v = np.linalg.eigh(hermitian_part(h))
+    assert np.array_equal(fix_phases(v), _fix_phases_reference(v))
+    # column 0: two entries of equal modulus, the lower row index wins;
+    # column 1: all zero, left unchanged; column 2: real negative pivot
+    v = np.array([[0.0, 0.0, 0.1], [1j, 0.0, -2.0], [-1.0, 0.0, 0.3j]])
+    fixed = fix_phases(v)
+    assert np.array_equal(fixed, _fix_phases_reference(v))
+    assert fixed[1, 0] == 1.0 and fixed[2, 0] == 1j
+    assert np.array_equal(fixed[:, 1], np.zeros(3))
+    assert fixed[1, 2] == 2.0
+
+
+def test_one_decomposition_per_root_pair(monkeypatch):
+    """sqrt(A) and A^(-1/2) come from one eigh; M and the lift share it."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(5)
+    rho1 = random_density_matrix(3, rng)
+    rho2 = random_density_matrix(3, rng)
+    cases = {
+        "operator_mean": lambda: operator_mean(A2, np.diag([3.0, 1.0]), "geometric"),
+        "fuchs_caves_operator": lambda: fuchs_caves_operator(rho1, rho2),
+        "geodesic": lambda: geodesic(rho1, rho2),
+        "horizontal_lift": lambda: horizontal_lift(rho1, rho2),
+    }
+    counts = {}
+    for name, call in cases.items():
+        calls.clear()
+        call()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(cases, 2)
 
 
 def test_matrix_sqrt_frozen_2x2():
