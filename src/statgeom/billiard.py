@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .bures import GeodesicPath, geodesic
+from .bures import GeodesicPath, _geodesic, _matched_pair
 from .errors import DegenerateRootWarning, ScanFailureError
 from .linalg import eig_hermitian, fix_phases
-from .measurement import fuchs_caves_operator
 
 __all__ = [
     "BouncePoint",
@@ -136,12 +135,12 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
     overlap at least 1 - 1e-6; ``flagged`` reports whether any contact
     was degenerate (such runs fall outside the generic theorem).
     """
-    path = geodesic(rho1, rho2)
+    path, m = _geodesic(*_matched_pair(rho1, rho2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateRootWarning)
         points = bounce_points(path)
     flagged = any(issubclass(w.category, DegenerateRootWarning) for w in caught)
-    m = fuchs_caves_operator(rho1, rho2)
+    # eig_hermitian symmetrizes M first, so this is fuchs_caves_operator's basis
     m_eigenvalues, m_vectors = eig_hermitian(m)
     kernels = np.stack([p.kernel_state for p in points])
     overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linalg import _sqrt_and_inv_sqrt, hermitian_part, hs_inner, matrix_sqrt
 from .means import _congruence_mean
-from .monotone import density_matrix
+from .monotone import _density_matrix, density_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -51,14 +51,19 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _matched_pair(rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
-    rho1 = density_matrix(rho1)
-    rho2 = density_matrix(rho2)
+def _matched_pair(rho1, rho2) -> tuple:
+    """Validate two states of one shape: (rho1, rho2, smallest eigenvalues)."""
+    return _matched(_density_matrix(rho1), _density_matrix(rho2))
+
+
+def _matched(state1: tuple, state2: tuple) -> tuple:
+    """Shape check on two ``_density_matrix`` results, as :func:`_matched_pair`."""
+    (rho1, low1), (rho2, low2) = state1, state2
     if rho1.shape != rho2.shape:
         raise DimensionMismatchError(
             f"states have shapes {rho1.shape} and {rho2.shape}"
         )
-    return rho1, rho2
+    return rho1, rho2, (low1, low2)
 
 
 def _lift_operator(rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +85,11 @@ def fidelity(rho1, rho2) -> float:
     commuting (classical) states.  Symmetric in its arguments, although
     the formula hides it.
     """
-    rho1, rho2 = _matched_pair(rho1, rho2)
+    return _fidelity(*_matched_pair(rho1, rho2)[:2])
+
+
+def _fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """:func:`fidelity` of two validated states of one shape."""
     r2 = matrix_sqrt(rho2)
     w = np.linalg.eigvalsh(hermitian_part(r2 @ rho1 @ r2))
     root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
@@ -130,7 +139,7 @@ def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
     ``a1`` defaults to the canonical purification sqrt(rho1).  ``rho1``
     must be invertible (SingularError otherwise).
     """
-    rho1, rho2 = _matched_pair(rho1, rho2)
+    rho1, rho2, _ = _matched_pair(rho1, rho2)
     if a1 is not None:
         a1 = purification(a1)
         resid = float(np.linalg.norm(a1 @ a1.conj().T - rho1))
@@ -190,12 +199,18 @@ def geodesic(rho1, rho2) -> GeodesicPath:
     the states coincide (Bures angle below 1e-8), where no unique
     geodesic exists.
     """
-    rho1, rho2 = _matched_pair(rho1, rho2)
-    for rho in (rho1, rho2):
-        w = np.linalg.eigvalsh(rho)
-        if float(w[0]) <= 1e-12:
+    return _geodesic(*_matched_pair(rho1, rho2))[0]
+
+
+def _geodesic(rho1: np.ndarray, rho2: np.ndarray, lows) -> tuple:
+    """(:func:`geodesic`, M unsymmetrized) for validated states of one shape.
+
+    ``lows`` are the smallest eigenvalues of rho1 and rho2.
+    """
+    for low in lows:
+        if low <= 1e-12:
             raise SingularError(
-                f"geodesic endpoint has eigenvalue {float(w[0]):.3e}; "
+                f"geodesic endpoint has eigenvalue {low:.3e}; "
                 "both endpoints must be strictly positive"
             )
     m, a1 = _lift_operator(rho1, rho2)
@@ -206,7 +221,7 @@ def geodesic(rho1, rho2) -> GeodesicPath:
     if sine < 1e-8:
         raise DegenerateError("states coincide; the geodesic is not unique")
     e2 = (a2 - overlap * a1) / sine
-    return GeodesicPath(e1=a1, e2=e2, t_star=float(np.arccos(overlap)))
+    return GeodesicPath(e1=a1, e2=e2, t_star=float(np.arccos(overlap))), m
 
 
 def fubini_study_distance(psi, phi) -> float:

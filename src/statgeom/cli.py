@@ -15,7 +15,15 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_all
 from .billiard import verify_billiard_theorem
-from .bures import _angle_from_fidelity, bures_angle, fidelity, geodesic
+from .bures import (
+    _angle_from_fidelity,
+    _fidelity,
+    _geodesic,
+    _lift_operator,
+    _matched,
+    bures_angle,
+    geodesic,
+)
 from .classical import (
     fr_geodesic_distance,
     jeffreys_density,
@@ -25,13 +33,14 @@ from .classical import (
 )
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
-from .measurement import (
-    fuchs_caves_operator,
-    povm_classical_angle,
-    qubit_povm_search,
-)
+from .measurement import _distribution, _povm_stack, qubit_povm_search
 from .linalg import eig_hermitian
-from .monotone import density_matrix, monotone_ds2, tangent_perturbation
+from .monotone import (
+    _density_matrix,
+    density_matrix,
+    monotone_ds2,
+    tangent_perturbation,
+)
 from .sampling import random_density_matrix, substream
 from .serialize import _float_token, dumps_canonical, read_matrix_file, read_vector_file
 
@@ -137,23 +146,28 @@ def _cmd_monotone_metric(args) -> dict:
     return {"ds2": monotone_ds2(rho, drho, args.f), "f": args.f}
 
 
+def _read_pair(args) -> tuple:
+    """States ``a`` then ``b``, each read and validated once, of one shape.
+
+    Returns (a, b, smallest eigenvalues) for the library's private cores.
+    """
+    a = _density_matrix(read_matrix_file(args.a))
+    return _matched(a, _density_matrix(read_matrix_file(args.b)))
+
+
 def _cmd_fidelity(args) -> dict:
-    a = density_matrix(read_matrix_file(args.a))
-    b = density_matrix(read_matrix_file(args.b))
-    return {"fidelity": fidelity(a, b)}
+    a, b, _ = _read_pair(args)
+    return {"fidelity": _fidelity(a, b)}
 
 
 def _cmd_bures_distance(args) -> dict:
-    a = density_matrix(read_matrix_file(args.a))
-    b = density_matrix(read_matrix_file(args.b))
-    fid = fidelity(a, b)
+    a, b, _ = _read_pair(args)
+    fid = _fidelity(a, b)
     return {"angle": _angle_from_fidelity(fid), "fidelity": fid}
 
 
 def _cmd_geodesic(args):
-    a = density_matrix(read_matrix_file(args.a))
-    b = density_matrix(read_matrix_file(args.b))
-    path = geodesic(a, b)
+    path, _ = _geodesic(*_read_pair(args))
     ts = np.linspace(0.0, path.t_star, args.samples)
     if args.format == "csv":
         header, rows = _state_csv_rows(path, ts)
@@ -170,13 +184,17 @@ def _cmd_geodesic(args):
 
 
 def _cmd_optimal_measurement(args) -> dict:
-    a = density_matrix(read_matrix_file(args.a))
-    b = density_matrix(read_matrix_file(args.b))
-    eigenvalues, eigenvectors = eig_hermitian(fuchs_caves_operator(a, b))
-    elements = [np.outer(v, v.conj()) for v in eigenvectors.T]  # optimal_measurement
+    a, b, _ = _read_pair(args)
+    # eig_hermitian symmetrizes M first, as fuchs_caves_operator does
+    eigenvalues, eigenvectors = eig_hermitian(_lift_operator(a, b)[0])
+    angle = _angle_from_fidelity(_fidelity(a, b))
+    # the projectors of optimal_measurement, validated as a POVM
+    elements = _povm_stack([np.outer(v, v.conj()) for v in eigenvectors.T])
     return {
-        "bures_angle": bures_angle(a, b),
-        "classical_angle": povm_classical_angle(elements, a, b),
+        "bures_angle": angle,
+        "classical_angle": fr_geodesic_distance(
+            _distribution(elements, a), _distribution(elements, b)
+        ),
         "m_eigenvalues": eigenvalues,
         "m_eigenvectors": eigenvectors,
     }

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import eig_hermitian, hermitian_part, is_hermitian, min_eigenvalue
+from .linalg import eig_hermitian, hermitian_part, is_hermitian
 from .monotone import density_matrix
 from .bures import _lift_operator, _matched_pair, bloch_vector
 
@@ -37,35 +37,63 @@ __all__ = [
 
 def povm(elements) -> list[np.ndarray]:
     """Validate a POVM: PSD elements of equal shape resolving the identity."""
+    return list(_povm_stack(elements))
+
+
+def _povm_stack(elements) -> np.ndarray:
+    """Validate a POVM as one (K, N, N) stack, with the checks of :func:`povm`.
+
+    The error raised is the one a check element by element (shape, then
+    Hermiticity, then positivity) meets first: the one batched eigvalsh
+    covers only the elements before the first that fails shape or
+    Hermiticity, and that failure is raised when none of them is negative.
+    """
     if len(elements) == 0:
         raise ValidationError("a POVM needs at least one element")
-    checked = []
+    checked, error = [], None
     for k, e in enumerate(elements):
-        e = np.asarray(e, dtype=complex)
+        try:
+            e = np.asarray(e, dtype=complex)
+        except (TypeError, ValueError) as exc:  # e.g. a ragged nested list
+            error = exc
+            break
         if e.shape != np.shape(elements[0]):
-            raise DimensionMismatchError("POVM elements must share one shape")
+            error = DimensionMismatchError("POVM elements must share one shape")
+            break
         if not is_hermitian(e):
-            raise ValidationError(f"POVM element {k} is not Hermitian")
-        e = hermitian_part(e)
-        if min_eigenvalue(e) < -1e-12:
-            raise ValidationError(f"POVM element {k} is not positive semidefinite")
+            error = ValidationError(f"POVM element {k} is not Hermitian")
+            break
         checked.append(e)
-    total = sum(checked)
+    if not checked:
+        raise error
+    stack = np.stack(checked)
+    stack += np.conj(np.swapaxes(stack, -1, -2))
+    stack /= 2  # hermitian_part of every element
+    negative = np.flatnonzero(np.linalg.eigvalsh(stack)[:, 0] < -1e-12)
+    if negative.size:
+        raise ValidationError(
+            f"POVM element {negative[0]} is not positive semidefinite"
+        )
+    if error is not None:
+        raise error
+    total = np.sum(stack, axis=0)
     if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
         raise ValidationError("POVM elements must sum to the identity")
-    return checked
+    return stack
+
+
+def _distribution(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """p_k = Tr(E_k rho) for a validated POVM stack and state."""
+    if stack.shape[1:] != rho.shape:
+        raise DimensionMismatchError(
+            f"POVM acts on dim {stack.shape[1]}, state has dim {rho.shape[0]}"
+        )
+    return probability_vector(np.trace(stack @ rho, axis1=1, axis2=2).real)
 
 
 def induced_distribution(elements, rho) -> np.ndarray:
     """Outcome distribution p_k = Tr(E_k rho) of a POVM on a state."""
-    elements = povm(elements)
-    rho = density_matrix(rho)
-    if elements[0].shape != rho.shape:
-        raise DimensionMismatchError(
-            f"POVM acts on dim {elements[0].shape[0]}, state has dim {rho.shape[0]}"
-        )
-    probs = [float(np.trace(e @ rho).real) for e in elements]
-    return probability_vector(probs)
+    return _distribution(_povm_stack(elements), density_matrix(rho))
 
 
 def povm_classical_angle(elements, rho1, rho2) -> float:
@@ -73,8 +101,9 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
 
     Bounded above by the Bures angle of the two states for every POVM.
     """
-    p = induced_distribution(elements, rho1)
-    q = induced_distribution(elements, rho2)
+    stack = _povm_stack(elements)
+    p = _distribution(stack, density_matrix(rho1))
+    q = _distribution(stack, density_matrix(rho2))
     return fr_geodesic_distance(p, q)
 
 
@@ -88,7 +117,7 @@ def fuchs_caves_operator(rho1, rho2) -> np.ndarray:
     the same projective measurement.
     ``rho1`` must be invertible (SingularError otherwise).
     """
-    return hermitian_part(_lift_operator(*_matched_pair(rho1, rho2))[0])
+    return hermitian_part(_lift_operator(*_matched_pair(rho1, rho2)[:2])[0])
 
 
 def optimal_measurement(rho1, rho2) -> list[np.ndarray]:

@@ -32,6 +32,11 @@ __all__ = [
 
 def density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD (to -1e-12), unit trace."""
+    return _density_matrix(rho)[0]
+
+
+def _density_matrix(rho) -> tuple[np.ndarray, float]:
+    """The checks of :func:`density_matrix`; also the smallest eigenvalue."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
@@ -41,9 +46,10 @@ def density_matrix(rho) -> np.ndarray:
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-12:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    if float(np.linalg.eigvalsh(rho)[0]) < -1e-12:
+    low = float(np.linalg.eigvalsh(rho)[0])
+    if low < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
-    return rho
+    return rho, low
 
 
 def tangent_perturbation(drho) -> np.ndarray:

@@ -132,6 +132,20 @@ def test_verify_theorem_on_random_states(rng):
         assert sorted(p["eigenvector"] for p in report["pairings"]) == list(range(dim))
 
 
+def test_verify_theorem_builds_m_once(lapack_calls):
+    # M comes from the geodesic: building it again through
+    # fuchs_caves_operator cost 2 more eigh and 2 validating eigvalsh, and
+    # the endpoint spectra were computed twice (6 eigh, 6 eigvalsh before)
+    rng = np.random.default_rng(4)
+    rho1 = random_invertible_density_matrix(4, rng)
+    rho2 = random_invertible_density_matrix(4, rng)
+    calls = lapack_calls("eigh", "eigvalsh")
+    report = verify_billiard_theorem(rho1, rho2)
+    assert calls == {"eigh": 4, "eigvalsh": 2}
+    m_eigenvalues = eig_hermitian(fuchs_caves_operator(rho1, rho2)).eigenvalues
+    assert np.array_equal(report["m_eigenvalues"], m_eigenvalues)
+
+
 def test_verify_theorem_commuting_case():
     rho1, rho2 = _diag_pair([0.5, 0.3, 0.2], [0.3, 0.2, 0.5])
     report = verify_billiard_theorem(rho1, rho2)

@@ -174,10 +174,24 @@ def test_geodesic_commuting_matches_scalar_formula():
 def test_geodesic_rejects_singular_endpoint():
     pure = np.diag([1.0, 0.0]).astype(complex)
     mixed = np.eye(2, dtype=complex) / 2
-    with pytest.raises(SingularError):
-        geodesic(pure, mixed)
-    with pytest.raises(SingularError):
-        geodesic(mixed, pure)
+    message = (
+        "geodesic endpoint has eigenvalue 0.000e+00; "
+        "both endpoints must be strictly positive"
+    )
+    for pair in ((pure, mixed), (mixed, pure)):
+        with pytest.raises(SingularError) as caught:
+            geodesic(*pair)
+        assert str(caught.value) == message
+
+
+def test_geodesic_reads_each_endpoint_spectrum_once(lapack_calls, rng):
+    # the singular-endpoint check reuses the validation's smallest
+    # eigenvalue instead of a second eigvalsh per endpoint (4 before)
+    rho1 = random_invertible_density_matrix(3, rng)
+    rho2 = random_invertible_density_matrix(3, rng)
+    calls = lapack_calls("eigvalsh")
+    geodesic(rho1, rho2)
+    assert calls["eigvalsh"] == 2
 
 
 def test_geodesic_rejects_identical_states():

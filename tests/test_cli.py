@@ -42,6 +42,10 @@ def files(tmp_path_factory):
         "rho2": write("rho2.json", [[0.5, 0], [0, 0.5]]),
         "drho": write("drho.json", [[0.01, 0], [0, -0.01]]),
         "pure": write("pure.json", [[1, 0], [0, 0]]),
+        "nonherm": write("nonherm.json", [[0.5, 0.3], [0.0, 0.5]]),
+        "trace2": write("trace2.json", [[1.2, 0.0], [0.0, 0.8]]),
+        "qutrit": write("qutrit.json", [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]),
+        "missing": str(root / "missing.json"),
         "dir": str(root),
     }
 
@@ -360,3 +364,56 @@ def test_installed_script(files, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     _validate("bures-distance", json.loads(result.stdout))
+
+
+_STATE_COMMANDS = [
+    ["fidelity"],
+    ["bures-distance"],
+    ["geodesic"],
+    ["geodesic", "--format", "csv"],
+    ["optimal-measurement"],
+]
+
+
+@pytest.mark.parametrize("command", _STATE_COMMANDS)
+@pytest.mark.parametrize(
+    "a, b, error",
+    [
+        ("nonherm", "rho2", ("ValidationError", "density matrix must be Hermitian")),
+        (
+            "rho1", "trace2",
+            ("ValidationError", "density matrix trace is 2.0, expected 1"),
+        ),
+        (
+            "rho1", "qutrit",
+            ("DimensionMismatchError", "states have shapes (2, 2) and (3, 3)"),
+        ),
+        # a is read and validated before b is read
+        ("nonherm", "missing", ("ValidationError", "density matrix must be Hermitian")),
+    ],
+)
+def test_state_commands_reject_bad_inputs(capsys, files, command, a, b, error):
+    code, out = run_cli(capsys, *command, files[a], files[b])
+    assert code == 1
+    envelope = {"error": {"type": error[0], "message": error[1]}}
+    assert out == json.dumps(envelope, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, eigvalsh",
+    [
+        # two to validate the files, then what each command computes; each
+        # command used to validate the files again inside the library
+        (["fidelity"], 3),  # was 5
+        (["bures-distance"], 3),  # was 5
+        (["geodesic", "--samples", "5"], 3),  # was 7
+        (["optimal-measurement"], 4),  # was 13
+    ],
+)
+def test_state_commands_validate_each_file_once(
+    capsys, files, lapack_calls, command, eigvalsh
+):
+    calls = lapack_calls("eigvalsh")
+    code, _ = run_cli(capsys, *command, files["rho1"], files["rho2"])
+    assert code == 0
+    assert calls["eigvalsh"] == eigvalsh

@@ -104,16 +104,9 @@ def test_fix_phases_matches_column_loop_exactly(rng):
     assert fixed[1, 2] == 2.0
 
 
-def test_one_decomposition_per_root_pair(monkeypatch):
+def test_one_decomposition_per_root_pair(lapack_calls):
     """sqrt(A) and A^(-1/2) come from one eigh; M and the lift share it."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = lapack_calls("eigh")
     rng = np.random.default_rng(5)
     rho1 = random_density_matrix(3, rng)
     rho2 = random_density_matrix(3, rng)
@@ -127,7 +120,7 @@ def test_one_decomposition_per_root_pair(monkeypatch):
     for name, call in cases.items():
         calls.clear()
         call()
-        counts[name] = len(calls)
+        counts[name] = calls["eigh"]
     assert counts == dict.fromkeys(cases, 2)
 
 

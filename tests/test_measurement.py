@@ -11,13 +11,18 @@ from statgeom import (
     SingularError,
     ValidationError,
     bures_angle,
+    density_matrix,
     fr_geodesic_distance,
     fuchs_caves_operator,
     geometric_mean,
+    hermitian_part,
     induced_distribution,
+    is_hermitian,
+    min_eigenvalue,
     optimal_measurement,
     povm,
     povm_classical_angle,
+    probability_vector,
     pure_state_qubit_angle,
     qubit_povm_search,
     qubit_state,
@@ -203,3 +208,137 @@ def test_pure_state_angle_domain_errors():
         pure_state_qubit_angle(3.0, 0.2, inside=False)  # beyond (pi-theta)/2
     with pytest.raises(DomainError):
         pure_state_qubit_angle(1.0, -0.1)
+
+
+def _povm_reference(elements):
+    """povm checked one element at a time: the stacked check must match it."""
+    if len(elements) == 0:
+        raise ValidationError("a POVM needs at least one element")
+    checked = []
+    for k, e in enumerate(elements):
+        e = np.asarray(e, dtype=complex)
+        if e.shape != np.shape(elements[0]):
+            raise DimensionMismatchError("POVM elements must share one shape")
+        if not is_hermitian(e):
+            raise ValidationError(f"POVM element {k} is not Hermitian")
+        e = hermitian_part(e)
+        if min_eigenvalue(e) < -1e-12:
+            raise ValidationError(f"POVM element {k} is not positive semidefinite")
+        checked.append(e)
+    total = sum(checked)
+    if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
+        raise ValidationError("POVM elements must sum to the identity")
+    return checked
+
+
+def _induced_reference(elements, rho):
+    """induced_distribution with one trace per element."""
+    elements = _povm_reference(elements)
+    rho = density_matrix(rho)
+    if elements[0].shape != rho.shape:
+        raise DimensionMismatchError(
+            f"POVM acts on dim {elements[0].shape[0]}, state has dim {rho.shape[0]}"
+        )
+    return probability_vector([float(np.trace(e @ rho).real) for e in elements])
+
+
+def test_stacked_povm_matches_element_loop_exactly():
+    rng = np.random.default_rng(41)
+    for dim in (2, 3, 4, 5, 8, 16, 32):
+        for trial in range(4):
+            rho1 = random_invertible_density_matrix(dim, rng)
+            rho2 = random_invertible_density_matrix(dim, rng)
+            if trial % 2 == 0:
+                elements = optimal_measurement(rho1, rho2)
+            else:
+                elements = random_povm(dim, int(rng.integers(1, 2 * dim + 2)), rng)
+            checked, reference = povm(elements), _povm_reference(elements)
+            assert len(checked) == len(reference)
+            assert all(np.array_equal(e, r) for e, r in zip(checked, reference))
+            p = _induced_reference(elements, rho1)
+            q = _induced_reference(elements, rho2)
+            assert np.array_equal(induced_distribution(elements, rho1), p)
+            assert np.array_equal(induced_distribution(elements, rho2), q)
+            angle = povm_classical_angle(elements, rho1, rho2)
+            assert angle == fr_geodesic_distance(p, q)
+
+
+_NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+_NEGATIVE = np.diag([-0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "elements, error, message",
+    [
+        ([], ValidationError, "a POVM needs at least one element"),
+        (
+            [_NON_HERMITIAN, np.eye(3)],
+            ValidationError,
+            "POVM element 0 is not Hermitian",
+        ),
+        (
+            [np.diag([1.5, 1.0]), _NEGATIVE, _NON_HERMITIAN],
+            ValidationError,
+            "POVM element 1 is not positive semidefinite",
+        ),
+        (
+            [np.diag([1.5, 1.0]), _NEGATIVE, np.full((2, 2), np.nan)],
+            ValidationError,
+            "POVM element 1 is not positive semidefinite",
+        ),
+        (
+            [np.diag([1.5, 1.0]), _NEGATIVE, [[1.0, 0.0], [0.0]]],
+            ValidationError,
+            "POVM element 1 is not positive semidefinite",
+        ),
+        (
+            [np.eye(2), np.eye(3)],
+            DimensionMismatchError,
+            "POVM elements must share one shape",
+        ),
+        (
+            [np.ones((2, 3)), np.ones((2, 3))],
+            DimensionMismatchError,
+            "matrix must be square, got shape (2, 3)",
+        ),
+        (
+            [np.eye(2), np.eye(2)],
+            ValidationError,
+            "POVM elements must sum to the identity",
+        ),
+    ],
+)
+def test_povm_errors_keep_element_order(elements, error, message):
+    # the lowest-index offending element wins, and within one element the
+    # shape check precedes Hermiticity, which precedes positivity
+    for check in (povm, _povm_reference):
+        with pytest.raises(error) as caught:
+            check(elements)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+def test_povm_state_dimension_mismatch():
+    elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    rho = np.eye(3, dtype=complex) / 3
+    for call in (
+        lambda: induced_distribution(elements, rho),
+        lambda: _induced_reference(elements, rho),
+        lambda: povm_classical_angle(elements, np.eye(2) / 2, rho),
+    ):
+        with pytest.raises(DimensionMismatchError) as caught:
+            call()
+        assert str(caught.value) == "POVM acts on dim 2, state has dim 3"
+
+
+@pytest.mark.parametrize("outcomes", [3, 8, 32])
+def test_classical_angle_runs_one_stacked_eigvalsh(lapack_calls, outcomes):
+    # one batched check of all the elements and one per state; checking
+    # element by element for each state took 2K + 2
+    rng = np.random.default_rng(outcomes)
+    elements = random_povm(3, outcomes, rng)
+    rho1 = random_invertible_density_matrix(3, rng)
+    rho2 = random_invertible_density_matrix(3, rng)
+    calls = lapack_calls("eigh", "eigvalsh")
+    povm_classical_angle(elements, rho1, rho2)
+    assert calls == {"eigvalsh": 3}
