@@ -16,10 +16,10 @@ polynomial of degree N whose zeros in [0, pi) are t_i = atan2(1, -kappa_i)
 for the real eigenvalues kappa_i of K.  On a geodesic() path K = (M - c)/s
 with c = sqrt(F), s = sqrt(1 - F), giving t_i = atan2(s, c - mu_i) for the
 eigenvalues mu_i of M.  Each contact is then verified on rho(t_i) itself,
-whose eigendecomposition also supplies the kernel state, so the theorem
-check never reads M's eigenvectors.  The signed diagnostic is the
-determinant of the chord C(t), which is real (up to roundoff) on
-horizontal circles and flips sign at each simple contact.
+whose eigendecomposition also supplies the kernel state, and the same
+formula names the eigenvector of M each contact must match.  The signed
+diagnostic is the determinant of the chord C(t), which is real (up to
+roundoff) on horizontal circles and flips sign at each simple contact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bures import GeodesicPath, _geodesic, _matched_pair
 from .errors import DegenerateRootWarning, ScanFailureError
@@ -125,15 +124,22 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
     return points
 
 
+def _pair_contacts(ts, t_star: float, mu: np.ndarray) -> np.ndarray:
+    """For each t_i, the j whose atan2(sin t*, cos t* - mu_j) is nearest mod pi."""
+    predicted = np.arctan2(np.sin(t_star), np.cos(t_star) - mu)
+    gaps = np.abs(np.subtract.outer(ts, predicted))
+    return np.argmin(np.minimum(gaps, np.pi - gaps), axis=1)
+
+
 def verify_billiard_theorem(rho1, rho2) -> dict:
     """Match the bounce kernel states against the eigenstates of M.
 
-    Builds the geodesic through the (distinct, invertible) pair, finds
-    its boundary contacts, and pairs each kernel state with an
-    eigenvector of fuchs_caves_operator(rho1, rho2) by maximum-overlap
-    assignment.  ``matched`` is true when every pairing has squared
-    overlap at least 1 - 1e-6; ``flagged`` reports whether any contact
-    was degenerate (such runs fall outside the generic theorem).
+    Finds the boundary contacts of the geodesic through the (distinct,
+    invertible) pair.  Eigenvalue mu_j of fuchs_caves_operator(rho1, rho2)
+    predicts a contact at atan2(sin t*, cos t* - mu_j); each contact is
+    paired with the eigenvector predicted nearest on the pi-periodic circle.
+    ``matched`` is true when that pairing is one-to-one with squared
+    overlaps at least 1 - 1e-6; ``flagged`` reports degenerate contacts.
     """
     path, m = _geodesic(*_matched_pair(rho1, rho2))
     with warnings.catch_warnings(record=True) as caught:
@@ -142,21 +148,21 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
     flagged = any(issubclass(w.category, DegenerateRootWarning) for w in caught)
     # eig_hermitian symmetrizes M first, so this is fuchs_caves_operator's basis
     m_eigenvalues, m_vectors = eig_hermitian(m)
+    cols = _pair_contacts([p.t for p in points], path.t_star, m_eigenvalues)
     kernels = np.stack([p.kernel_state for p in points])
     overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2
-    rows, cols = linear_sum_assignment(-overlap2)
     pairings = [
         {
-            "bounce": int(i),
+            "bounce": i,
             "t": float(points[i].t),
             "eigenvector": int(j),
             "overlap2": float(overlap2[i, j]),
         }
-        for i, j in zip(rows, cols)
+        for i, j in enumerate(cols)
     ]
     max_infidelity = float(max(1.0 - p["overlap2"] for p in pairings))
     matched = (
-        len(points) == path.dim
+        len(set(cols.tolist())) == path.dim
         and all(p["overlap2"] >= 1.0 - 1e-6 for p in pairings)
     )
     return {

@@ -260,16 +260,14 @@ def qubit_perturbation(dx: float, dy: float, dz: float) -> np.ndarray:
 
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector (Tr rho sx, Tr rho sy, Tr rho sz) of a qubit state."""
-    rho = density_matrix(rho)
+    return _bloch_vector(density_matrix(rho))
+
+
+def _bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """:func:`bloch_vector` of a validated state."""
     if rho.shape != (2, 2):
         raise DimensionMismatchError("Bloch vector is defined for qubits only")
-    return np.array(
-        [
-            float(np.trace(rho @ SIGMA_X).real),
-            float(np.trace(rho @ SIGMA_Y).real),
-            float(np.trace(rho @ SIGMA_Z).real),
-        ]
-    )
+    return np.array([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def qubit_bures_ds2(

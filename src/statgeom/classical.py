@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BoundaryError, DimensionMismatchError, ValidationError
 from .sampling import random_probability_vector, random_stochastic_matrix, substream
@@ -200,6 +199,8 @@ def jeffreys_density(p: np.ndarray) -> float:
 
     For two outcomes this is the arcsine law: 1 / (pi sqrt(p (1 - p))).
     """
+    from scipy.special import gammaln  # here, so `import statgeom` loads no scipy
+
     p = np.asarray(p, dtype=float).ravel()
     if np.any(p <= 0.0):
         raise BoundaryError("density diverges where a probability vanishes")

@@ -17,11 +17,11 @@ from .acceptance import DEFAULT_SEED, run_all
 from .billiard import verify_billiard_theorem
 from .bures import (
     _angle_from_fidelity,
+    _bloch_vector,
     _fidelity,
     _geodesic,
     _lift_operator,
     _matched,
-    bures_angle,
     geodesic,
 )
 from .classical import (
@@ -33,7 +33,7 @@ from .classical import (
 )
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
-from .measurement import _distribution, _povm_stack, qubit_povm_search
+from .measurement import _distribution, _povm_stack, _qubit_povm_search
 from .linalg import eig_hermitian
 from .monotone import (
     _density_matrix,
@@ -70,23 +70,13 @@ def _csv_text(header: list[str], rows: list[list[float]]) -> str:
 
 
 def _state_csv_rows(path, ts) -> tuple[list[str], list[list[float]]]:
-    dim = path.dim
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    header.append("lambda_min")
-    rows = []
+    n = range(path.dim)
+    header = ["t", *(f"{part}_{i}_{j}" for i in n for j in n for part in ("re", "im"))]
     states = path.state(ts)
+    parts = np.stack([states.real, states.imag], axis=-1).reshape(len(ts), -1)
     lams = np.linalg.eigvalsh(states)[:, 0]
-    for t, state, lam in zip(ts, states, lams):
-        row = [float(t)]
-        for i in range(dim):
-            for j in range(dim):
-                row += [float(state[i, j].real), float(state[i, j].imag)]
-        row.append(float(lam))
-        rows.append(row)
-    return header, rows
+    rows = [[float(t), *map(float, p), float(w)] for t, p, w in zip(ts, parts, lams)]
+    return header + ["lambda_min"], rows
 
 
 def _sampled_pair(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,11 +191,12 @@ def _cmd_optimal_measurement(args) -> dict:
 
 
 def _cmd_povm_search(args) -> dict:
-    a = density_matrix(read_matrix_file(args.a))
-    b = density_matrix(read_matrix_file(args.b))
-    report = qubit_povm_search(a, b, grid_resolution=args.grid)
+    # not _read_pair: a qubit and a qutrit must fail as "qubits only"
+    a = _density_matrix(read_matrix_file(args.a))[0]
+    b = _density_matrix(read_matrix_file(args.b))[0]
+    report = _qubit_povm_search(a, b, _bloch_vector, args.grid)
     return {
-        "bures_angle": bures_angle(a, b),
+        "bures_angle": _angle_from_fidelity(_fidelity(a, b)),
         "best_angle": report["best_angle"],
         "best_axis": report["best_axis"],
         "non_unique": report["non_unique"],

@@ -167,10 +167,15 @@ def qubit_povm_search(
     found and the axis attaining it; ``non_unique`` is set when both
     states are pure, where a continuum of measurements is optimal.
     """
+    return _qubit_povm_search(rho1, rho2, bloch_vector, grid_resolution, refine_iters)
+
+
+def _qubit_povm_search(rho1, rho2, bloch, grid_resolution, refine_iters=60) -> dict:
+    """:func:`qubit_povm_search`, reading each state's Bloch vector with ``bloch``."""
     if grid_resolution < 2:
         raise ValidationError("grid_resolution must be >= 2")
-    r1 = bloch_vector(rho1)
-    r2 = bloch_vector(rho2)
+    r1 = bloch(rho1)
+    r2 = bloch(rho2)
     axes = _fibonacci_axes(grid_resolution * grid_resolution)
     cosines = _axis_cosine(axes, r1, r2)
     best = int(np.argmin(cosines))
@@ -196,12 +201,11 @@ def qubit_povm_search(
     best_axis = _spherical_axis(theta, phi)
     if best_axis[np.argmax(np.abs(best_axis))] < 0:
         best_axis = -best_axis
-    pure1 = np.linalg.norm(r1) >= 1.0 - 1e-9
-    pure2 = np.linalg.norm(r2) >= 1.0 - 1e-9
+    both_pure = min(np.linalg.norm(r1), np.linalg.norm(r2)) >= 1.0 - 1e-9
     return {
         "best_angle": float(np.arccos(np.clip(best_cos, 0.0, 1.0))),
         "best_axis": best_axis,
-        "non_unique": bool(pure1 and pure2),
+        "non_unique": bool(both_pure),
     }
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from statgeom import (
     DegenerateRootWarning,
@@ -20,6 +21,7 @@ from statgeom import (
     substream,
     verify_billiard_theorem,
 )
+from statgeom import billiard
 
 
 def _diag_pair(p, q):
@@ -130,6 +132,61 @@ def test_verify_theorem_on_random_states(rng):
         assert report["max_infidelity"] <= 1e-6
         assert len(report["bounce_ts"]) == dim
         assert sorted(p["eigenvector"] for p in report["pairings"]) == list(range(dim))
+
+
+def test_closed_form_pairing_matches_best_assignment():
+    # the pairing read off atan2(sin t*, cos t* - mu_j) is the assignment
+    # that maximizes the total squared overlap, found here by scipy alone
+    rng = substream(6, "billiard-tests")
+    for dim in range(2, 13):
+        for _ in range(5):
+            rho1 = random_invertible_density_matrix(dim, rng)
+            rho2 = random_invertible_density_matrix(dim, rng)
+            report = verify_billiard_theorem(rho1, rho2)
+            assert not report["flagged"]
+            _, vectors = eig_hermitian(fuchs_caves_operator(rho1, rho2))
+            kernels = np.stack(report["kernel_states"])
+            overlap2 = np.abs(kernels.conj() @ vectors) ** 2
+            rows, cols = linear_sum_assignment(-overlap2)
+            oracle = [
+                {
+                    "bounce": int(i),
+                    "t": report["bounce_ts"][i],
+                    "eigenvector": int(j),
+                    "overlap2": float(overlap2[i, j]),
+                }
+                for i, j in zip(rows, cols)
+            ]
+            assert report["pairings"] == oracle
+            assert report["matched"]
+
+
+def test_pairing_is_circular_in_t():
+    # kappa = 1e17 puts a contact at pi - 1e-17, which rounds to pi and is
+    # reported at t = 0, while its eigenvector's prediction stays near pi:
+    # rank order or plain |t_i - t_j| would give it the 3pi/4 eigenvector
+    e1 = np.diag([1e-17, 1.0]).astype(complex)
+    e2 = np.eye(2, dtype=complex)
+    path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
+    ts = [pt.t for pt in bounce_points(path)]
+    assert ts == pytest.approx([0.0, 0.75 * math.pi], abs=1e-15)
+    # on a geodesic() path M = cos(t*) I + sin(t*) e1^-1 e2
+    kappa = np.array([1.0, 1e17])
+    mu = math.cos(path.t_star) + math.sin(path.t_star) * kappa
+    assert billiard._pair_contacts(ts, path.t_star, mu).tolist() == [1, 0]
+
+
+def test_matched_needs_a_one_to_one_pairing(monkeypatch):
+    # a contact list that repeats one contact has N entries, each with full
+    # overlap, but covers only one eigenvector of M
+    rho1, rho2 = _diag_pair([0.7, 0.3], [0.4, 0.6])
+    assert verify_billiard_theorem(rho1, rho2)["matched"]
+    first = bounce_points(geodesic(rho1, rho2))[0]
+    monkeypatch.setattr(billiard, "bounce_points", lambda path: [first, first])
+    report = verify_billiard_theorem(rho1, rho2)
+    assert [p["eigenvector"] for p in report["pairings"]] == [0, 0]
+    assert report["max_infidelity"] <= 1e-12
+    assert not report["matched"]
 
 
 def test_verify_theorem_builds_m_once(lapack_calls):

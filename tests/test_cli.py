@@ -400,6 +400,35 @@ def test_state_commands_reject_bad_inputs(capsys, files, command, a, b, error):
 
 
 @pytest.mark.parametrize(
+    "a, b, grid, error",
+    [
+        ("nonherm", "rho2", "20", ("ValidationError", "density matrix must be Hermitian")),
+        (
+            "rho1", "trace2", "20",
+            ("ValidationError", "density matrix trace is 2.0, expected 1"),
+        ),
+        # the Bloch-vector check, not the shape check of the other commands
+        (
+            "rho1", "qutrit", "20",
+            ("DimensionMismatchError", "Bloch vector is defined for qubits only"),
+        ),
+        (
+            "qutrit", "rho1", "20",
+            ("DimensionMismatchError", "Bloch vector is defined for qubits only"),
+        ),
+        # both files are validated before the grid, the grid before the shapes
+        ("nonherm", "missing", "1", ("ValidationError", "density matrix must be Hermitian")),
+        ("qutrit", "rho1", "1", ("ValidationError", "grid_resolution must be >= 2")),
+    ],
+)
+def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
+    code, out = run_cli(capsys, "povm-search", files[a], files[b], "--grid", grid)
+    assert code == 1
+    envelope = {"error": {"type": error[0], "message": error[1]}}
+    assert out == json.dumps(envelope, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
     "command, eigvalsh",
     [
         # two to validate the files, then what each command computes; each
@@ -408,6 +437,7 @@ def test_state_commands_reject_bad_inputs(capsys, files, command, a, b, error):
         (["bures-distance"], 3),  # was 5
         (["geodesic", "--samples", "5"], 3),  # was 7
         (["optimal-measurement"], 4),  # was 13
+        (["povm-search", "--grid", "20"], 3),  # was 7
     ],
 )
 def test_state_commands_validate_each_file_once(
