@@ -21,6 +21,7 @@ from .bures import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _bloch_vector,
     bures_angle,
     fidelity,
     horizontal_lift,
@@ -260,13 +261,7 @@ def criterion_8_optimality(seed: int) -> tuple[bool, dict]:
         target = bures_angle(rho1, rho2)
         worst_angle_gap = max(worst_angle_gap, abs(report["best_angle"] - target))
         m = fuchs_caves_operator(rho1, rho2)
-        m_axis = np.array(
-            [
-                float(np.trace(m @ SIGMA_X).real),
-                float(np.trace(m @ SIGMA_Y).real),
-                float(np.trace(m @ SIGMA_Z).real),
-            ]
-        )
+        m_axis = _bloch_vector(m)
         m_axis /= np.linalg.norm(m_axis)
         cosine = abs(float(np.dot(report["best_axis"], m_axis)))
         worst_axis_gap = max(worst_axis_gap, float(np.arccos(min(1.0, cosine))))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bures import GeodesicPath, _geodesic, _matched_pair
 from .errors import DegenerateRootWarning, ScanFailureError
-from .linalg import eig_hermitian, fix_phases
+from .linalg import eig_hermitian
 
 __all__ = [
     "BouncePoint",
@@ -94,7 +94,7 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
     real = np.abs(kappa.imag) <= _MERGE_TOL * (1.0 + np.abs(kappa) ** 2)
     ts, sizes = _contact_groups(np.arctan2(1.0, -kappa.real[real]) % np.pi)
     states = path.state(ts)
-    ws, vs = np.linalg.eigh(states)
+    ws, vs = eig_hermitian(states)
     points: list[BouncePoint] = []
     for t, size, rho_b, w, v in zip(ts, sizes, states, ws, vs):
         if size > 1:
@@ -110,7 +110,7 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
             BouncePoint(
                 t=float(t),
                 rho_b=rho_b,
-                kernel_state=fix_phases(v[:, :1])[:, 0],
+                kernel_state=v[:, 0],
                 multiplicity=int(size),
                 min_eigenvalue=float(w[0]),
             )

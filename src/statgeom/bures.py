@@ -24,6 +24,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import _sqrt_and_inv_sqrt, hermitian_part, hs_inner, matrix_sqrt
+from .linalg import min_eigenvalue
 from .means import _congruence_mean
 from .monotone import _density_matrix, density_matrix
 
@@ -182,12 +183,11 @@ class GeodesicPath:
     def state(self, t) -> np.ndarray:
         """Density matrix rho(t) = C(t) C(t)*; batched over an array of t."""
         c = self.chord(t)
-        rho = c @ np.conj(np.swapaxes(c, -1, -2))
-        return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+        return hermitian_part(c @ np.conj(np.swapaxes(c, -1, -2)))
 
     def min_eigenvalue(self, t):
         """Smallest eigenvalue of rho(t); zero exactly at boundary contact."""
-        return np.linalg.eigvalsh(self.state(t))[..., 0]
+        return min_eigenvalue(self.state(t))
 
 
 def geodesic(rho1, rho2) -> GeodesicPath:

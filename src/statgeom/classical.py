@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BoundaryError, DimensionMismatchError, ValidationError
+from .errors import BoundaryError, DimensionMismatchError, NumericalError, ValidationError
 from .sampling import random_probability_vector, random_stochastic_matrix, substream
 
 __all__ = [
@@ -198,6 +198,7 @@ def jeffreys_density(p: np.ndarray) -> float:
     normalizer with respect to Lebesgue measure on the simplex.
 
     For two outcomes this is the arcsine law: 1 / (pi sqrt(p (1 - p))).
+    Raises :class:`NumericalError` when the density exceeds the float range.
     """
     from scipy.special import gammaln  # here, so `import statgeom` loads no scipy
 
@@ -206,4 +207,7 @@ def jeffreys_density(p: np.ndarray) -> float:
         raise BoundaryError("density diverges where a probability vanishes")
     n = p.size
     log_norm = gammaln(n / 2.0) - (n / 2.0) * math.log(math.pi)
-    return float(math.exp(log_norm - 0.5 * np.sum(np.log(p))))
+    try:
+        return float(math.exp(log_norm - 0.5 * np.sum(np.log(p))))
+    except OverflowError:
+        raise NumericalError("Jeffreys density overflows a float") from None

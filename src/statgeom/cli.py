@@ -33,8 +33,8 @@ from .classical import (
 )
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
-from .measurement import _distribution, _povm_stack, _qubit_povm_search
-from .linalg import eig_hermitian
+from .measurement import _distribution, _povm_stack, _projectors, _qubit_povm_search
+from .linalg import eig_hermitian, min_eigenvalue
 from .monotone import (
     _density_matrix,
     density_matrix,
@@ -62,21 +62,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list[float]]) -> str:
+def _csv_text(header: list[str], rows: np.ndarray) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_float_token(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _state_csv_rows(path, ts) -> tuple[list[str], list[list[float]]]:
-    n = range(path.dim)
-    header = ["t", *(f"{part}_{i}_{j}" for i in n for j in n for part in ("re", "im"))]
-    states = path.state(ts)
-    parts = np.stack([states.real, states.imag], axis=-1).reshape(len(ts), -1)
-    lams = np.linalg.eigvalsh(states)[:, 0]
-    rows = [[float(t), *map(float, p), float(w)] for t, p, w in zip(ts, parts, lams)]
-    return header + ["lambda_min"], rows
 
 
 def _sampled_pair(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,11 +149,13 @@ def _cmd_bures_distance(args) -> dict:
 def _cmd_geodesic(args):
     path, _ = _geodesic(*_read_pair(args))
     ts = np.linspace(0.0, path.t_star, args.samples)
-    if args.format == "csv":
-        header, rows = _state_csv_rows(path, ts)
-        return _csv_text(header, rows)
     states = path.state(ts)
-    lams = np.linalg.eigvalsh(states)[:, 0]
+    lams = min_eigenvalue(states)
+    if args.format == "csv":
+        n = range(path.dim)
+        cells = [f"{part}_{i}_{j}" for i in n for j in n for part in ("re", "im")]
+        flat = np.stack([states.real, states.imag], axis=-1).reshape(len(ts), -1)
+        return _csv_text(["t", *cells, "lambda_min"], np.column_stack([ts, flat, lams]))
     return {
         "t_star": path.t_star,
         "samples": [
@@ -179,7 +171,7 @@ def _cmd_optimal_measurement(args) -> dict:
     eigenvalues, eigenvectors = eig_hermitian(_lift_operator(a, b)[0])
     angle = _angle_from_fidelity(_fidelity(a, b))
     # the projectors of optimal_measurement, validated as a POVM
-    elements = _povm_stack([np.outer(v, v.conj()) for v in eigenvectors.T])
+    elements = _povm_stack(_projectors(eigenvectors))
     return {
         "bures_angle": angle,
         "classical_angle": fr_geodesic_distance(
@@ -208,11 +200,8 @@ def _cmd_billiard(args):
     if args.format == "csv":
         path = geodesic(rho1, rho2)
         ts = np.linspace(0.0, np.pi, args.samples, endpoint=False)
-        lams = np.asarray(path.min_eigenvalue(ts))
-        return _csv_text(
-            ["t", "lambda_min"],
-            [[float(t), float(lam)] for t, lam in zip(ts, lams)],
-        )
+        lams = path.min_eigenvalue(ts)
+        return _csv_text(["t", "lambda_min"], np.column_stack([ts, lams]))
     report = verify_billiard_theorem(rho1, rho2)
     return {
         "dim": args.dim,
@@ -258,14 +247,13 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, csv=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="output format (csv only where documented)",
-        )
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="output format")
         p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
         return p
@@ -312,7 +300,7 @@ def _build_parser() -> _Parser:
     p.add_argument("b")
 
     p = add("geodesic", _cmd_geodesic,
-            "sample the Bures geodesic between two invertible states")
+            "sample the Bures geodesic between two invertible states", csv=True)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--samples", type=int, default=50, help="sample points")
@@ -329,7 +317,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=200, help="axis grid resolution")
 
     p = add("billiard", _cmd_billiard,
-            "boundary bounce points of a random geodesic's great circle")
+            "boundary bounce points of a random geodesic's great circle", csv=True)
     p.add_argument("--dim", type=int, default=3, help="state dimension")
     p.add_argument("--samples", type=int, default=512,
                    help="scan resolution for csv output")

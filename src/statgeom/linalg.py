@@ -5,6 +5,10 @@ Every matrix-valued routine accepts plain complex ``numpy`` arrays.
 Inputs that are Hermitian up to floating-point noise are symmetrized with
 :func:`hermitian_part` before use, so downstream code never sees a matrix
 that is off-Hermitian by more than representation error.
+
+:func:`hermitian_part`, :func:`fix_phases`, :func:`eig_hermitian` and
+:func:`min_eigenvalue` also map over a ``(..., n, n)`` stack, with the bits of
+the 2-D call on each slice (bar an ulp in :func:`fix_phases` on 1 x 1 slices).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ __all__ = [
 
 
 class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns, with the phase of each
@@ -43,9 +47,9 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -56,9 +60,11 @@ def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2."""
-    a = _as_square(a)
-    return (a + a.conj().T) / 2
+    """Return (A + A†)/2, for one matrix or each matrix of a stack."""
+    a = _as_square(a, stack=True)
+    h = np.conjugate(a.swapaxes(-1, -2), order="C")  # one contiguous pass over A†
+    h += a
+    return np.divide(h, 2, out=h)
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -75,14 +81,18 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     equal moduli resolve to the lowest row index.
     """
     out = np.array(vectors, dtype=complex, copy=True)
-    pivot = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
-    keep = np.abs(pivot) > 0
-    out[:, keep] *= np.abs(pivot[keep]) / pivot[keep]
+    flat = out.reshape(-1, *out.shape[-2:])  # a view of out, one matrix per slice
+    rows = np.argmax(np.abs(flat), axis=1)
+    pivot = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[-1])]
+    size = np.abs(pivot)
+    keep = size > 0
+    pivot[~keep] = 1.0  # no 0/0 for an all-zero column, which stays as it is
+    np.multiply(flat, (size / pivot)[:, None, :], out=flat, where=keep[:, None, :])
     return out
 
 
 def eig_hermitian(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     The input is symmetrized first, eigenvalues come back ascending, and
     eigenvector phases are fixed per :func:`fix_phases`.
@@ -104,7 +114,7 @@ def matrix_function(
     :class:`DomainError`; values within that band are clamped to the floor
     so that e.g. a square root never sees -1e-15.
     """
-    w, v = eig_hermitian(h)
+    w, v = eig_hermitian(_as_square(h))
     if np.any(w < domain_floor - 1e-12):
         raise DomainError(
             f"eigenvalue {w.min():.3e} below domain floor {domain_floor:.3e}"
@@ -122,7 +132,7 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
 
 def _sqrt_and_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> tuple:
     """(sqrt(H), H^(-1/2)) from one decomposition; see :func:`matrix_inv_sqrt`."""
-    w, v = eig_hermitian(h)
+    w, v = eig_hermitian(_as_square(h))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0 or float(w.min()) <= rel_floor * scale:
         raise SingularError(
@@ -142,9 +152,10 @@ def matrix_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
     return _sqrt_and_inv_sqrt(h, rel_floor)[1]
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``h``."""
-    return float(np.linalg.eigvalsh(hermitian_part(h))[0])
+def min_eigenvalue(h: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of ``h``; an array for a stack."""
+    low = np.linalg.eigvalsh(hermitian_part(h))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def psd_order_geq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

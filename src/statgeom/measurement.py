@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import eig_hermitian, hermitian_part, is_hermitian
+from .linalg import eig_hermitian, hermitian_part, is_hermitian, min_eigenvalue
 from .monotone import density_matrix
 from .bures import _lift_operator, _matched_pair, bloch_vector
 
@@ -66,10 +66,8 @@ def _povm_stack(elements) -> np.ndarray:
         checked.append(e)
     if not checked:
         raise error
-    stack = np.stack(checked)
-    stack += np.conj(np.swapaxes(stack, -1, -2))
-    stack /= 2  # hermitian_part of every element
-    negative = np.flatnonzero(np.linalg.eigvalsh(stack)[:, 0] < -1e-12)
+    stack = hermitian_part(np.stack(checked))
+    negative = np.flatnonzero(min_eigenvalue(stack) < -1e-12)
     if negative.size:
         raise ValidationError(
             f"POVM element {negative[0]} is not positive semidefinite"
@@ -129,7 +127,12 @@ def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
     choice; any such refinement attains the bound.
     """
     _, vectors = eig_hermitian(fuchs_caves_operator(rho1, rho2))
-    return [np.outer(v, v.conj()) for v in vectors.T]
+    return list(_projectors(vectors))
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """The rank-1 projectors v v† onto the columns v of ``vectors``, stacked."""
+    return vectors.T[:, :, None] * vectors.conj().T[:, None, :]
 
 
 def _fibonacci_axes(count: int) -> np.ndarray:

@@ -30,6 +30,15 @@ __all__ = [
 ]
 
 
+def _hermitian(a, noun: str) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{noun} must be square, got shape {a.shape}")
+    if not is_hermitian(a):
+        raise ValidationError(f"{noun} must be Hermitian")
+    return hermitian_part(a)
+
+
 def density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD (to -1e-12), unit trace."""
     return _density_matrix(rho)[0]
@@ -37,16 +46,11 @@ def density_matrix(rho) -> np.ndarray:
 
 def _density_matrix(rho) -> tuple[np.ndarray, float]:
     """The checks of :func:`density_matrix`; also the smallest eigenvalue."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
-    if not is_hermitian(rho):
-        raise ValidationError("density matrix must be Hermitian")
-    rho = hermitian_part(rho)
+    rho = _hermitian(rho, "density matrix")
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-12:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    low = float(np.linalg.eigvalsh(rho)[0])
+    low = float(np.linalg.eigvalsh(rho)[0])  # min_eigenvalue would re-symmetrize rho
     if low < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
     return rho, low
@@ -54,12 +58,7 @@ def _density_matrix(rho) -> tuple[np.ndarray, float]:
 
 def tangent_perturbation(drho) -> np.ndarray:
     """Validate a tangent perturbation: Hermitian and traceless."""
-    drho = np.asarray(drho, dtype=complex)
-    if drho.ndim != 2 or drho.shape[0] != drho.shape[1]:
-        raise ValidationError(f"perturbation must be square, got shape {drho.shape}")
-    if not is_hermitian(drho):
-        raise ValidationError("perturbation must be Hermitian")
-    drho = hermitian_part(drho)
+    drho = _hermitian(drho, "perturbation")
     scale = max(1.0, float(np.abs(drho).sum()))
     if abs(complex(np.trace(drho)).real) > 1e-12 * scale:
         raise ValidationError("perturbation must be traceless")

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .linalg import hermitian_part
+from .linalg import hermitian_part, min_eigenvalue
 
 __all__ = [
     "substream",
@@ -78,7 +78,7 @@ def random_invertible_density_matrix(
     """
     for _ in range(8):
         rho = random_density_matrix(dim, rng)
-        if np.linalg.eigvalsh(rho)[0] >= min_eig:
+        if min_eigenvalue(rho) >= min_eig:
             return rho
     alpha = min(1.0, 2.0 * min_eig * dim)
     mixed = (1 - alpha) * rho + alpha * np.eye(dim) / dim
@@ -129,7 +129,7 @@ def random_povm(
     """
     v = _haar_isometry(dim, dim * n_outcomes, rng)
     blocks = v.reshape(n_outcomes, dim, dim)
-    return np.stack([hermitian_part(b.conj().T @ b) for b in blocks])
+    return hermitian_part(np.conj(np.swapaxes(blocks, -1, -2)) @ blocks)
 
 
 def random_kraus_channel(
@@ -148,7 +148,5 @@ def random_kraus_channel(
 
 def apply_channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply a channel given by Kraus operators: sum_i K_i rho K_i†."""
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return hermitian_part(out)
+    terms = kraus @ rho @ np.conj(np.swapaxes(kraus, -1, -2))
+    return hermitian_part(np.sum(terms, axis=0))

@@ -8,6 +8,7 @@ import scipy.stats
 
 from statgeom import (
     BoundaryError,
+    NumericalError,
     ValidationError,
     apply_stochastic,
     euclidean_distance,
@@ -166,6 +167,13 @@ def test_jeffreys_density_frozen_values():
     assert jeffreys_density(np.array([1.0, 1.0, 1.0]) / 3.0) == pytest.approx(
         3.0 * math.sqrt(3.0) / (2.0 * math.pi), rel=1e-14
     )
+
+
+def test_jeffreys_density_overflow_is_a_numerical_error():
+    # -1/2 sum log p passes the float range long before n = 500
+    p = substream(7, "jeffreys-overflow").dirichlet(np.ones(500))
+    with pytest.raises(NumericalError, match="overflows a float"):
+        jeffreys_density(p)
 
 
 def test_jeffreys_density_matches_dirichlet_half():

@@ -8,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from statgeom.cli import main
@@ -308,6 +309,42 @@ def test_numerical_failures_exit_2(capsys, files):
     code, out = run_cli(capsys, "optimal-measurement", files["pure"], files["rho2"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SingularError"
+
+
+def test_jeffreys_overflow_exits_2(capsys, tmp_path):
+    point = tmp_path / "p500.json"
+    p = np.random.default_rng(7).dirichlet(np.ones(500))
+    point.write_text(json.dumps(p.tolist()))
+    code, out = run_cli(capsys, "jeffreys", str(point))
+    assert code == 2
+    payload = json.loads(out)
+    _validate("error", payload)
+    assert payload["error"]["type"] == "NumericalError"
+
+
+_NO_CSV = {
+    "classical-distance": ["p", "q"],
+    "jeffreys": ["p"],
+    "multinomial-experiment": ["p"],
+    "monotone-stress": [],
+    "mean": ["a", "b"],
+    "monotone-metric": ["rho1", "drho"],
+    "fidelity": ["rho1", "rho2"],
+    "bures-distance": ["rho1", "rho2"],
+    "optimal-measurement": ["rho1", "rho2"],
+    "povm-search": ["rho1", "rho2"],
+    "verify-all": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NO_CSV))
+def test_format_is_a_usage_error_where_unread(capsys, files, command):
+    argv = [command, *(files[k] for k in _NO_CSV[command]), "--format", "csv"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    _validate("error", payload)
+    assert "--format" in payload["error"]["message"]
 
 
 def test_console_script_entry_point(files):

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from statgeom import (
+    DimensionMismatchError,
     DomainError,
     SingularError,
     eig_hermitian,
@@ -102,6 +103,55 @@ def test_fix_phases_matches_column_loop_exactly(rng):
     assert fixed[1, 0] == 1.0 and fixed[2, 0] == 1j
     assert np.array_equal(fixed[:, 1], np.zeros(3))
     assert fixed[1, 2] == 2.0
+    # a (K, n, n) stack is fixed slice by slice, ties and zero columns included;
+    # n >= 2, as the 1 x 1 roundoff above differs between loop shapes
+    for n in range(2, 9):
+        stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        stack[1] = np.round(stack[1])  # integer entries tie in modulus
+        stack[2, :, 0] = 0.0
+        stack[3, :2, :] = [[1.0, 1j, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0][:n]] * 2
+        fixed = fix_phases(stack)
+        for k in range(5):
+            assert np.array_equal(fixed[k], _fix_phases_reference(stack[k]))
+
+
+def _kernel_stack(rng, n):
+    """(8, n, n) inputs: random, Hermitian, tied moduli and a zero column."""
+    stack = rng.normal(size=(8, n, n)) + 1j * rng.normal(size=(8, n, n))
+    stack[1] = hermitian_part(stack[1])
+    stack[2] = np.round(stack[2])
+    stack[3] = np.eye(n)[::-1]  # exchange matrix: eigenvectors of tied moduli
+    stack[4, :, 0] = 0.0
+    stack[5] = 0.0
+    stack[6] = np.diag(np.arange(n, 0, -1))
+    stack[7] = np.ones((n, n))  # degenerate: one eigenvalue n, the rest 0
+    return stack
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_stacked_kernels_match_each_slice_exactly(rng, n):
+    stack = _kernel_stack(rng, n)
+    sym = hermitian_part(stack)
+    w, v = eig_hermitian(stack)
+    low = min_eigenvalue(stack)
+    assert low.shape == (8,)
+    for k in range(8):
+        assert np.array_equal(sym[k], hermitian_part(stack[k]))
+        assert np.array_equal(sym[k], (stack[k] + stack[k].conj().T) / 2)
+        wk, vk = eig_hermitian(stack[k])
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert low[k] == min_eigenvalue(stack[k])
+    assert isinstance(min_eigenvalue(stack[0]), float)
+    assert min_eigenvalue(stack[None]).shape == (1, 8)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [is_hermitian, matrix_sqrt, matrix_inv_sqrt, lambda a: psd_order_geq(a, a)],
+)
+def test_one_matrix_kernels_reject_stacks(kernel):
+    with pytest.raises(DimensionMismatchError, match=r"square, got shape \(2, 2, 2\)"):
+        kernel(np.stack([A2, A2]))
 
 
 def test_one_decomposition_per_root_pair(lapack_calls):

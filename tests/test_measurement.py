@@ -12,6 +12,7 @@ from statgeom import (
     ValidationError,
     bures_angle,
     density_matrix,
+    eig_hermitian,
     fr_geodesic_distance,
     fuchs_caves_operator,
     geometric_mean,
@@ -126,6 +127,17 @@ def test_optimal_measurement_attains_bures_angle(rng):
             assert np.linalg.matrix_rank(e, tol=1e-8) == 1
         achieved = povm_classical_angle(elements, rho1, rho2)
         assert achieved == pytest.approx(bures_angle(rho1, rho2), abs=1e-10)
+
+
+def test_optimal_projectors_match_outer_products_exactly(rng):
+    for dim in range(1, 9):
+        rho1 = random_invertible_density_matrix(dim, rng)
+        rho2 = random_invertible_density_matrix(dim, rng)
+        _, vectors = eig_hermitian(fuchs_caves_operator(rho1, rho2))
+        outers = [np.outer(v, v.conj()) for v in vectors.T]
+        elements = optimal_measurement(rho1, rho2)
+        assert len(elements) == dim
+        assert all(np.array_equal(e, o) for e, o in zip(elements, outers))
 
 
 def test_no_random_povm_beats_the_quantum_angle(rng):

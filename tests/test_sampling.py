@@ -4,6 +4,7 @@ import numpy as np
 
 from statgeom import (
     apply_channel,
+    hermitian_part,
     random_density_matrix,
     random_invertible_density_matrix,
     random_kraus_channel,
@@ -16,6 +17,7 @@ from statgeom import (
     random_unitary,
     substream,
 )
+from statgeom.sampling import _haar_isometry
 
 
 def test_substream_is_deterministic():
@@ -100,3 +102,33 @@ def test_random_kraus_channel_preserves_states(rng):
     out = apply_channel(kraus, rho)
     assert abs(np.trace(out).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(out)[0] >= -1e-12
+
+
+def _random_povm_loop(dim, n_outcomes, rng):
+    """random_povm as one hermitian_part per block, the reference it batches."""
+    v = _haar_isometry(dim, dim * n_outcomes, rng)
+    blocks = v.reshape(n_outcomes, dim, dim)
+    return np.stack([hermitian_part(b.conj().T @ b) for b in blocks])
+
+
+def _apply_channel_loop(kraus, rho):
+    """apply_channel as a running sum over the Kraus operators."""
+    out = np.zeros_like(np.asarray(rho, dtype=complex))
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return hermitian_part(out)
+
+
+def test_batched_povm_and_channel_match_their_loops_exactly():
+    for dim in range(1, 9):
+        for count in (1, 2, 3, dim + 2):
+            seed = 100 * dim + count
+            stacked = random_povm(dim, count, np.random.default_rng(seed))
+            looped = _random_povm_loop(dim, count, np.random.default_rng(seed))
+            assert np.array_equal(stacked, looped)
+            rng = np.random.default_rng(seed)
+            kraus = random_kraus_channel(dim, rng, env_dim=count)
+            for rho in (random_density_matrix(dim, rng), np.eye(dim) / dim):
+                assert np.array_equal(
+                    apply_channel(kraus, rho), _apply_channel_loop(kraus, rho)
+                )
