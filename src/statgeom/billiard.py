@@ -178,19 +178,17 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
     }
 
 
-def real_roots_check(
-    path: GeodesicPath, samples: int = 2048, bounce_ts=None
-) -> dict:
+def real_roots_check(path: GeodesicPath, bounce_ts=None) -> dict:
     """Diagnostics for the reality of the chord-determinant roots.
 
     det C(t) with C(t) = cos(t) e1 + sin(t) e2 is, on a horizontal great
     circle, a real function of t whose N simple zeros are the boundary
-    contacts.  The report counts its sign changes over [0, pi) (expected
-    N), the largest relative imaginary part (expected roundoff), and the
-    relative magnitude of the determinant at the bounce parameters
-    (expected roundoff).
+    contacts.  The report counts its sign changes on a 2048-point grid over
+    [0, pi) (expected N), the largest relative imaginary part (expected
+    roundoff), and the relative magnitude of the determinant at the bounce
+    parameters (expected roundoff).
     """
-    ts = np.linspace(0.0, np.pi, samples, endpoint=False)
+    ts = np.linspace(0.0, np.pi, 2048, endpoint=False)
     dets = np.linalg.det(path.chord(ts))
     scale = float(np.max(np.abs(dets)))
     complex_residual = float(np.max(np.abs(dets.imag))) / scale

@@ -102,13 +102,13 @@ def bures_angle(rho1, rho2) -> float:
     return _angle_from_fidelity(fidelity(rho1, rho2))
 
 
-def purification(a, atol: float = 1e-10) -> np.ndarray:
-    """Validate a purification: square complex matrix with Tr A A* = 1."""
+def purification(a) -> np.ndarray:
+    """Validate a purification: square complex matrix with Tr A A* = 1 (to 1e-10)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"purification must be square, got shape {a.shape}")
     norm2 = float(np.sum(np.abs(a) ** 2))
-    if abs(norm2 - 1.0) > atol:
+    if abs(norm2 - 1.0) > 1e-10:
         raise ValidationError(f"purification has squared norm {norm2!r}, expected 1")
     return a
 

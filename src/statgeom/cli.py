@@ -70,11 +70,12 @@ def _csv_text(header: list[str], rows: np.ndarray) -> str:
 
 
 def _sampled_pair(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two random full-rank mixtures, left for the library to validate."""
     rng = substream(seed, "cli-billiard")
     pair = []
     for _ in range(2):
         rho = random_density_matrix(dim, rng)
-        pair.append(density_matrix(0.85 * rho + 0.15 * np.eye(dim) / dim))
+        pair.append(0.85 * rho + 0.15 * np.eye(dim) / dim)
     return pair[0], pair[1]
 
 
@@ -247,15 +248,15 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, csv=False):
+    def add(name, func, help_text, csv=False, seed=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--out", default=None, help="write the report to a file")
         if csv:
             p.add_argument("--format", choices=("json", "csv"), default="json",
                            help="output format")
-        p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
         return p
 
     p = add("classical-distance", _cmd_classical_distance,
@@ -267,15 +268,16 @@ def _build_parser() -> _Parser:
     p.add_argument("p")
 
     p = add("multinomial-experiment", _cmd_multinomial,
-            "empirical vs predicted multinomial frequency covariance")
+            "empirical vs predicted multinomial frequency covariance", seed=True)
     p.add_argument("p")
     p.add_argument("--samples", type=int, default=100_000,
                    help="multinomial samples per trial")
     p.add_argument("--trials", type=int, default=10_000, help="number of trials")
 
     p = add("monotone-stress", _cmd_monotone_stress,
-            "stress-test distance monotonicity under random stochastic maps")
+            "stress-test distance monotonicity under random stochastic maps", seed=True)
     p.add_argument("--trials", type=int, default=10_000, help="number of trials")
+    p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
 
     p = add("mean", _cmd_mean, "operator mean of two positive matrices")
     p.add_argument("a")
@@ -317,12 +319,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=200, help="axis grid resolution")
 
     p = add("billiard", _cmd_billiard,
-            "boundary bounce points of a random geodesic's great circle", csv=True)
+            "boundary bounce points of a random geodesic's great circle",
+            csv=True, seed=True)
     p.add_argument("--dim", type=int, default=3, help="state dimension")
     p.add_argument("--samples", type=int, default=512,
                    help="scan resolution for csv output")
 
-    add("verify-all", _cmd_verify_all, "run the full acceptance suite")
+    add("verify-all", _cmd_verify_all, "run the full acceptance suite", seed=True)
 
     return parser
 
@@ -331,7 +334,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.tol <= 0:
+        tol = getattr(args, "tol", None)
+        if tol is not None and tol <= 0:
             raise ValidationError("--tol must be positive")
         trials = getattr(args, "trials", None)
         if trials is not None and trials < 1:

@@ -67,11 +67,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return np.divide(h, 2, out=h)
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """True if A equals A† within ``tol`` relative to its HS norm."""
+def is_hermitian(a: np.ndarray) -> bool:
+    """True if A equals A† within 1e-10 relative to its HS norm."""
     a = _as_square(a)
     scale = max(hs_norm(a), 1.0)
-    return hs_norm(a - a.conj().T) <= tol * scale
+    return hs_norm(a - a.conj().T) <= 1e-10 * scale
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -130,11 +130,11 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
     return matrix_function(h, np.sqrt, domain_floor=0.0)
 
 
-def _sqrt_and_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> tuple:
+def _sqrt_and_inv_sqrt(h: np.ndarray) -> tuple:
     """(sqrt(H), H^(-1/2)) from one decomposition; see :func:`matrix_inv_sqrt`."""
     w, v = eig_hermitian(_as_square(h))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0 or float(w.min()) <= rel_floor * scale:
+    if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
         raise SingularError(
             f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
         )
@@ -143,13 +143,13 @@ def _sqrt_and_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> tuple:
             hermitian_part((v * (1.0 / root)) @ vh))
 
 
-def matrix_inv_sqrt(h: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
+def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
     """Inverse square root of a positive-definite Hermitian matrix.
 
-    Raises :class:`SingularError` when the smallest eigenvalue is below
-    ``rel_floor`` times the largest eigenvalue magnitude.
+    Raises :class:`SingularError` when the smallest eigenvalue is at most
+    1e-12 times the largest eigenvalue magnitude.
     """
-    return _sqrt_and_inv_sqrt(h, rel_floor)[1]
+    return _sqrt_and_inv_sqrt(h)[1]
 
 
 def min_eigenvalue(h: np.ndarray):

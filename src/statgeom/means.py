@@ -56,7 +56,7 @@ def mean_function(name: str):
         raise ValidationError(f"unknown mean {name!r}; expected one of {known}") from None
 
 
-def validate_mean_function(f, grid: np.ndarray | None = None) -> None:
+def validate_mean_function(f) -> None:
     """Check the symmetric-mean conditions f(1) = 1 and f(1/t) = f(t)/t.
 
     The normalization is required to 1e-12 and the symmetry to 1e-10 on a
@@ -65,15 +65,14 @@ def validate_mean_function(f, grid: np.ndarray | None = None) -> None:
     one = float(f(1.0))
     if abs(one - 1.0) > 1e-12:
         raise ValidationError(f"f(1) = {one!r}, expected 1")
-    defect = _symmetry_defect(f, grid)
+    defect = _symmetry_defect(f)
     if defect > 1e-10:
         raise ValidationError(f"f(1/t) = f(t)/t fails on the grid (defect {defect:.3e})")
 
 
-def _symmetry_defect(f, grid: np.ndarray | None = None) -> float:
-    """Largest relative defect of f(1/t) = f(t)/t, by default over [1e-3, 1e3]."""
-    if grid is None:
-        grid = np.logspace(-3.0, 3.0, 61)
+def _symmetry_defect(f) -> float:
+    """Largest relative defect of f(1/t) = f(t)/t on a log grid over [1e-3, 1e3]."""
+    grid = np.logspace(-3.0, 3.0, 61)
     ft = np.asarray(f(grid), dtype=float)
     finv = np.asarray(f(1.0 / grid), dtype=float)
     return float(np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid))))
@@ -143,10 +142,10 @@ def _shrink_below(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(a, dtype=complex) - (0.4 * room / top) * bump
 
 
-def mean_axioms_check(f, seed: int, trials: int, dim: int = 3) -> dict:
+def mean_axioms_check(f, seed: int, trials: int) -> dict:
     """Randomized check of the four mean axioms for the function f.
 
-    On random strictly positive pairs (A, B) it verifies
+    On random strictly positive 3 x 3 pairs (A, B) it verifies
       a) idempotence        M(A, A) = A,
       b) homogeneity        M(aA, aB) = a M(A, B) for random a > 0,
       c) mixed monotonicity A >= C, B >= D  =>  M(A, B) >= M(C, D),
@@ -164,8 +163,8 @@ def mean_axioms_check(f, seed: int, trials: int, dim: int = 3) -> dict:
     rng = substream(seed, "mean-axioms")
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     for _ in range(trials):
-        a = random_psd(dim, rng) + 0.05 * np.eye(dim)
-        b = random_psd(dim, rng) + 0.05 * np.eye(dim)
+        a = random_psd(3, rng) + 0.05 * np.eye(3)
+        b = random_psd(3, rng) + 0.05 * np.eye(3)
         m = operator_mean(a, b, f)
         scale = max(1.0, hs_norm(m))
 
@@ -181,7 +180,7 @@ def mean_axioms_check(f, seed: int, trials: int, dim: int = 3) -> dict:
         if not psd_order_geq(m, operator_mean(c, d, f), tol=1e-8):
             counts["c"] += 1
 
-        u = random_unitary(dim, rng)
+        u = random_unitary(3, rng)
         covariant = operator_mean(u @ a @ u.conj().T, u @ b @ u.conj().T, f)
         if hs_norm(covariant - u @ m @ u.conj().T) > 1e-8 * scale:
             counts["d"] += 1

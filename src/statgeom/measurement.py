@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import eig_hermitian, hermitian_part, is_hermitian, min_eigenvalue
+from .linalg import eig_hermitian, hermitian_part, is_hermitian
 from .monotone import density_matrix
 from .bures import _lift_operator, _matched_pair, bloch_vector
 
@@ -67,7 +67,8 @@ def _povm_stack(elements) -> np.ndarray:
     if not checked:
         raise error
     stack = hermitian_part(np.stack(checked))
-    negative = np.flatnonzero(min_eigenvalue(stack) < -1e-12)
+    # eigvalsh directly: min_eigenvalue would symmetrize the stack again
+    negative = np.flatnonzero(np.linalg.eigvalsh(stack)[..., 0] < -1e-12)
     if negative.size:
         raise ValidationError(
             f"POVM element {negative[0]} is not positive semidefinite"
@@ -159,21 +160,19 @@ def _spherical_axis(theta: float, phi: float) -> np.ndarray:
     return np.array([s * np.cos(phi), s * np.sin(phi), np.cos(theta)])
 
 
-def qubit_povm_search(
-    rho1, rho2, grid_resolution: int = 200, refine_iters: int = 60
-) -> dict:
+def qubit_povm_search(rho1, rho2, grid_resolution: int = 200) -> dict:
     """Brute-force the best projective measurement over Bloch axes.
 
     Evaluates the induced classical angle on a Fibonacci grid of
-    grid_resolution^2 axes, then polishes the best axis by a shrinking
-    compass search in spherical coordinates.  Reports the largest angle
-    found and the axis attaining it; ``non_unique`` is set when both
+    grid_resolution^2 axes, then polishes the best axis by 60 rounds of a
+    shrinking compass search in spherical coordinates.  Reports the largest
+    angle found and the axis attaining it; ``non_unique`` is set when both
     states are pure, where a continuum of measurements is optimal.
     """
-    return _qubit_povm_search(rho1, rho2, bloch_vector, grid_resolution, refine_iters)
+    return _qubit_povm_search(rho1, rho2, bloch_vector, grid_resolution)
 
 
-def _qubit_povm_search(rho1, rho2, bloch, grid_resolution, refine_iters=60) -> dict:
+def _qubit_povm_search(rho1, rho2, bloch, grid_resolution) -> dict:
     """:func:`qubit_povm_search`, reading each state's Bloch vector with ``bloch``."""
     if grid_resolution < 2:
         raise ValidationError("grid_resolution must be >= 2")
@@ -188,7 +187,7 @@ def _qubit_povm_search(rho1, rho2, bloch, grid_resolution, refine_iters=60) -> d
     theta = float(np.arccos(np.clip(best_axis[2], -1.0, 1.0)))
     phi = float(np.arctan2(best_axis[1], best_axis[0]))
     step = 4.0 / grid_resolution
-    for _ in range(refine_iters):
+    for _ in range(60):
         moved = False
         for dt, dp in (
             (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),

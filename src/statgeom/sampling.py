@@ -43,9 +43,7 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(_ginibre(dim, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_isometry(dim, dim, rng)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,11 +52,11 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_psd(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random PSD matrix G G† with HS norm equal to ``scale``."""
+def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random PSD matrix G G† with unit HS norm."""
     g = _ginibre(dim, rng)
     m = g @ g.conj().T
-    return hermitian_part(m * (scale / np.linalg.norm(m)))
+    return hermitian_part(m * (1.0 / np.linalg.norm(m)))  # m / norm rounds differently
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,13 +83,11 @@ def random_invertible_density_matrix(
     return hermitian_part(mixed)
 
 
-def random_traceless_hermitian(
-    dim: int, rng: np.random.Generator, scale: float = 1.0
-) -> np.ndarray:
-    """Random traceless Hermitian matrix with HS norm ``scale``."""
+def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random traceless Hermitian matrix with unit HS norm."""
     h = hermitian_part(_ginibre(dim, rng))
     h -= np.trace(h) / dim * np.eye(dim)
-    return h * (scale / np.linalg.norm(h))
+    return h * (1.0 / np.linalg.norm(h))  # h / norm rounds differently
 
 
 def random_probability_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from statgeom.cli import main
+from statgeom.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = resources.files("statgeom").joinpath("schemas")
@@ -277,11 +277,11 @@ def test_validation_failures_exit_1(capsys, files, argv):
 
 
 def test_bad_tolerance_exits_1(capsys, files):
-    code, out = run_cli(
-        capsys, "fidelity", files["rho1"], files["rho2"], "--tol", "0"
-    )
+    code, out = run_cli(capsys, "monotone-stress", "--trials", "10", "--tol", "0")
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "ValidationError"
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError", "message": "--tol must be positive"
+    }
 
 
 def test_negative_probability_exits_1(capsys, files, tmp_path):
@@ -322,7 +322,8 @@ def test_jeffreys_overflow_exits_2(capsys, tmp_path):
     assert payload["error"]["type"] == "NumericalError"
 
 
-_NO_CSV = {
+# each subcommand's positional files, as keys of the `files` fixture
+_POSITIONAL = {
     "classical-distance": ["p", "q"],
     "jeffreys": ["p"],
     "multinomial-experiment": ["p"],
@@ -331,20 +332,61 @@ _NO_CSV = {
     "monotone-metric": ["rho1", "drho"],
     "fidelity": ["rho1", "rho2"],
     "bures-distance": ["rho1", "rho2"],
+    "geodesic": ["rho1", "rho2"],
     "optimal-measurement": ["rho1", "rho2"],
     "povm-search": ["rho1", "rho2"],
+    "billiard": [],
     "verify-all": [],
 }
+_SEEDED = {"multinomial-experiment", "monotone-stress", "billiard", "verify-all"}
 
 
-@pytest.mark.parametrize("command", sorted(_NO_CSV))
+@pytest.mark.parametrize("command", sorted(set(_POSITIONAL) - {"geodesic", "billiard"}))
 def test_format_is_a_usage_error_where_unread(capsys, files, command):
-    argv = [command, *(files[k] for k in _NO_CSV[command]), "--format", "csv"]
+    argv = [command, *(files[k] for k in _POSITIONAL[command]), "--format", "csv"]
     code, out = run_cli(capsys, *argv)
     assert code == 1
     payload = json.loads(out)
     _validate("error", payload)
     assert "--format" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, "--tol") for c in sorted(_POSITIONAL) if c != "monotone-stress"]
+    + [(c, "--seed") for c in sorted(_POSITIONAL) if c not in _SEEDED],
+)
+def test_tol_and_seed_are_usage_errors_where_unread(capsys, files, command, option):
+    argv = [command, *(files[k] for k in _POSITIONAL[command]), option, "3"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    _validate("error", payload)
+    assert payload["error"]["message"] == f"unrecognized arguments: {option} 3"
+
+
+def test_every_option_is_read_by_its_command():
+    sub = next(a for a in _build_parser()._actions if a.choices)
+    options = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "classical-distance": {"--out"},
+        "jeffreys": {"--out"},
+        "multinomial-experiment": {"--out", "--seed", "--samples", "--trials"},
+        "monotone-stress": {"--out", "--seed", "--trials", "--tol"},
+        "mean": {"--out", "--f"},
+        "monotone-metric": {"--out", "--f"},
+        "fidelity": {"--out"},
+        "bures-distance": {"--out"},
+        "geodesic": {"--out", "--format", "--samples"},
+        "optimal-measurement": {"--out"},
+        "povm-search": {"--out", "--grid"},
+        "billiard": {"--out", "--format", "--seed", "--dim", "--samples"},
+        "verify-all": {"--out", "--seed"},
+    }
+    assert sum(map(len, options.values())) == 29
 
 
 def test_console_script_entry_point(files):
@@ -482,5 +524,21 @@ def test_state_commands_validate_each_file_once(
 ):
     calls = lapack_calls("eigvalsh")
     code, _ = run_cli(capsys, *command, files["rho1"], files["rho2"])
+    assert code == 0
+    assert calls["eigvalsh"] == eigvalsh
+
+
+@pytest.mark.parametrize(
+    "argv, eigvalsh",
+    [
+        # the library validates the sampled pair once; the CLI used to as well
+        (["--dim", "3", "--seed", "0"], 2),  # was 4
+        (["--dim", "3", "--seed", "0", "--format", "csv"], 3),  # was 5
+    ],
+    ids=["json", "csv"],
+)
+def test_billiard_validates_the_sampled_pair_once(capsys, lapack_calls, argv, eigvalsh):
+    calls = lapack_calls("eigvalsh")
+    code, _ = run_cli(capsys, "billiard", *argv)
     assert code == 0
     assert calls["eigvalsh"] == eigvalsh
