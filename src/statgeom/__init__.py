@@ -4,155 +4,20 @@ Classical Fisher-Rao geometry on the simplex, the monotone-metric family
 on quantum states, operator means, Bures-Uhlmann fidelity and geodesics,
 optimal distinguishing measurements, and the boundary billiard traced by
 geodesic great circles.
+
+The package exports each submodule's ``__all__``, in the order below.
 """
 
-from .errors import (
-    BoundaryError,
-    DegenerateError,
-    DegenerateRootWarning,
-    DimensionMismatchError,
-    DomainError,
-    NumericalError,
-    ParseError,
-    ScanFailureError,
-    SingularError,
-    StatgeomError,
-    ValidationError,
-    ZeroVectorError,
-)
-from .linalg import (
-    EigenSystem,
-    eig_hermitian,
-    fix_phases,
-    hermitian_part,
-    hs_inner,
-    hs_norm,
-    is_hermitian,
-    matrix_function,
-    matrix_inv_sqrt,
-    matrix_sqrt,
-    min_eigenvalue,
-    psd_order_geq,
-)
-from .sampling import (
-    apply_channel,
-    random_density_matrix,
-    random_invertible_density_matrix,
-    random_kraus_channel,
-    random_povm,
-    random_probability_vector,
-    random_psd,
-    random_pure_state,
-    random_stochastic_matrix,
-    random_traceless_hermitian,
-    random_unitary,
-    substream,
-)
-from .classical import (
-    apply_stochastic,
-    euclidean_distance,
-    fisher_rao_ds2,
-    fr_geodesic_distance,
-    jeffreys_density,
-    monotonicity_stress,
-    multinomial_ellipse_experiment,
-    probability_vector,
-    sphere_embed,
-    stochastic_matrix,
-    tangent_vector,
-)
-from .means import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    mean_axioms_check,
-    mean_function,
-    operator_mean,
-    operator_monotone_test,
-    square_monotonicity_counterexample,
-    validate_mean_function,
-)
-from .monotone import (
-    density_matrix,
-    f_conditions_check,
-    monotone_ds2,
-    tangent_perturbation,
-)
-from .bures import (
-    GeodesicPath,
-    bloch_vector,
-    bures_angle,
-    fidelity,
-    fubini_study_distance,
-    geodesic,
-    horizontal_lift,
-    project,
-    purification,
-    purify,
-    qubit_bures_ds2,
-    qubit_perturbation,
-    qubit_state,
-)
-from .measurement import (
-    fuchs_caves_operator,
-    induced_distribution,
-    optimal_measurement,
-    povm,
-    povm_classical_angle,
-    pure_state_qubit_angle,
-    qubit_povm_search,
-)
-from .billiard import (
-    BouncePoint,
-    bounce_points,
-    real_roots_check,
-    verify_billiard_theorem,
-)
-from .acceptance import DEFAULT_SEED, run_all, run_criterion
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "StatgeomError", "ValidationError", "NumericalError", "ParseError",
-    "DimensionMismatchError", "DomainError", "BoundaryError",
-    "ZeroVectorError", "SingularError", "DegenerateError",
-    "ScanFailureError", "DegenerateRootWarning",
-    # matrix kernel
-    "EigenSystem", "eig_hermitian", "fix_phases", "hermitian_part",
-    "is_hermitian", "matrix_function", "matrix_sqrt", "matrix_inv_sqrt",
-    "psd_order_geq", "min_eigenvalue", "hs_inner", "hs_norm",
-    # sampling
-    "substream", "random_unitary", "random_pure_state", "random_psd",
-    "random_density_matrix", "random_invertible_density_matrix",
-    "random_traceless_hermitian", "random_probability_vector",
-    "random_stochastic_matrix", "random_povm", "random_kraus_channel",
-    "apply_channel",
-    # classical geometry
-    "probability_vector", "tangent_vector", "stochastic_matrix",
-    "fisher_rao_ds2", "sphere_embed", "fr_geodesic_distance",
-    "euclidean_distance", "apply_stochastic", "monotonicity_stress",
-    "multinomial_ellipse_experiment", "jeffreys_density",
-    # operator means
-    "mean_function", "validate_mean_function", "operator_mean",
-    "arithmetic_mean", "geometric_mean", "harmonic_mean",
-    "mean_axioms_check", "operator_monotone_test",
-    "square_monotonicity_counterexample",
-    # monotone metrics
-    "density_matrix", "tangent_perturbation", "monotone_ds2",
-    "f_conditions_check",
-    # Bures geometry
-    "fidelity", "bures_angle", "purification", "purify", "project",
-    "horizontal_lift", "GeodesicPath", "geodesic", "fubini_study_distance",
-    "qubit_state", "qubit_perturbation", "bloch_vector", "qubit_bures_ds2",
-    # measurement
-    "povm", "induced_distribution", "povm_classical_angle",
-    "fuchs_caves_operator", "optimal_measurement", "qubit_povm_search",
-    "pure_state_qubit_angle",
-    # billiard
-    "BouncePoint", "bounce_points", "verify_billiard_theorem",
-    "real_roots_check",
-    # acceptance
-    "DEFAULT_SEED", "run_criterion", "run_all",
-]
+__all__ = ["__version__"]
+for _name in (
+    "errors", "linalg", "sampling", "classical", "means", "monotone",
+    "bures", "measurement", "billiard", "acceptance",
+):
+    _module = import_module(f".{_name}", __name__)
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _name, _module, import_module

@@ -183,6 +183,18 @@ def multinomial_ellipse_experiment(
     }
 
 
+def _jeffreys_log_norm(n: int) -> float:
+    """log(Gamma(n/2) / pi^(n/2)), the log Dirichlet(1/2, ..., 1/2) normalizer.
+
+    Gamma(n/2) is the product of the n/2 - m > 0 (m >= 1), times sqrt(pi) for
+    odd n, which leaves floor(n/2) factors of 1/pi; one fsum adds the logs.
+    """
+    return math.fsum(
+        np.log(n / 2.0 - np.arange(1, (n + 1) // 2)).tolist()
+        + [-math.log(math.pi)] * (n // 2)
+    )
+
+
 def jeffreys_density(p: np.ndarray) -> float:
     """Jeffreys prior density at p, normalized over the simplex.
 
@@ -193,14 +205,10 @@ def jeffreys_density(p: np.ndarray) -> float:
     For two outcomes this is the arcsine law: 1 / (pi sqrt(p (1 - p))).
     Raises :class:`NumericalError` when the density exceeds the float range.
     """
-    from scipy.special import gammaln  # here, so `import statgeom` loads no scipy
-
     p = np.asarray(p, dtype=float).ravel()
     if np.any(p <= 0.0):
         raise BoundaryError("density diverges where a probability vanishes")
-    n = p.size
-    log_norm = gammaln(n / 2.0) - (n / 2.0) * math.log(math.pi)
     try:
-        return float(math.exp(log_norm - 0.5 * np.sum(np.log(p))))
+        return float(math.exp(_jeffreys_log_norm(p.size) - 0.5 * np.sum(np.log(p))))
     except OverflowError:
         raise NumericalError("Jeffreys density overflows a float") from None

@@ -346,14 +346,10 @@ def main(argv=None) -> int:
         if args.command == "verify-all" and not result["all_passed"]:
             return 2
         return 0
-    except ValidationError as exc:  # includes ParseError, DomainError, ...
+    except (ValidationError, NumericalError) as exc:  # and subclasses: ParseError, ...
         _emit(dumps_canonical({"error": {
             "type": type(exc).__name__, "message": str(exc)}}), None)
-        return 1
-    except NumericalError as exc:
-        _emit(dumps_canonical({"error": {
-            "type": type(exc).__name__, "message": str(exc)}}), None)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

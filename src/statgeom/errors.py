@@ -1,5 +1,20 @@
 """Exception types shared by all statgeom modules."""
 
+__all__ = [
+    "StatgeomError",
+    "ValidationError",
+    "NumericalError",
+    "ParseError",
+    "DimensionMismatchError",
+    "DomainError",
+    "BoundaryError",
+    "ZeroVectorError",
+    "SingularError",
+    "DegenerateError",
+    "ScanFailureError",
+    "DegenerateRootWarning",
+]
+
 
 class StatgeomError(Exception):
     """Base class for all statgeom errors."""

@@ -25,6 +25,7 @@ __all__ = [
     "hermitian_part",
     "is_hermitian",
     "eig_hermitian",
+    "fix_phases",
     "matrix_function",
     "matrix_sqrt",
     "matrix_inv_sqrt",

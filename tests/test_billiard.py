@@ -1,6 +1,7 @@
 """Boundary contacts of geodesic great circles and the bounce theorem."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,16 +83,25 @@ def test_bounce_ts_match_the_spectrum_of_m():
             assert np.allclose(ts, predicted, rtol=0.0, atol=1e-10)
 
 
-def test_near_coincident_contacts_are_resolved():
-    # two likelihood ratios 1e-3 apart put two contacts 6.9e-4 apart, well
-    # above the merge tolerance: three simple contacts, none flagged
+def _near_coincident_pair():
+    # two likelihood ratios 1e-3 apart put two contacts 6.9e-4 apart
     p = np.array([0.5, 0.3, 0.2])
     q = p * np.array([0.5, 0.5 * (1.0 + 1e-3), 3.0])
     q /= q.sum()
     u = random_unitary(3, substream(7, "billiard-tests"))
-    rho1 = u @ np.diag(p) @ u.conj().T
-    rho2 = u @ np.diag(q) @ u.conj().T
-    report = verify_billiard_theorem(rho1, rho2)
+    return u @ np.diag(p) @ u.conj().T, u @ np.diag(q) @ u.conj().T
+
+
+def _straddling_path():
+    # roots at pi - 1e-8 and 1e-8 are 2e-8 apart on the pi-periodic circle
+    e1 = np.diag([1e-8, 1e-8, 1.0]).astype(complex)
+    e2 = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    return GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
+
+
+def test_near_coincident_contacts_are_resolved():
+    # well above the merge tolerance: three simple contacts, none flagged
+    report = verify_billiard_theorem(*_near_coincident_pair())
     assert report["multiplicities"] == [1, 1, 1]
     assert min(np.diff(report["bounce_ts"])) == pytest.approx(6.9e-4, rel=0.01)
     assert report["matched"]
@@ -227,14 +237,47 @@ def test_degenerate_contact_is_flagged_and_merged():
 
 
 def test_contacts_straddling_the_period_merge():
-    # roots at pi - 1e-8 and 1e-8 are 2e-8 apart on the pi-periodic circle
-    e1 = np.diag([1e-8, 1e-8, 1.0]).astype(complex)
-    e2 = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
     with pytest.warns(DegenerateRootWarning):
-        points = bounce_points(path)
+        points = bounce_points(_straddling_path())
     assert [pt.multiplicity for pt in points] == [1, 2]
     assert [pt.t for pt in points] == pytest.approx([0.75 * math.pi, math.pi], abs=1e-7)
+
+
+def _warned_and_merged(path):
+    """Whether bounce_points warns, and whether it returns a multiple contact."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = bounce_points(path)
+    warned = any(issubclass(w.category, DegenerateRootWarning) for w in caught)
+    return warned, any(pt.multiplicity > 1 for pt in points)
+
+
+def test_flagged_means_a_merged_contact():
+    # bounce_points warns exactly when it returns a contact of multiplicity
+    # above 1, which is what verify_billiard_theorem reports as flagged
+    assert _warned_and_merged(_straddling_path()) == (True, True)
+    for pair, flagged in (
+        (_near_coincident_pair(), False),
+        (_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]), True),
+    ):
+        assert _warned_and_merged(geodesic(*pair)) == (flagged, flagged)
+        assert verify_billiard_theorem(*pair)["flagged"] is flagged
+
+
+def test_verify_theorem_passes_other_warnings_through(monkeypatch):
+    # only DegenerateRootWarning is silenced; any other warning still shows
+    original = billiard.bounce_points
+
+    def noisy(path):
+        warnings.warn("unrelated", RuntimeWarning)
+        return original(path)
+
+    monkeypatch.setattr(billiard, "bounce_points", noisy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = verify_billiard_theorem(*_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]))
+    assert report["flagged"]
+    assert [w.category for w in caught] == [RuntimeWarning]
 
 
 def test_scan_failure_when_circle_avoids_boundary():

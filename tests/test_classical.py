@@ -1,6 +1,7 @@
 """Fisher-Rao geometry on the probability simplex."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from statgeom import (
     substream,
     tangent_vector,
 )
+from statgeom.classical import _jeffreys_log_norm
 
 
 def test_probability_vector_normalizes():
@@ -167,6 +169,40 @@ def test_jeffreys_density_frozen_values():
     assert jeffreys_density(np.array([1.0, 1.0, 1.0]) / 3.0) == pytest.approx(
         3.0 * math.sqrt(3.0) / (2.0 * math.pi), rel=1e-14
     )
+
+
+def test_jeffreys_density_one_outcome_is_exactly_one():
+    # Gamma(1/2) / pi^(1/2) = 1, and the closed form has no factor to round
+    assert jeffreys_density(np.array([1.0])) == 1.0
+
+
+_PI_60 = Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899863"
+)
+
+
+def _log_norm_reference(n):
+    """log(Gamma(n/2) / pi^(n/2)) to 60 digits, from exact factorial ratios."""
+    k = n // 2
+    if n % 2 == 0:  # Gamma(k) = (k - 1)!
+        gamma = Decimal(math.factorial(k - 1))
+    else:  # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!)
+        gamma = Decimal(math.factorial(2 * k)) / (
+            Decimal(4) ** k * Decimal(math.factorial(k))
+        )
+    return gamma.ln() - k * _PI_60.ln()  # the sqrt(pi) of odd n cancels half a pi
+
+
+def test_jeffreys_log_normalizer_matches_60_digit_reference():
+    # up to n = 186 some point of the simplex still has a finite density;
+    # a correctly rounded log normalizer is off by at most 1.35e-14 there
+    with localcontext() as ctx:
+        ctx.prec = 60
+        worst = max(
+            abs(Decimal(_jeffreys_log_norm(n)) - _log_norm_reference(n))
+            for n in range(1, 187)
+        )
+    assert worst <= Decimal("2e-14")
 
 
 def test_jeffreys_density_overflow_is_a_numerical_error():

@@ -1,26 +1,57 @@
-"""Import cost: the package loads without scipy."""
+"""Import cost, dependencies and exports: the package runs on numpy alone."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import statgeom
+from statgeom import (
+    acceptance, billiard, bures, classical, errors, linalg, means,
+    measurement, monotone, sampling,
+)
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported inside the one function that needs it
-    # (classical.jeffreys_density), so a fresh import never pays for it
+def _run(code, cwd=None):
     env = dict(os.environ)
     paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    code = (
-        "import sys, statgeom, statgeom.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+        text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_import_loads_no_scipy():
+    assert _run("import sys, statgeom, statgeom.cli; " + _LOADED_SCIPY) == "[]\n"
+
+
+def test_jeffreys_loads_no_scipy(tmp_path):
+    # the one former scipy user, through the library and through the CLI
+    (tmp_path / "p.json").write_text("[0.2, 0.3, 0.5]")
+    code = (
+        "import sys, numpy, statgeom, statgeom.cli; "
+        "statgeom.jeffreys_density(numpy.array([0.2, 0.3, 0.5])); "
+        "assert statgeom.cli.main(['jeffreys', 'p.json']) == 0; " + _LOADED_SCIPY
+    )
+    assert _run(code, cwd=tmp_path).endswith("\n[]\n")
+
+
+def test_package_exports_the_union_of_module_exports():
+    modules = (
+        errors, linalg, sampling, classical, means, monotone, bures,
+        measurement, billiard, acceptance,
+    )
+    union = [name for module in modules for name in module.__all__]
+    assert statgeom.__all__ == ["__version__", *union]
+    assert len(set(union)) == len(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(statgeom, name) is getattr(module, name)

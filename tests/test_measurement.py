@@ -330,6 +330,32 @@ def test_povm_errors_keep_element_order(elements, error, message):
         assert str(caught.value) == message
 
 
+def _outcome(check, elements):
+    try:
+        check(elements)
+    except ValidationError as exc:
+        return str(exc)
+    return "valid"
+
+
+def test_stacked_hermiticity_keeps_the_element_bound():
+    # the batched test accepts and rejects exactly where is_hermitian does,
+    # at 1e-10 of each element's own norm (or of 1), and names the same element
+    base = random_povm(3, 4, np.random.default_rng(43))
+    upper = np.triu(np.ones((3, 3)), 1)
+    seen = set()
+    for gain in (1.0, 1e3):  # 1e3 lifts every norm, and the bound with it
+        for size in (1e-13, 2e-11, 6e-11, 1e-9, 1e-7):
+            for k in range(4):
+                elements = [gain * e for e in base]
+                elements[k] = elements[k] + size * upper
+                outcome = _outcome(povm, elements)
+                assert outcome == _outcome(_povm_reference, elements)
+                seen.add(outcome)
+    assert {"valid", "POVM element 2 is not Hermitian",
+            "POVM elements must sum to the identity"} <= seen
+
+
 def test_povm_state_dimension_mismatch():
     elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     rho = np.eye(3, dtype=complex) / 3
