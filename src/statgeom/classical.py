@@ -43,8 +43,8 @@ def probability_vector(p) -> np.ndarray:
         raise ValidationError(f"negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)
     total = p.sum()
-    if total <= 0.0:
-        raise ValidationError("probability vector sums to zero")
+    if not 0.0 < total < math.inf:  # zero, NaN, or an infinite entry or sum
+        raise ValidationError(f"probability vector sums to {'zero' if total == 0 else total}")
     return p / total
 
 
@@ -101,6 +101,8 @@ def fr_geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
     cosine = float(np.sum(np.sqrt(p * q)))
+    if not math.isfinite(cosine):  # a NaN, infinite or negative entry
+        raise ValidationError(f"sum of sqrt(p_i q_i) is {cosine}, not finite")
     return math.acos(min(1.0, max(0.0, cosine)))
 
 

@@ -47,6 +47,24 @@ def test_probability_vector_rejects_bad_input():
         probability_vector([0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "p, total",
+    [
+        ([math.nan, 0.5, 0.5], "nan"),
+        ([math.inf, 0.5], "inf"),
+        pytest.param(  # finite entries whose sum overflows
+            [1e308, 1e308], "inf", marks=pytest.mark.filterwarnings("ignore:overflow")
+        ),
+    ],
+)
+def test_probability_vector_rejects_non_finite_totals(p, total):
+    # each used to normalize to NaN or to zeros, which downstream
+    # distances then read as orthogonal
+    with pytest.raises(ValidationError) as caught:
+        probability_vector(p)
+    assert str(caught.value) == f"probability vector sums to {total}"
+
+
 def test_tangent_vector_must_sum_to_zero():
     assert np.allclose(tangent_vector([0.1, -0.1]), [0.1, -0.1])
     with pytest.raises(ValidationError):
@@ -77,6 +95,19 @@ def test_distance_coincident_and_orthogonal():
     assert fr_geodesic_distance(
         np.array([1.0, 0.0]), np.array([0.0, 1.0])
     ) == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([math.nan, 0.5, 0.5], [0.2, 0.3, 0.5]),
+        ([0.5, 0.5], [math.inf, 0.0]),
+    ],
+)
+def test_distance_rejects_a_non_finite_cosine(p, q):
+    # a NaN cosine used to clamp to 0, reporting orthogonality (pi/2)
+    with pytest.raises(ValidationError, match="not finite"):
+        fr_geodesic_distance(np.array(p), np.array(q))
 
 
 def test_distance_closed_form_on_binary_family():

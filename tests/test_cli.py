@@ -292,6 +292,23 @@ def test_negative_probability_exits_1(capsys, files, tmp_path):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "command", ["classical-distance", "jeffreys", "multinomial-experiment"]
+)
+@pytest.mark.parametrize("entries, total", [("NaN", "nan"), ("Infinity", "inf")])
+def test_non_finite_probabilities_exit_1(capsys, files, tmp_path, command, entries, total):
+    # classical-distance used to print pi/2 with exit 0, jeffreys a serializer
+    # error or a BoundaryError, and multinomial-experiment a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[{entries}, 0.5, 0.5]")
+    others = [files["p"]] if command == "classical-distance" else []
+    code, out = run_cli(capsys, command, str(bad), *others)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError", "message": f"probability vector sums to {total}"
+    }
+
+
 def test_numerical_failures_exit_2(capsys, files):
     # geodesic from a singular endpoint
     code, out = run_cli(capsys, "geodesic", files["pure"], files["rho2"])
@@ -515,17 +532,19 @@ def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
         (["fidelity"], 3),  # was 5
         (["bures-distance"], 3),  # was 5
         (["geodesic", "--samples", "5"], 3),  # was 7
-        (["optimal-measurement"], 4),  # was 13
+        (["optimal-measurement"], 3),  # was 13, then 4 before the Cholesky
         (["povm-search", "--grid", "20"], 3),  # was 7
     ],
 )
 def test_state_commands_validate_each_file_once(
     capsys, files, lapack_calls, command, eigvalsh
 ):
-    calls = lapack_calls("eigvalsh")
+    calls = lapack_calls("eigvalsh", "cholesky")
     code, _ = run_cli(capsys, *command, files["rho1"], files["rho2"])
     assert code == 0
     assert calls["eigvalsh"] == eigvalsh
+    # only optimal-measurement validates a POVM, proved positive by one Cholesky
+    assert calls["cholesky"] == (command == ["optimal-measurement"])
 
 
 @pytest.mark.parametrize(

@@ -370,13 +370,80 @@ def test_povm_state_dimension_mismatch():
 
 
 @pytest.mark.parametrize("outcomes", [3, 8, 32])
-def test_classical_angle_runs_one_stacked_eigvalsh(lapack_calls, outcomes):
-    # one batched check of all the elements and one per state; checking
-    # element by element for each state took 2K + 2
+def test_classical_angle_certifies_the_povm_with_one_cholesky(lapack_calls, outcomes):
+    # one batched Cholesky proves every element positive and one eigvalsh
+    # checks each state; a batched eigvalsh of the elements used to take the
+    # Cholesky's place, and checking element by element 2K + 2 eigvalsh
     rng = np.random.default_rng(outcomes)
     elements = random_povm(3, outcomes, rng)
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
-    calls = lapack_calls("eigh", "eigvalsh")
+    calls = lapack_calls("eigh", "eigvalsh", "cholesky")
     povm_classical_angle(elements, rho1, rho2)
-    assert calls == {"eigvalsh": 3}
+    assert calls == {"eigvalsh": 2, "cholesky": 1}
+
+
+@pytest.mark.parametrize(
+    "elements, calls, outcome",
+    [
+        ([np.eye(32)], {"cholesky": 1}, "valid"),
+        (random_povm(32, 40, np.random.default_rng(47)), {"cholesky": 1}, "valid"),
+        # tr I = 64 puts the Cholesky rounding bound past the budget
+        ([np.eye(64)], {"eigvalsh": 1}, "valid"),
+        (
+            [np.diag([1.5, 1.0]), _NEGATIVE],
+            {"cholesky": 1, "eigvalsh": 1},
+            "POVM element 1 is not positive semidefinite",
+        ),
+        (
+            [np.eye(2) / 2, np.full((2, 2), np.nan)],
+            {"eigvalsh": 1},
+            "POVM element 1 is not Hermitian",
+        ),
+    ],
+    ids=["identity-32", "random-povm-32", "identity-64", "negative", "nan"],
+)
+def test_povm_positivity_certificate_or_fallback(lapack_calls, elements, calls, outcome):
+    # the Cholesky certificate replaces the batched eigvalsh only for a
+    # Hermitian stack within its rounding budget, and only when it succeeds
+    counts = lapack_calls("eigh", "eigvalsh", "cholesky")
+    assert _outcome(povm, elements) == outcome
+    assert counts == calls
+
+
+def _hermitian_with_least(n, least, top, rng):
+    """Random Hermitian matrix with eigenvalues ``least`` and n - 1 in [0, top)."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(z)
+    spectrum = np.concatenate([[least], top * rng.uniform(size=n - 1)])
+    return hermitian_part((q * spectrum) @ q.conj().T)
+
+
+def test_positivity_certificate_never_over_accepts(lapack_calls):
+    # single-element POVMs straddling the -1e-12 floor: the certificate
+    # (no eigvalsh run) may only accept what element-wise eigvalsh accepts,
+    # so povm and the reference reach the same error.  Elements of norm 1e4
+    # fall outside the Cholesky rounding budget and must take the fallback.
+    rng = np.random.default_rng(53)
+    counts = lapack_calls("eigvalsh")
+    certified, outcomes = 0, set()
+    for n in (2, 3, 4, 8, 16, 32):
+        for top in (1.0, 1e4):
+            for _ in range(10):
+                for least in (
+                    -1e-12 * (1.0 + 0.9 * rng.uniform(-1.0, 1.0)),
+                    -5e-13 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0)),
+                    0.0,
+                    -1e-16,
+                ):
+                    element = _hermitian_with_least(n, least, top, rng)
+                    counts.clear()
+                    outcome = _outcome(povm, [element])
+                    certified += counts["eigvalsh"] == 0
+                    assert outcome == _outcome(_povm_reference, [element])
+                    outcomes.add(outcome)
+    assert certified >= 100
+    assert outcomes == {
+        "POVM element 0 is not positive semidefinite",
+        "POVM elements must sum to the identity",
+    }
