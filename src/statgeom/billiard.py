@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bures import GeodesicPath, _geodesic, _matched_pair
+from .bures import GeodesicPath, _pair
 from .errors import DegenerateRootWarning, ScanFailureError
 from .linalg import eig_hermitian
 
@@ -141,15 +141,15 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
     ``matched`` is true when that pairing is one-to-one with squared
     overlaps at least 1 - 1e-6; ``flagged`` reports degenerate contacts.
     """
-    path, m = _geodesic(*_matched_pair(rho1, rho2))
+    pair = _pair(rho1, rho2)
+    path = pair.path
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateRootWarning)
         points = bounce_points(path)
     # a merged contact that fails verification ends in ScanFailureError, so
     # the contacts returned carry every multiple root bounce_points warned of
     flagged = any(p.multiplicity > 1 for p in points)
-    # eig_hermitian symmetrizes M first, so this is fuchs_caves_operator's basis
-    m_eigenvalues, m_vectors = eig_hermitian(m)
+    m_eigenvalues, m_vectors = pair.eig_m  # fuchs_caves_operator's eigenbasis
     cols = _pair_contacts([p.t for p in points], path.t_star, m_eigenvalues)
     kernels = np.stack([p.kernel_state for p in points])
     overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2
@@ -176,7 +176,7 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
         "bounce_ts": [float(p.t) for p in points],
         "multiplicities": [int(p.multiplicity) for p in points],
         "kernel_states": [p.kernel_state for p in points],
-        "m_eigenvalues": m_eigenvalues,
+        "m_eigenvalues": m_eigenvalues.copy(),
     }
 
 

@@ -12,6 +12,7 @@ hemisphere of radius 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import _sqrt_and_inv_sqrt, hermitian_part, hs_inner, matrix_sqrt
-from .linalg import min_eigenvalue
+from .linalg import EigenSystem, _sqrt_and_inv_sqrt, eig_hermitian, hermitian_part
+from .linalg import hs_inner, matrix_sqrt, min_eigenvalue
 from .means import _congruence_mean
 from .monotone import _density_matrix, density_matrix
 
@@ -52,30 +53,95 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _matched_pair(rho1, rho2) -> tuple:
-    """Validate two states of one shape: (rho1, rho2, smallest eigenvalues)."""
-    return _matched(_density_matrix(rho1), _density_matrix(rho2))
+class _Pair:
+    """A validated pair of states of one shape, and what the paper derives from it.
+
+    Holds rho1, rho2 and their smallest eigenvalues ``lows``.  F, the lift
+    (M unsymmetrized, sqrt(rho1)), the geodesic and eig(M) are each computed
+    on first use, by one route per quantity; one that raises is not kept.
+    The arrays kept are shared, so a public view returns copies or new arrays.
+    """
+
+    def __init__(self, state1: tuple, state2: tuple):
+        """Pair two ``_density_matrix`` results, (state, smallest eigenvalue)."""
+        (self.rho1, low1), (self.rho2, low2) = state1, state2
+        if self.rho1.shape != self.rho2.shape:
+            raise DimensionMismatchError(
+                f"states have shapes {self.rho1.shape} and {self.rho2.shape}"
+            )
+        self.lows = (low1, low2)
+
+    @cached_property
+    def fidelity(self) -> float:
+        r2 = matrix_sqrt(self.rho2)
+        w = np.linalg.eigvalsh(hermitian_part(r2 @ self.rho1 @ r2))
+        root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+        return min(1.0, root_sum * root_sum)
+
+    @property
+    def angle(self) -> float:
+        return float(np.arccos(np.clip(np.sqrt(self.fidelity), 0.0, 1.0)))
+
+    @cached_property
+    def lift(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M unsymmetrized, sqrt(rho1)); rho1 invertible."""
+        root, inv_root = _sqrt_and_inv_sqrt(self.rho1)
+        return _congruence_mean(inv_root, root, self.rho2, np.sqrt), root
+
+    @cached_property
+    def eig_m(self) -> EigenSystem:
+        return eig_hermitian(self.lift[0])  # symmetrizes M first
+
+    @cached_property
+    def path(self) -> GeodesicPath:
+        """:func:`geodesic`, with ``e1`` the kept sqrt(rho1) itself."""
+        for low in self.lows:
+            if low <= 1e-12:
+                raise SingularError(
+                    f"geodesic endpoint has eigenvalue {low:.3e}; "
+                    "both endpoints must be strictly positive"
+                )
+        m, a1 = self.lift
+        a2 = m @ a1
+        overlap = hs_inner(a1, a2).real  # = sqrt(fidelity), real by alignment
+        overlap = min(1.0, max(-1.0, overlap))
+        sine = np.sqrt(max(0.0, 1.0 - overlap * overlap))
+        if sine < 1e-8:
+            raise DegenerateError("states coincide; the geodesic is not unique")
+        e2 = (a2 - overlap * a1) / sine
+        return GeodesicPath(e1=a1, e2=e2, t_star=float(np.arccos(overlap)))
 
 
-def _matched(state1: tuple, state2: tuple) -> tuple:
-    """Shape check on two ``_density_matrix`` results, as :func:`_matched_pair`."""
-    (rho1, low1), (rho2, low2) = state1, state2
-    if rho1.shape != rho2.shape:
-        raise DimensionMismatchError(
-            f"states have shapes {rho1.shape} and {rho2.shape}"
-        )
-    return rho1, rho2, (low1, low2)
+# The most recent valid pair as (key, pair), so the public views called in a
+# row on one pair share it.  One tuple assignment replaces it, so a reader
+# always compares against the key stored with the pair it gets.
+_last: tuple = (None, None)
 
 
-def _lift_operator(rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M unsymmetrized, sqrt(rho1)) for validated states; rho1 invertible."""
-    root, inv_root = _sqrt_and_inv_sqrt(rho1)
-    return _congruence_mean(inv_root, root, rho2, np.sqrt), root
+def _recall(rho1, rho2) -> tuple:
+    """(memo key, the remembered pair or None) for two states.
+
+    The key is the (shape, bytes) of each state as a complex array, and None
+    when one does not convert (e.g. a ragged nested list).
+    """
+    try:
+        a, b = np.asarray(rho1, dtype=complex), np.asarray(rho2, dtype=complex)
+    except (TypeError, ValueError):
+        return None, None
+    key = (a.shape, a.tobytes(), b.shape, b.tobytes())
+    last_key, pair = _last
+    return key, (pair if key == last_key else None)
 
 
-def _angle_from_fidelity(fid: float) -> float:
-    """Bures angle arccos(sqrt(F)) from a fidelity F."""
-    return float(np.arccos(np.clip(np.sqrt(fid), 0.0, 1.0)))
+def _pair(rho1, rho2) -> _Pair:
+    """The validated pair (rho1, rho2): the remembered one, or a new one kept."""
+    global _last
+    key, pair = _recall(rho1, rho2)
+    if pair is None:
+        pair = _Pair(_density_matrix(rho1), _density_matrix(rho2))
+        if key is not None:
+            _last = (key, pair)
+    return pair
 
 
 def fidelity(rho1, rho2) -> float:
@@ -86,20 +152,12 @@ def fidelity(rho1, rho2) -> float:
     commuting (classical) states.  Symmetric in its arguments, although
     the formula hides it.
     """
-    return _fidelity(*_matched_pair(rho1, rho2)[:2])
-
-
-def _fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """:func:`fidelity` of two validated states of one shape."""
-    r2 = matrix_sqrt(rho2)
-    w = np.linalg.eigvalsh(hermitian_part(r2 @ rho1 @ r2))
-    root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    return min(1.0, root_sum * root_sum)
+    return _pair(rho1, rho2).fidelity
 
 
 def bures_angle(rho1, rho2) -> float:
     """Bures-Uhlmann angle arccos(sqrt(fidelity)), in [0, pi/2]."""
-    return _angle_from_fidelity(fidelity(rho1, rho2))
+    return _pair(rho1, rho2).angle
 
 
 def purification(a) -> np.ndarray:
@@ -108,7 +166,7 @@ def purification(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"purification must be square, got shape {a.shape}")
     norm2 = float(np.sum(np.abs(a) ** 2))
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails
         raise ValidationError(f"purification has squared norm {norm2!r}, expected 1")
     return a
 
@@ -140,13 +198,13 @@ def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
     ``a1`` defaults to the canonical purification sqrt(rho1).  ``rho1``
     must be invertible (SingularError otherwise).
     """
-    rho1, rho2, _ = _matched_pair(rho1, rho2)
+    pair = _pair(rho1, rho2)
     if a1 is not None:
         a1 = purification(a1)
-        resid = float(np.linalg.norm(a1 @ a1.conj().T - rho1))
-        if resid > 1e-8:
+        resid = float(np.linalg.norm(a1 @ a1.conj().T - pair.rho1))
+        if not resid <= 1e-8:
             raise ValidationError(f"a1 does not purify rho1 (residual {resid:.3e})")
-    m, root = _lift_operator(rho1, rho2)
+    m, root = pair.lift
     return m @ (root if a1 is None else a1)
 
 
@@ -199,29 +257,8 @@ def geodesic(rho1, rho2) -> GeodesicPath:
     the states coincide (Bures angle below 1e-8), where no unique
     geodesic exists.
     """
-    return _geodesic(*_matched_pair(rho1, rho2))[0]
-
-
-def _geodesic(rho1: np.ndarray, rho2: np.ndarray, lows) -> tuple:
-    """(:func:`geodesic`, M unsymmetrized) for validated states of one shape.
-
-    ``lows`` are the smallest eigenvalues of rho1 and rho2.
-    """
-    for low in lows:
-        if low <= 1e-12:
-            raise SingularError(
-                f"geodesic endpoint has eigenvalue {low:.3e}; "
-                "both endpoints must be strictly positive"
-            )
-    m, a1 = _lift_operator(rho1, rho2)
-    a2 = m @ a1
-    overlap = hs_inner(a1, a2).real  # = sqrt(fidelity), real by alignment
-    overlap = min(1.0, max(-1.0, overlap))
-    sine = np.sqrt(max(0.0, 1.0 - overlap * overlap))
-    if sine < 1e-8:
-        raise DegenerateError("states coincide; the geodesic is not unique")
-    e2 = (a2 - overlap * a1) / sine
-    return GeodesicPath(e1=a1, e2=e2, t_star=float(np.arccos(overlap))), m
+    path = _pair(rho1, rho2).path
+    return GeodesicPath(e1=path.e1.copy(), e2=path.e2.copy(), t_star=path.t_star)
 
 
 def fubini_study_distance(psi, phi) -> float:
@@ -236,6 +273,8 @@ def fubini_study_distance(psi, phi) -> float:
         raise DimensionMismatchError(
             f"vectors have lengths {psi.size} and {phi.size}"
         )
+    if not (np.isfinite(psi).all() and np.isfinite(phi).all()):
+        raise ValidationError("Fubini-Study distance needs finite vectors")
     norm_psi = float(np.linalg.norm(psi))
     norm_phi = float(np.linalg.norm(phi))
     if norm_psi < 1e-150 or norm_phi < 1e-150:
@@ -247,7 +286,7 @@ def fubini_study_distance(psi, phi) -> float:
 def qubit_state(x: float, y: float, z: float) -> np.ndarray:
     """Qubit density matrix (I + x sx + y sy + z sz) / 2 from a Bloch vector."""
     r2 = x * x + y * y + z * z
-    if r2 > 1.0 + 1e-12:
+    if not r2 <= 1.0 + 1e-12:  # NaN fails
         raise ValidationError(f"Bloch vector has length {np.sqrt(r2)!r} > 1")
     rho = 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
     return hermitian_part(rho)
@@ -283,8 +322,8 @@ def qubit_bures_ds2(
     on the sphere.
     """
     r2 = x * x + y * y + z * z
-    if r2 >= 1.0:
-        raise BoundaryError("line element diverges on the Bloch sphere")
+    if not r2 < 1.0:  # NaN fails
+        raise BoundaryError("line element is defined strictly inside the Bloch ball")
     flat = dx * dx + dy * dy + dz * dz
     radial = x * dx + y * dy + z * dz
     return 0.25 * (flat + radial * radial / (1.0 - r2))

@@ -15,15 +15,7 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_all
 from .billiard import verify_billiard_theorem
-from .bures import (
-    _angle_from_fidelity,
-    _bloch_vector,
-    _fidelity,
-    _geodesic,
-    _lift_operator,
-    _matched,
-    geodesic,
-)
+from .bures import _Pair, _bloch_vector, geodesic
 from .classical import (
     fr_geodesic_distance,
     jeffreys_density,
@@ -34,7 +26,7 @@ from .classical import (
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
 from .measurement import _distribution, _povm_stack, _projectors, _qubit_povm_search
-from .linalg import eig_hermitian, min_eigenvalue
+from .linalg import min_eigenvalue
 from .monotone import (
     _density_matrix,
     density_matrix,
@@ -127,28 +119,22 @@ def _cmd_monotone_metric(args) -> dict:
     return {"ds2": monotone_ds2(rho, drho, args.f), "f": args.f}
 
 
-def _read_pair(args) -> tuple:
-    """States ``a`` then ``b``, each read and validated once, of one shape.
-
-    Returns (a, b, smallest eigenvalues) for the library's private cores.
-    """
-    a = _density_matrix(read_matrix_file(args.a))
-    return _matched(a, _density_matrix(read_matrix_file(args.b)))
+def _read_state(path: str) -> tuple:
+    """A state file, read and validated: (state, smallest eigenvalue)."""
+    return _density_matrix(read_matrix_file(path))
 
 
 def _cmd_fidelity(args) -> dict:
-    a, b, _ = _read_pair(args)
-    return {"fidelity": _fidelity(a, b)}
+    return {"fidelity": _Pair(_read_state(args.a), _read_state(args.b)).fidelity}
 
 
 def _cmd_bures_distance(args) -> dict:
-    a, b, _ = _read_pair(args)
-    fid = _fidelity(a, b)
-    return {"angle": _angle_from_fidelity(fid), "fidelity": fid}
+    pair = _Pair(_read_state(args.a), _read_state(args.b))
+    return {"angle": pair.angle, "fidelity": pair.fidelity}
 
 
 def _cmd_geodesic(args):
-    path, _ = _geodesic(*_read_pair(args))
+    path = _Pair(_read_state(args.a), _read_state(args.b)).path
     ts = np.linspace(0.0, path.t_star, args.samples)
     states = path.state(ts)
     lams = min_eigenvalue(states)
@@ -167,16 +153,14 @@ def _cmd_geodesic(args):
 
 
 def _cmd_optimal_measurement(args) -> dict:
-    a, b, _ = _read_pair(args)
-    # eig_hermitian symmetrizes M first, as fuchs_caves_operator does
-    eigenvalues, eigenvectors = eig_hermitian(_lift_operator(a, b)[0])
-    angle = _angle_from_fidelity(_fidelity(a, b))
+    pair = _Pair(_read_state(args.a), _read_state(args.b))
+    eigenvalues, eigenvectors = pair.eig_m
     # the projectors of optimal_measurement, validated as a POVM
     elements = _povm_stack(_projectors(eigenvectors))
     return {
-        "bures_angle": angle,
+        "bures_angle": pair.angle,
         "classical_angle": fr_geodesic_distance(
-            _distribution(elements, a), _distribution(elements, b)
+            _distribution(elements, pair.rho1), _distribution(elements, pair.rho2)
         ),
         "m_eigenvalues": eigenvalues,
         "m_eigenvectors": eigenvectors,
@@ -184,12 +168,11 @@ def _cmd_optimal_measurement(args) -> dict:
 
 
 def _cmd_povm_search(args) -> dict:
-    # not _read_pair: a qubit and a qutrit must fail as "qubits only"
-    a = _density_matrix(read_matrix_file(args.a))[0]
-    b = _density_matrix(read_matrix_file(args.b))[0]
-    report = _qubit_povm_search(a, b, _bloch_vector, args.grid)
+    a, b = _read_state(args.a), _read_state(args.b)
+    # the search first: a qubit and a qutrit must fail as "qubits only"
+    report = _qubit_povm_search(a[0], b[0], _bloch_vector, args.grid)
     return {
-        "bures_angle": _angle_from_fidelity(_fidelity(a, b)),
+        "bures_angle": _Pair(a, b).angle,
         "best_angle": report["best_angle"],
         "best_axis": report["best_axis"],
         "non_unique": report["non_unique"],

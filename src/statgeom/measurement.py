@@ -20,9 +20,9 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import _as_square, eig_hermitian, hermitian_part
+from .linalg import _as_square, hermitian_part
 from .monotone import density_matrix
-from .bures import _lift_operator, _matched_pair, bloch_vector
+from .bures import _pair, _recall, bloch_vector
 
 __all__ = [
     "povm",
@@ -140,10 +140,13 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
     """Fisher-Rao angle between the outcome distributions of one POVM.
 
     Bounded above by the Bures angle of the two states for every POVM.
+    The states come validated from the last pair the Bures views were given,
+    when that is this pair.
     """
     stack = _povm_stack(elements)
-    p = _distribution(stack, density_matrix(rho1))
-    q = _distribution(stack, density_matrix(rho2))
+    pair = _recall(rho1, rho2)[1]
+    p = _distribution(stack, pair.rho1 if pair else density_matrix(rho1))
+    q = _distribution(stack, pair.rho2 if pair else density_matrix(rho2))
     return fr_geodesic_distance(p, q)
 
 
@@ -157,7 +160,7 @@ def fuchs_caves_operator(rho1, rho2) -> np.ndarray:
     the same projective measurement.
     ``rho1`` must be invertible (SingularError otherwise).
     """
-    return hermitian_part(_lift_operator(*_matched_pair(rho1, rho2)[:2])[0])
+    return hermitian_part(_pair(rho1, rho2).lift[0])
 
 
 def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
@@ -168,8 +171,7 @@ def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
     the eigenbasis inside each eigenspace is an arbitrary orthonormal
     choice; any such refinement attains the bound.
     """
-    _, vectors = eig_hermitian(fuchs_caves_operator(rho1, rho2))
-    return list(_projectors(vectors))
+    return list(_projectors(_pair(rho1, rho2).eig_m.eigenvectors))
 
 
 def _projectors(vectors: np.ndarray) -> np.ndarray:

@@ -5,8 +5,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from statgeom import bures
+
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture(autouse=True)
+def empty_pair_memo():
+    """Start each test with no remembered state pair, as a new process does.
+
+    The Bures views remember the last pair they validated; without this a
+    call count would depend on which test ran before.
+    """
+    bures._last = (None, None)
 
 
 @pytest.fixture

@@ -244,3 +244,26 @@ def test_qubit_bures_ds2_hand_value():
 def test_qubit_bures_ds2_boundary():
     with pytest.raises(BoundaryError):
         qubit_bures_ds2(1.0, 0.0, 0.0, 0.0, 0.0, 0.01)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: purification(np.full((2, 2), NAN)),
+        lambda: horizontal_lift(*_commuting_pair(), a1=np.full((2, 2), NAN)),
+        lambda: qubit_state(NAN, 0.0, 0.0),
+        lambda: qubit_bures_ds2(NAN, 0.0, 0.0, 1.0, 0.0, 0.0),
+        lambda: fubini_study_distance([NAN, 1.0], [1.0, 0.0]),
+    ],
+    ids=[
+        "purification", "horizontal_lift", "qubit_state", "qubit_bures_ds2",
+        "fubini_study_distance",
+    ],
+)
+def test_nan_fails_validation(call):
+    # each bound is written so that NaN fails it, instead of passing it through
+    with pytest.raises(ValidationError):
+        call()

@@ -155,21 +155,24 @@ def test_one_matrix_kernels_reject_stacks(kernel):
 
 
 def test_one_decomposition_per_root_pair(lapack_calls):
-    """sqrt(A) and A^(-1/2) come from one eigh; M and the lift share it."""
+    """sqrt(A) and A^(-1/2) come from one eigh; M and the lift share it.
+
+    Each call gets a pair of its own, so none finds the last pair's M kept.
+    """
     calls = lapack_calls("eigh")
     rng = np.random.default_rng(5)
-    rho1 = random_density_matrix(3, rng)
-    rho2 = random_density_matrix(3, rng)
     cases = {
-        "operator_mean": lambda: operator_mean(A2, np.diag([3.0, 1.0]), "geometric"),
-        "fuchs_caves_operator": lambda: fuchs_caves_operator(rho1, rho2),
-        "geodesic": lambda: geodesic(rho1, rho2),
-        "horizontal_lift": lambda: horizontal_lift(rho1, rho2),
+        "operator_mean": lambda r1, r2: operator_mean(A2, np.diag([3.0, 1.0]), "geometric"),
+        "fuchs_caves_operator": fuchs_caves_operator,
+        "geodesic": geodesic,
+        "horizontal_lift": horizontal_lift,
     }
     counts = {}
     for name, call in cases.items():
+        rho1 = random_density_matrix(3, rng)
+        rho2 = random_density_matrix(3, rng)
         calls.clear()
-        call()
+        call(rho1, rho2)
         counts[name] = calls["eigh"]
     assert counts == dict.fromkeys(cases, 2)
 
