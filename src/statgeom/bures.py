@@ -24,9 +24,9 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _sqrt_and_inv_sqrt, eig_hermitian, hermitian_part
-from .linalg import hs_inner, matrix_sqrt, min_eigenvalue
-from .means import _congruence_mean
+from .linalg import EigenSystem, _PairSlot, _sqrt_and_inv_sqrt, eig_hermitian
+from .linalg import hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
+from .means import _congruence, _core_spectrum
 from .monotone import _density_matrix, density_matrix
 
 __all__ = [
@@ -86,7 +86,7 @@ class _Pair:
     def lift(self) -> tuple[np.ndarray, np.ndarray]:
         """(M unsymmetrized, sqrt(rho1)); rho1 invertible."""
         root, inv_root = _sqrt_and_inv_sqrt(self.rho1)
-        return _congruence_mean(inv_root, root, self.rho2, np.sqrt), root
+        return _congruence(inv_root, _core_spectrum(root, self.rho2), np.sqrt), root
 
     @cached_property
     def eig_m(self) -> EigenSystem:
@@ -112,36 +112,11 @@ class _Pair:
         return GeodesicPath(e1=a1, e2=e2, t_star=float(np.arccos(overlap)))
 
 
-# The most recent valid pair as (key, pair), so the public views called in a
-# row on one pair share it.  One tuple assignment replaces it, so a reader
-# always compares against the key stored with the pair it gets.
-_last: tuple = (None, None)
-
-
-def _recall(rho1, rho2) -> tuple:
-    """(memo key, the remembered pair or None) for two states.
-
-    The key is the (shape, bytes) of each state as a complex array, and None
-    when one does not convert (e.g. a ragged nested list).
-    """
-    try:
-        a, b = np.asarray(rho1, dtype=complex), np.asarray(rho2, dtype=complex)
-    except (TypeError, ValueError):
-        return None, None
-    key = (a.shape, a.tobytes(), b.shape, b.tobytes())
-    last_key, pair = _last
-    return key, (pair if key == last_key else None)
-
-
-def _pair(rho1, rho2) -> _Pair:
-    """The validated pair (rho1, rho2): the remembered one, or a new one kept."""
-    global _last
-    key, pair = _recall(rho1, rho2)
-    if pair is None:
-        pair = _Pair(_density_matrix(rho1), _density_matrix(rho2))
-        if key is not None:
-            _last = (key, pair)
-    return pair
+# The most recent valid pair, so the public views called in a row on one
+# pair share it: _pair(rho1, rho2) gives it, validating a new pair, and
+# _recall(rho1, rho2) gives (key, the remembered pair or None).
+_pairs = _PairSlot(lambda rho1, rho2: _Pair(_density_matrix(rho1), _density_matrix(rho2)))
+_pair, _recall = _pairs.get, _pairs.recall
 
 
 def fidelity(rho1, rho2) -> float:
@@ -292,8 +267,15 @@ def qubit_state(x: float, y: float, z: float) -> np.ndarray:
     return hermitian_part(rho)
 
 
+def _check_tangent(dx: float, dy: float, dz: float) -> None:
+    for c in (dx, dy, dz):
+        if not abs(c) < np.inf:  # NaN fails
+            raise ValidationError(f"tangent component {c!r} is not finite")
+
+
 def qubit_perturbation(dx: float, dy: float, dz: float) -> np.ndarray:
     """Traceless Hermitian perturbation (dx sx + dy sy + dz sz) / 2."""
+    _check_tangent(dx, dy, dz)
     return hermitian_part(0.5 * (dx * SIGMA_X + dy * SIGMA_Y + dz * SIGMA_Z))
 
 
@@ -324,6 +306,7 @@ def qubit_bures_ds2(
     r2 = x * x + y * y + z * z
     if not r2 < 1.0:  # NaN fails
         raise BoundaryError("line element is defined strictly inside the Bloch ball")
+    _check_tangent(dx, dy, dz)
     flat = dx * dx + dy * dy + dz * dz
     radial = x * dx + y * dy + z * dz
     return 0.25 * (flat + radial * radial / (1.0 - r2))

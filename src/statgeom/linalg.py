@@ -115,6 +115,12 @@ def matrix_function(
     :class:`DomainError`; values within that band are clamped to the floor
     so that e.g. a square root never sees -1e-15.
     """
+    return _apply_spectrum(_spectrum(h, domain_floor), fn)
+
+
+def _spectrum(h: np.ndarray, domain_floor: float) -> EigenSystem:
+    """The first step of :func:`matrix_function`: eig(h), checked against and
+    clamped to ``domain_floor``.  Keep it to apply several f to one h."""
     w, v = eig_hermitian(_as_square(h))
     if np.any(w < domain_floor - 1e-12):
         raise DomainError(
@@ -122,7 +128,17 @@ def matrix_function(
         )
     if domain_floor > -math.inf:
         w = np.maximum(w, domain_floor)
-    fw = np.asarray(fn(w), dtype=complex)
+    return EigenSystem(eigenvalues=w, eigenvectors=v)
+
+
+def _apply_spectrum(spectrum: EigenSystem, fn) -> np.ndarray:
+    """The second step of :func:`matrix_function`: V f(w) V†, Hermitian.
+
+    ``fn`` gets a copy of w, so a kept spectrum survives an f that writes
+    to its argument.
+    """
+    w, v = spectrum
+    fw = np.asarray(fn(w.copy()), dtype=complex)
     return hermitian_part((v * fw) @ v.conj().T)
 
 
@@ -181,3 +197,39 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(a)))
+
+
+class _PairSlot:
+    """The value built from the most recent valid pair of arrays, remembered.
+
+    ``build(x, y)`` validates the pair and returns an object that owns its
+    arrays, since callers may later change theirs in place.  The key is the
+    (shape, bytes) of both arguments as complex arrays, and None when one
+    does not convert (e.g. a ragged nested list): such a pair skips the slot,
+    so ``build`` raises as it would without it, and a pair ``build`` rejects
+    is never kept.  One tuple assignment replaces ``entry``, so a reader
+    always compares against the key stored with the value it gets.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.entry = (None, None)
+
+    def recall(self, x, y) -> tuple:
+        """(key, the value remembered for x and y, or None)."""
+        try:
+            a, b = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        except (TypeError, ValueError):
+            return None, None
+        key = (a.shape, a.tobytes(), b.shape, b.tobytes())
+        last_key, value = self.entry
+        return key, (value if key == last_key else None)
+
+    def get(self, x, y):
+        """The value for x and y: the remembered one, or a new one, kept."""
+        key, value = self.recall(x, y)
+        if value is None:
+            value = self.build(x, y)
+            if key is not None:
+                self.entry = (key, value)
+        return value

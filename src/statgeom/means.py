@@ -7,17 +7,28 @@ f(1) = 1 via the congruence recipe
 
 The classical trio is arithmetic f = (1+t)/2, geometric f = sqrt(t), and
 harmonic f = 2t/(1+t), ordered harmonic <= geometric <= arithmetic in the
-positive-semidefinite sense.  The module also carries a randomized
+positive-semidefinite sense.  Only f differs between the means of one
+pair, so each is a view of one private pair object: it validates A and B
+once, and computes (sqrt(A), A^(-1/2)) and the spectrum of the core
+A^(-1/2) B A^(-1/2) once, on first use.  The last pair is remembered, so
+the trio on one pair decomposes A and the core once between them; returned
+arrays are always new.  The module also carries a randomized
 operator-monotonicity tester and the standard 2x2 witness that t -> t^2
 fails it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
+    EigenSystem,
+    _PairSlot,
+    _apply_spectrum,
+    _spectrum,
     _sqrt_and_inv_sqrt,
     hermitian_part,
     hs_norm,
@@ -79,14 +90,60 @@ def _symmetry_defect(f) -> float:
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    """Copies of a and b as complex arrays, checked to be Hermitian of one shape."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"operands have shapes {a.shape} and {b.shape}")
     for m in (a, b):
         if not is_hermitian(m):
             raise ValidationError("operator means need Hermitian operands")
     return a, b
+
+
+def _core_spectrum(inner, b) -> EigenSystem:
+    """Clamped spectrum of hermitian_part(inner b inner): the core
+    A^(-1/2) B A^(-1/2) of every mean from inner = A^(-1/2), and that of the
+    operator M = rho1^(-1) # rho2 from inner = sqrt(rho1)."""
+    return _spectrum(hermitian_part(inner @ b @ inner), domain_floor=0.0)
+
+
+def _congruence(outer, core: EigenSystem, f) -> np.ndarray:
+    """Unsymmetrized outer f(core) outer: M_f(A, B) from sqrt(A) and the core
+    of (A, B); the operator M from rho1^(-1/2) and its core, with f = sqrt."""
+    return outer @ _apply_spectrum(core, f) @ outer
+
+
+class _MeanPair:
+    """A validated operand pair (A, B), and what every mean of it shares.
+
+    Holds copies of A and B.  (sqrt(A), A^(-1/2)), with B checked positive
+    semidefinite first, and the core spectrum are each computed on first
+    use; one that raises is not kept.  A mean applies its f to the kept core
+    and returns a new array, so the trio costs one decomposition of B, of A
+    and of the core between them.
+    """
+
+    def __init__(self, a, b):
+        self.a, self.b = _check_pair(a, b)
+
+    @cached_property
+    def roots(self) -> tuple:
+        if min_eigenvalue(self.b) < -1e-12:
+            raise ValidationError("second operand is not positive semidefinite")
+        return _sqrt_and_inv_sqrt(self.a)  # SingularError if a is not invertible
+
+    @cached_property
+    def core(self) -> EigenSystem:
+        return _core_spectrum(self.roots[1], self.b)
+
+    def mean(self, f) -> np.ndarray:
+        return hermitian_part(_congruence(self.roots[0], self.core, f))
+
+
+# The most recent valid operand pair, so the means called in a row on one
+# pair share its validation, roots and core.
+_pairs = _PairSlot(_MeanPair)
 
 
 def operator_mean(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
@@ -98,24 +155,13 @@ def operator_mean(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
     """
     if isinstance(f, str):
         f = mean_function(f)
-    a, b = _check_pair(a, b)
-    if min_eigenvalue(b) < -1e-12:
-        raise ValidationError("second operand is not positive semidefinite")
-    root, inv_root = _sqrt_and_inv_sqrt(a)  # SingularError if a is not invertible
-    return hermitian_part(_congruence_mean(root, inv_root, b, f))
-
-
-def _congruence_mean(outer, inner, b, f) -> np.ndarray:
-    """Unsymmetrized, unvalidated outer f(inner b inner) outer: M_f(A, B) from
-    (sqrt(A), A^(-1/2)); the operator M from (rho1^(-1/2), sqrt(rho1)), f = sqrt."""
-    core = matrix_function(hermitian_part(inner @ b @ inner), f, domain_floor=0.0)
-    return outer @ core @ outer
+    return _pairs.get(a, b).mean(f)
 
 
 def arithmetic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(A + B) / 2, computed directly (no invertibility needed)."""
-    a, b = _check_pair(a, b)
-    return 0.5 * (a + b)
+    pair = _pairs.get(a, b)
+    return 0.5 * (pair.a + pair.b)
 
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

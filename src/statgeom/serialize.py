@@ -10,6 +10,7 @@ ParseError.
 from __future__ import annotations
 
 import json
+import math
 from numbers import Integral, Real
 
 import numpy as np
@@ -30,7 +31,7 @@ __all__ = [
 
 def _float_token(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite value {x!r}")
     return format(x, ".17g")
 
@@ -48,7 +49,8 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return _complex_array(obj)
+            z = np.asarray(obj, dtype=complex)
+            return np.stack((z.real, z.imag), axis=-1).tolist()
         return obj.tolist()
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -63,38 +65,58 @@ def to_jsonable(obj):
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _complex_array(arr: np.ndarray):
-    if arr.ndim == 0:
-        z = complex(arr)
-        return [z.real, z.imag]
-    return [_complex_array(sub) for sub in arr]
-
-
 def _encode(obj) -> str:
+    """The canonical text of ``to_jsonable(obj)``, made in one walk of obj."""
+    if type(obj) is float:
+        return _float_token(obj)
+    if isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}  # as to_jsonable: a later equal key wins
+        items = [f"{json.dumps(k)}: {_encode(obj[k])}" for k in sorted(obj)]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_encode(v) for v in obj]) + "]"
+    if isinstance(obj, np.ndarray):
+        return _encode_array(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_float_token(obj.real)}, {_float_token(obj.imag)}]"
     if isinstance(obj, Integral):
         return str(int(obj))
     if isinstance(obj, Real):
         return _float_token(obj)
-    if isinstance(obj, dict):
-        items = (
-            f"{json.dumps(str(k))}: {_encode(v)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        )
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise ValidationError(f"cannot encode object of type {type(obj).__name__}")
+
+
+def _encode_array(arr: np.ndarray) -> str:
+    """A float or complex array in bulk: one finiteness check, then each real
+    formatted in row-major order (re before im), nested by the shape."""
+    if arr.size == 0 or arr.dtype.char not in "efdFD":  # half to double, complex
+        return _encode(to_jsonable(arr))
+    flat = np.ascontiguousarray(arr, dtype=complex if arr.dtype.kind == "c" else float)
+    flat = flat.ravel().view(float)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _float_token(flat[np.argmin(finite)])  # raises, naming the first one
+    items = [format(x, ".17g") for x in flat.tolist()]
+    if arr.dtype.kind == "c":
+        items = [f"[{re}, {im}]" for re, im in zip(items[::2], items[1::2])]
+    for n in reversed(arr.shape):
+        items = ["[" + ", ".join(items[i:i + n]) + "]" for i in range(0, len(items), n)]
+    return items[0]
 
 
 def dumps_canonical(obj) -> str:
     """Serialize to the canonical JSON text (sorted keys, 17-digit reals)."""
-    return _encode(to_jsonable(obj)) + "\n"
+    try:
+        return _encode(obj) + "\n"
+    except ValidationError:
+        to_jsonable(obj)  # an unserializable type anywhere is reported first
+        raise
 
 
 def dump_canonical(obj, path: str) -> None:

@@ -11,6 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from statgeom import cli
 from statgeom.acceptance import CRITERIA, DEFAULT_SEED, run_criterion
 
 _reports = {}
@@ -110,3 +111,13 @@ def test_report_payload_matches_published_schema():
     )
     jsonschema.validate(payload, schema, cls=jsonschema.Draft202012Validator)
     assert payload["all_passed"]
+
+
+def test_verify_all_stdout_matches_the_golden_file(golden, monkeypatch, capsys):
+    """``verify-all --seed 1729`` prints tests/golden/verify-all-1729.txt: the
+    reports computed above go through the CLI in place of a second run."""
+    monkeypatch.setattr(cli, "run_all", lambda seed: [_report(num) for num, _, _ in CRITERIA])
+    assert cli.main(["verify-all", "--seed", str(DEFAULT_SEED)]) == 0
+    expected = (golden.HERE / f"verify-all-{DEFAULT_SEED}.txt").read_text()
+    mode = golden.mode()
+    assert golden.same_stdout(capsys.readouterr().out, expected, mode), f"stdout changed ({mode})"

@@ -23,6 +23,7 @@ from statgeom import (
     purification,
     purify,
     qubit_bures_ds2,
+    qubit_perturbation,
     qubit_state,
     random_density_matrix,
     random_invertible_density_matrix,
@@ -257,10 +258,12 @@ NAN = float("nan")
         lambda: qubit_state(NAN, 0.0, 0.0),
         lambda: qubit_bures_ds2(NAN, 0.0, 0.0, 1.0, 0.0, 0.0),
         lambda: fubini_study_distance([NAN, 1.0], [1.0, 0.0]),
+        lambda: qubit_bures_ds2(0.1, 0.0, 0.0, NAN, 0.0, 0.0),
+        lambda: qubit_perturbation(NAN, 0.0, 0.0),
     ],
     ids=[
         "purification", "horizontal_lift", "qubit_state", "qubit_bures_ds2",
-        "fubini_study_distance",
+        "fubini_study_distance", "qubit_bures_ds2_tangent", "qubit_perturbation",
     ],
 )
 def test_nan_fails_validation(call):

@@ -1,6 +1,7 @@
 """Canonical JSON output and strict parsing."""
 
 import json
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
@@ -114,3 +115,115 @@ def test_load_json_errors(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         load_json(str(bad))
     assert "line 1" in str(excinfo.value)
+
+
+def _reference_jsonable(obj):
+    """The former ``to_jsonable``, kept as the reference: nested lists of
+    Python scalars, complex entries as [re, im], built one entry at a time."""
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _reference_complex(obj) if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, Integral):
+        return int(obj)
+    if isinstance(obj, Real):
+        return float(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _reference_complex(arr):
+    if arr.ndim == 0:
+        z = complex(arr)
+        return [z.real, z.imag]
+    return [_reference_complex(sub) for sub in arr]
+
+
+def _reference_dumps(obj) -> str:
+    """The former encoder, kept as the reference: format each float of
+    ``_reference_jsonable(obj)`` in a recursive walk."""
+
+    def encode(obj) -> str:
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, Integral):
+            return str(int(obj))
+        if isinstance(obj, Real):
+            x = float(obj)
+            if not np.isfinite(x):
+                raise ValidationError(f"cannot serialize non-finite value {x!r}")
+            return format(x, ".17g")
+        if isinstance(obj, dict):
+            items = (
+                f"{json.dumps(str(k))}: {encode(v)}"
+                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+            )
+            return "{" + ", ".join(items) + "}"
+        if isinstance(obj, (list, tuple)):
+            return "[" + ", ".join(encode(v) for v in obj) + "]"
+        raise ValidationError(f"cannot encode object of type {type(obj).__name__}")
+
+    return encode(_reference_jsonable(obj)) + "\n"
+
+
+_EDGES = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, 1e16, 1e-7])
+
+
+def _payloads():
+    rng = np.random.default_rng(31)
+    out = []
+    for shape in [(), (5,), (3, 3), (4, 3, 3), (0,), (2, 0)]:
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out += [z, z.real, z.T, z.astype(np.complex64), z.real.astype(np.float32)]
+    out += [
+        _EDGES,
+        _EDGES + 1j * _EDGES[::-1],
+        np.float64(-0.0), np.float32(0.1), np.int64(-7), np.uint8(200),
+        np.complex128(5e-324 - 1e308j), np.bool_(True), np.bool_(False),
+        np.array([True, False]), np.arange(6).reshape(2, 3),
+        {
+            "b": [1, 2.5, None, True, "x", (3, -0.0)],
+            "a": {"z": np.array([[1 + 2j, -0.0j]]), "y": [[], {}, ()]},
+            1: "int key",
+            "1": "a later equal key wins",
+        },
+        [np.float16(0.1), 1 + 2j, -1e308, 5e-324, [np.eye(2), {"k": np.ones(2, complex)}]],
+    ]
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(_payloads())))
+def test_bulk_encoder_matches_the_reference(index):
+    obj = _payloads()[index]
+    assert dumps_canonical(obj) == _reference_dumps(obj)
+    assert repr(to_jsonable(obj)) == repr(_reference_jsonable(obj))  # -0.0 is not 0.0
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": np.array([1.0, np.nan]), "a": np.array([[0.5, 1j * np.inf]])},
+        {"b": np.array([np.inf, np.nan]), "a": [1.0, 2.0]},
+        {"a": np.array([1 + 1j, complex(np.nan, -np.inf)]), "b": np.array([np.inf])},
+        {"a": float("-inf"), "b": object()},  # an unserializable type is reported first
+        {"a": np.array([object()], dtype=object), "b": np.nan},
+    ],
+    ids=["nan-and-inf", "inf-before-nan", "complex", "type-first", "object-array"],
+)
+def test_non_finite_error_names_the_reference_value(obj):
+    with pytest.raises(ValidationError) as expected:
+        _reference_dumps(obj)
+    with pytest.raises(ValidationError) as got:
+        dumps_canonical(obj)
+    assert str(got.value) == str(expected.value)
