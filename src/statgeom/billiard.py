@@ -31,7 +31,7 @@ import numpy as np
 
 from .bures import GeodesicPath, _pair
 from .errors import DegenerateRootWarning, ScanFailureError
-from .linalg import eig_hermitian
+from .linalg import _resymmetrized, fix_phases
 
 __all__ = [
     "BouncePoint",
@@ -69,7 +69,10 @@ def _contact_groups(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cluster roots on the circle [0, pi): each cluster's first root and size."""
     ts = np.sort(ts)
     # gap from each root to the next, the last one wrapping round to ts[0] + pi
-    ends = np.flatnonzero(np.diff(ts, append=ts[:1] + np.pi) > _MERGE_TOL)
+    apart = np.diff(ts, append=ts[:1] + np.pi) > _MERGE_TOL
+    if apart.all():  # the generic case: every root is a cluster of its own
+        return ts, np.ones(ts.size, dtype=np.intp)
+    ends = np.flatnonzero(apart)
     starts = np.roll(ends + 1, 1) % ts.size
     sizes = (ends - starts) % ts.size + 1
     order = np.argsort(ts[starts])
@@ -94,9 +97,10 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
     real = np.abs(kappa.imag) <= _MERGE_TOL * (1.0 + np.abs(kappa) ** 2)
     ts, sizes = _contact_groups(np.arctan2(1.0, -kappa.real[real]) % np.pi)
     states = path.state(ts)
-    ws, vs = eig_hermitian(states)
+    ws, vs = np.linalg.eigh(_resymmetrized(states))  # eig_hermitian(states), bit for bit
+    kernels = fix_phases(vs[..., :1])[..., 0]  # only column 0 is read
     points: list[BouncePoint] = []
-    for t, size, rho_b, w, v in zip(ts, sizes, states, ws, vs):
+    for t, size, rho_b, w, kernel in zip(ts.tolist(), sizes.tolist(), states, ws, kernels):
         if size > 1:
             warnings.warn(
                 f"{size} contacts within {_MERGE_TOL:g} of t = {t:.9f} "
@@ -108,10 +112,10 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
             continue
         points.append(
             BouncePoint(
-                t=float(t),
+                t=t,
                 rho_b=rho_b,
-                kernel_state=v[:, 0],
-                multiplicity=int(size),
+                kernel_state=kernel,
+                multiplicity=size,
                 min_eigenvalue=float(w[0]),
             )
         )

@@ -24,8 +24,8 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _sqrt_and_inv_sqrt, eig_hermitian
-from .linalg import hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _spectrum, _sqrt_and_inv_sqrt
+from .linalg import eig_hermitian, hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _density_matrix, density_matrix
 
@@ -73,7 +73,7 @@ class _Pair:
 
     @cached_property
     def fidelity(self) -> float:
-        r2 = matrix_sqrt(self.rho2)
+        r2 = _apply_spectrum(_spectrum(self.rho2, domain_floor=0.0), np.sqrt)  # matrix_sqrt
         w = np.linalg.eigvalsh(hermitian_part(r2 @ self.rho1 @ r2))
         root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
         return min(1.0, root_sum * root_sum)

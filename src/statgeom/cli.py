@@ -9,6 +9,7 @@ failure; errors are reported as a JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -221,6 +222,7 @@ def _cmd_verify_all(args) -> dict:
     }
 
 
+@functools.cache  # built once per process: parsing does not change a parser
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="statgeom",

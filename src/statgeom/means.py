@@ -131,7 +131,7 @@ class _MeanPair:
     def roots(self) -> tuple:
         if min_eigenvalue(self.b) < -1e-12:
             raise ValidationError("second operand is not positive semidefinite")
-        return _sqrt_and_inv_sqrt(self.a)  # SingularError if a is not invertible
+        return _sqrt_and_inv_sqrt(hermitian_part(self.a))  # SingularError if a is singular
 
     @cached_property
     def core(self) -> EigenSystem:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryError, ValidationError
-from .linalg import eig_hermitian, hermitian_part, is_hermitian
+from .linalg import _eigh, _half_sum, _is_hermitian
 from .means import _symmetry_defect, mean_function, operator_monotone_test
 
 __all__ = [
@@ -31,12 +31,14 @@ __all__ = [
 
 
 def _hermitian(a, noun: str) -> np.ndarray:
+    """hermitian_part(a) of a square ``a`` that passes is_hermitian; one A† serves both."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{noun} must be square, got shape {a.shape}")
-    if not is_hermitian(a):
+    adjoint = a.conj().T
+    if not _is_hermitian(a, adjoint):
         raise ValidationError(f"{noun} must be Hermitian")
-    return hermitian_part(a)
+    return _half_sum(adjoint.copy(), a)  # hermitian_part(a)
 
 
 def density_matrix(rho) -> np.ndarray:
@@ -81,7 +83,7 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
         raise ValidationError(
             f"state has shape {rho.shape}, perturbation {drho.shape}"
         )
-    lam, v = eig_hermitian(rho)
+    lam, v = _eigh(rho)  # rho is a hermitian_part result
     if lam[0] <= 1e-10:
         raise BoundaryError(
             f"state eigenvalue {lam[0]:.3e} too close to the boundary"

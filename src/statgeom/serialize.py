@@ -149,10 +149,10 @@ def parse_real_vector(data, where: str = "vector") -> np.ndarray:
     return out
 
 
-def _parse_entry(v, where: str) -> complex:
-    if isinstance(v, bool):
-        raise ParseError(f"{where}: expected a number or [re, im] pair, got {v!r}")
-    if isinstance(v, (int, float)):
+def _parse_entry(v, where: str, i: int, j: int) -> complex:
+    """Entry [i][j] of the matrix at ``where``; the location is formatted
+    only for an error."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return complex(float(v), 0.0)
     if (
         isinstance(v, list)
@@ -160,7 +160,7 @@ def _parse_entry(v, where: str) -> complex:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
         return complex(float(v[0]), float(v[1]))
-    raise ParseError(f"{where}: expected a number or [re, im] pair, got {v!r}")
+    raise ParseError(f"{where}[{i}][{j}]: expected a number or [re, im] pair, got {v!r}")
 
 
 def parse_complex_matrix(data, where: str = "matrix") -> np.ndarray:
@@ -178,7 +178,7 @@ def parse_complex_matrix(data, where: str = "matrix") -> np.ndarray:
             raise ParseError(
                 f"{where}[{i}]: row has {len(row)} entries, expected {width}"
             )
-        rows.append([_parse_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+        rows.append([_parse_entry(v, where, i, j) for j, v in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 

@@ -6,10 +6,15 @@ writes ``inputs/`` (seeded with numpy's own generator, so the files do not
 depend on statgeom), then runs every argv list of :func:`cases` in-process
 through ``statgeom.cli.main`` from this directory and stores its exit code
 and stdout in ``cli.json``, with the fingerprint of the numpy and BLAS that
-made the bytes.  ``verify-all --seed 1729`` goes to ``verify-all-1729.txt``;
-``tests/test_acceptance.py`` compares it through the reports it computes.
-The tests reach this module through the ``golden`` fixture of
-``tests/conftest.py``.
+made the bytes.  ``verify-all --seed S`` goes to ``verify-all-S.txt`` for
+each S of :data:`VERIFY_ALL_SEEDS`; ``tests/test_acceptance.py`` compares
+seed 1729 through the reports it computes, and
+
+    PYTHONPATH=src python tests/golden/record.py --compare SEED FILE
+
+compares a saved ``verify-all --seed SEED`` stdout with its golden file
+(exit 1 if it differs), as CI does for every seed.  The tests reach this
+module through the ``golden`` fixture of ``tests/conftest.py``.
 
 Exact bytes are compared only where numpy, its BLAS and the machine match
 the recorded fingerprint, since eigensolvers round differently elsewhere.
@@ -38,6 +43,8 @@ import numpy as np
 from statgeom.cli import main as cli_main
 
 HERE = Path(__file__).resolve().parent
+# the seeds whose verify-all stdout is recorded; each must pass
+VERIFY_ALL_SEEDS = (1729, 1, 2)
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
@@ -189,7 +196,17 @@ def cases() -> list[list[str]]:
     return out
 
 
+def compare(seed: str, path: str) -> int:
+    """0 if the stdout saved at ``path`` matches ``verify-all-<seed>.txt``."""
+    how = mode()
+    same = same_stdout(Path(path).read_text(), (HERE / f"verify-all-{seed}.txt").read_text(), how)
+    print(f"verify-all --seed {seed}: {'same' if same else 'CHANGED'} ({how})", file=sys.stderr)
+    return 0 if same else 1
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--compare"]:
+        raise SystemExit(compare(*sys.argv[2:4]))
     write_inputs()
     os.chdir(HERE)
     recorded = []
@@ -198,10 +215,11 @@ def main() -> None:
         recorded.append({"argv": argv, "exit": code, "stdout": stdout})
     text = json.dumps({"fingerprint": fingerprint(), "cases": recorded}, indent=1)
     (HERE / "cli.json").write_text(text + "\n")
-    code, stdout = run(["verify-all", "--seed", "1729"])
-    if code != 0:
-        raise SystemExit("verify-all must pass at seed 1729")
-    (HERE / "verify-all-1729.txt").write_text(stdout)
+    for seed in VERIFY_ALL_SEEDS:
+        code, stdout = run(["verify-all", "--seed", str(seed)])
+        if code != 0:
+            raise SystemExit(f"verify-all must pass at seed {seed}")
+        (HERE / f"verify-all-{seed}.txt").write_text(stdout)
     exits = sorted({case["exit"] for case in recorded})
     print(f"{len(recorded)} cases, exits {exits}", file=sys.stderr)
 

@@ -123,6 +123,49 @@ def test_bounce_points_lie_on_the_boundary(rng):
         assert np.allclose(pt.rho_b, path.state(pt.t), atol=1e-12)
 
 
+def _contact_groups_reference(ts):
+    """The general clustering of billiard._contact_groups, without its fast
+    path for well-separated roots."""
+    ts = np.sort(ts)
+    ends = np.flatnonzero(np.diff(ts, append=ts[:1] + np.pi) > billiard._MERGE_TOL)
+    starts = np.roll(ends + 1, 1) % ts.size
+    sizes = (ends - starts) % ts.size + 1
+    order = np.argsort(ts[starts])
+    return ts[starts][order], sizes[order]
+
+
+def test_contact_groups_fast_path_matches_the_general_path(rng):
+    cases = [np.array([]), np.array([1.0]), np.array([0.0, math.pi - 1e-7])]
+    for size in range(1, 13):
+        for _ in range(20):
+            cases.append(rng.uniform(0.0, math.pi, size))
+        ts = rng.uniform(0.0, math.pi, size)
+        ts[-1] = ts[0] + 0.5e-6  # one pair closer than the merge tolerance
+        cases.append(ts % math.pi)
+    fast = 0
+    for ts in cases:
+        got, want = billiard._contact_groups(ts), _contact_groups_reference(ts)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        fast += bool(np.all(got[1] == 1))
+    assert 0 < fast < len(cases)  # both paths ran
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 12])
+def test_kernel_states_are_eig_hermitian_column_zero(dim):
+    """bounce_points phase-fixes only the column it reads, with the bits of
+    eig_hermitian on the contact states."""
+    rng = substream(dim, "billiard-kernels")
+    for _ in range(5):
+        path = geodesic(random_invertible_density_matrix(dim, rng),
+                        random_invertible_density_matrix(dim, rng))
+        points = bounce_points(path)
+        _, vectors = eig_hermitian(np.stack([pt.rho_b for pt in points]))
+        for pt, v in zip(points, vectors):
+            assert type(pt.t) is float and type(pt.multiplicity) is int
+            assert pt.kernel_state.tobytes() == v[:, 0].tobytes()
+
+
 def test_bounce_ts_are_sorted_and_distinct(rng):
     rho1 = random_invertible_density_matrix(4, rng)
     rho2 = random_invertible_density_matrix(4, rng)

@@ -382,6 +382,19 @@ def test_tol_and_seed_are_usage_errors_where_unread(capsys, files, command, opti
     assert payload["error"]["message"] == f"unrecognized arguments: {option} 3"
 
 
+def test_one_parser_serves_every_call(capsys, files):
+    """main parses with one parser per process; a usage error, a failed
+    command or another subcommand's defaults do not carry into the next call."""
+    parser = _build_parser()
+    first = run_cli(capsys, "geodesic", files["rho1"], files["rho2"], "--samples", "3")
+    assert run_cli(capsys, "geodesic", files["rho1"])[0] == 1
+    assert run_cli(capsys, "fidelity", files["rho1"], files["missing"])[0] == 1
+    assert run_cli(capsys, "mean", files["a"], files["b"], "--f", "harmonic")[0] == 0
+    assert run_cli(capsys, "geodesic", files["rho1"], files["rho2"], "--samples", "3") == first
+    assert json.loads(run_cli(capsys, "mean", files["a"], files["b"])[1])["f"] == "geometric"
+    assert _build_parser() is parser
+
+
 def test_every_option_is_read_by_its_command():
     sub = next(a for a in _build_parser()._actions if a.choices)
     options = {

@@ -27,6 +27,7 @@ from statgeom import (
     psd_order_geq,
     random_density_matrix,
 )
+from statgeom.linalg import _eigh, _resymmetrized
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -103,6 +104,10 @@ def test_fix_phases_matches_column_loop_exactly(rng):
     assert fixed[1, 0] == 1.0 and fixed[2, 0] == 1j
     assert np.array_equal(fixed[:, 1], np.zeros(3))
     assert fixed[1, 2] == 2.0
+    # a NaN pivot, like a zero column, leaves its column as it is
+    v = np.array([[np.nan, 1j], [1.0, 0.0]])
+    expected = np.array([[np.nan, 1.0], [1.0, 0.0]], dtype=complex)
+    assert fix_phases(v).tobytes() == expected.tobytes()
     # a (K, n, n) stack is fixed slice by slice, ties and zero columns included;
     # n >= 2, as the 1 x 1 roundoff above differs between loop shapes
     for n in range(2, 9):
@@ -143,6 +148,76 @@ def test_stacked_kernels_match_each_slice_exactly(rng, n):
         assert low[k] == min_eigenvalue(stack[k])
     assert isinstance(min_eigenvalue(stack[0]), float)
     assert min_eigenvalue(stack[None]).shape == (1, 8)
+
+
+def _layouts(rng, shape):
+    """One complex array of ``shape``: C-ordered, F-ordered, strided and reversed."""
+    wide = rng.normal(size=(*shape[:-1], 2 * shape[-1]))
+    wide = wide + 1j * rng.normal(size=wide.shape)
+    a = np.ascontiguousarray(wide[..., ::2])
+    return {
+        "C": a, "F": np.asfortranarray(a), "strided": wide[..., ::2], "reversed": a[..., ::-1, :]
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_hermitian_part_bits(rng, n):
+    """hermitian_part is (conj(Aᵀ) + A) / 2 to the bit, C-contiguous, and
+    returns its own output unchanged, bar the zero real parts below."""
+    for shape in [(n, n), (4, n, n)]:
+        for layout, a in _layouts(rng, shape).items():
+            h = hermitian_part(a)
+            assert h.flags.c_contiguous, layout
+            assert h.tobytes() == ((np.conj(a.swapaxes(-1, -2)) + a) / 2).tobytes(), layout
+            assert hermitian_part(h).tobytes() == h.tobytes(), layout
+            assert _resymmetrized(h) is h
+    stack = _kernel_stack(rng, n)  # zero and rounded entries: signed zeros
+    h = hermitian_part(stack)
+    assert h.tobytes() == ((np.conj(stack.swapaxes(-1, -2)) + stack) / 2).tobytes()
+    assert _resymmetrized(h).tobytes() == hermitian_part(h).tobytes()
+
+
+def test_a_second_symmetrization_can_flip_a_zero():
+    """Why _eigh symmetrizes again when a real part is zero: numpy divides
+    -0 + 0.6i by 2 as a complex number, to +0 + 0.3i, while its conjugate
+    pair keeps -0; a second pass makes both +0, and eigh reads the sign."""
+    a = np.array([[1.0, complex(-0.0, 0.3)], [complex(-0.0, -0.3), 2.0]])
+    h = hermitian_part(a)
+    assert [math.copysign(1.0, x) for x in (h[0, 1].real, h[1, 0].real)] == [1.0, -1.0]
+    again = hermitian_part(h)
+    assert again.tobytes() != h.tobytes() and np.array_equal(again, h)
+    assert _resymmetrized(h).tobytes() == again.tobytes()
+    w, v = _eigh(h)
+    w_ref, v_ref = eig_hermitian(h)
+    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    assert fix_phases(np.linalg.eigh(h)[1]).tobytes() != v_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_eigh_of_hermitian_part_is_eig_hermitian(rng, n):
+    """_eigh(hermitian_part(a)) has the bits of eig_hermitian(hermitian_part(a)),
+    what its callers computed before, and on generic input those of
+    eig_hermitian(a)."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for x in (a, _kernel_stack(rng, n)):
+        w, v = _eigh(hermitian_part(x))
+        w_ref, v_ref = eig_hermitian(hermitian_part(x))
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    w, v = _eigh(hermitian_part(a))
+    w_ref, v_ref = eig_hermitian(a)
+    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_fix_phases_of_leading_columns_is_a_slice(rng, n):
+    """Fixing the phases of the first k columns alone gives the bits of
+    fixing them all, so a caller may fix only the columns it reads."""
+    _, vectors = np.linalg.eigh(hermitian_part(_kernel_stack(rng, n)))
+    raw = _kernel_stack(rng, n)  # ties in modulus and an all-zero column
+    for v in (vectors, vectors[0], raw, raw[4]):
+        fixed = fix_phases(v)
+        for k in range(1, n + 1):
+            assert fix_phases(v[..., :k]).tobytes() == fixed[..., :k].tobytes()
 
 
 @pytest.mark.parametrize(

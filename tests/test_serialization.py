@@ -96,6 +96,19 @@ def test_parse_complex_matrix():
         parse_complex_matrix([])
 
 
+def test_parse_complex_matrix_names_the_bad_entry():
+    expected = "expected a number or [re, im] pair, got"
+    cases = [
+        ([[1, 2], ["x", 3]], "m[1][0]", "'x'"),
+        ([[0.5, 0], [True, 0.5]], "m[1][0]", "True"),
+        ([[0.5, [1, 2, 3]], [0, 0.5]], "m[0][1]", "[1, 2, 3]"),
+    ]
+    for data, where, got in cases:
+        with pytest.raises(ParseError) as excinfo:
+            parse_complex_matrix(data, where="m")
+        assert str(excinfo.value) == f"{where}: {expected} {got}"
+
+
 def test_file_round_trip(tmp_path):
     vec_file = tmp_path / "v.json"
     vec_file.write_text("[0.25, 0.75]")
