@@ -31,7 +31,7 @@ import numpy as np
 
 from .bures import GeodesicPath, _pair
 from .errors import DegenerateRootWarning, ScanFailureError
-from .linalg import _resymmetrized, fix_phases
+from .linalg import fix_phases
 
 __all__ = [
     "BouncePoint",
@@ -97,7 +97,7 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
     real = np.abs(kappa.imag) <= _MERGE_TOL * (1.0 + np.abs(kappa) ** 2)
     ts, sizes = _contact_groups(np.arctan2(1.0, -kappa.real[real]) % np.pi)
     states = path.state(ts)
-    ws, vs = np.linalg.eigh(_resymmetrized(states))  # eig_hermitian(states), bit for bit
+    ws, vs = np.linalg.eigh(states)  # hermitian_part results: eig_hermitian would change no bit
     kernels = fix_phases(vs[..., :1])[..., 0]  # only column 0 is read
     points: list[BouncePoint] = []
     for t, size, rho_b, w, kernel in zip(ts.tolist(), sizes.tolist(), states, ws, kernels):

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _spectrum, _sqrt_and_inv_sqrt
+from .linalg import EigenSystem, _PairSlot, _sqrt_and_inv_sqrt
 from .linalg import eig_hermitian, hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _density_matrix, density_matrix
@@ -73,7 +73,7 @@ class _Pair:
 
     @cached_property
     def fidelity(self) -> float:
-        r2 = _apply_spectrum(_spectrum(self.rho2, domain_floor=0.0), np.sqrt)  # matrix_sqrt
+        r2 = matrix_sqrt(self.rho2)
         w = np.linalg.eigvalsh(hermitian_part(r2 @ self.rho1 @ r2))
         root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
         return min(1.0, root_sum * root_sum)
@@ -101,6 +101,8 @@ class _Pair:
                     f"geodesic endpoint has eigenvalue {low:.3e}; "
                     "both endpoints must be strictly positive"
                 )
+        if np.array_equal(self.rho1, self.rho2):
+            raise DegenerateError("states coincide; the geodesic is not unique")
         m, a1 = self.lift
         a2 = m @ a1
         overlap = hs_inner(a1, a2).real  # = sqrt(fidelity), real by alignment
@@ -229,8 +231,8 @@ def geodesic(rho1, rho2) -> GeodesicPath:
     Built by horizontally lifting rho2 next to A1 = sqrt(rho1) and
     orthonormalizing the real span of the two purifications.  Raises
     SingularError for rank-deficient endpoints and DegenerateError when
-    the states coincide (Bures angle below 1e-8), where no unique
-    geodesic exists.
+    the states coincide (equal once validated, or Bures angle below 1e-8),
+    where no unique geodesic exists.
     """
     path = _pair(rho1, rho2).path
     return GeodesicPath(e1=path.e1.copy(), e2=path.e2.copy(), t_star=path.t_star)

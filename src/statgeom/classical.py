@@ -52,7 +52,7 @@ def tangent_vector(dp) -> np.ndarray:
     """Validate a tangent vector of the simplex (components sum to zero)."""
     dp = np.asarray(dp, dtype=float).ravel()
     scale = max(1.0, float(np.abs(dp).sum()))
-    if abs(dp.sum()) > 1e-12 * scale:
+    if not abs(dp.sum()) <= 1e-12 * scale:  # NaN fails
         raise ValidationError(f"tangent components sum to {dp.sum():.3e}, not 0")
     return dp
 
@@ -65,7 +65,7 @@ def stochastic_matrix(t) -> np.ndarray:
     if np.any(t < -1e-12):
         raise ValidationError("stochastic matrix has negative entries")
     col_sums = t.sum(axis=0)
-    if np.any(np.abs(col_sums - 1.0) > 1e-12):
+    if not np.all(np.abs(col_sums - 1.0) <= 1e-12):  # NaN fails
         raise ValidationError("columns must sum to 1")
     return t
 

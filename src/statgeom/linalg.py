@@ -6,19 +6,9 @@ Inputs that are Hermitian up to floating-point noise are symmetrized with
 :func:`hermitian_part` before use, so downstream code never sees a matrix
 that is off-Hermitian by more than representation error.
 
-A :func:`hermitian_part` result h passes through :func:`hermitian_part`
-again unchanged, bit for bit, unless some real part of h is zero.  numpy
-divides each sum s = conj(a_ji) + a_ij = x + iy by the complex number 2 as
-((x + 0*y) / 2, (y - 0*x) / 2).  IEEE addition commutes and negating both
-operands negates the rounded sum, so away from zeros h_ij = conj(h_ji) to
-the bit and a second pass returns (h_ij + h_ij) / 2 = h_ij.  A zero real
-part is the exception: for x = -0 the term 0*y takes the sign of y, which
-is opposite in s_ij and s_ji, so h holds -0 on one side and +0 on the
-other, and a second pass makes both +0.  LAPACK's Householder step reads
-that sign, so eigh may then return other bits.  The private ``_eigh`` gives
-the bits of :func:`eig_hermitian` on a hermitian_part result, and skips the
-second pass only when no real part is zero.  (Entries near 5e-324, whose
-halves round to zero, are outside this guarantee.)
+The result of :func:`hermitian_part` is its own Hermitian part, bit for bit
+(signed zeros and subnormals included), so symmetrizing an input twice costs
+time but never changes an output.
 
 :func:`hermitian_part`, :func:`fix_phases`, :func:`eig_hermitian` and
 :func:`min_eigenvalue` also map over a ``(..., n, n)`` stack, with the bits of
@@ -75,7 +65,10 @@ def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2, C-contiguous, for one matrix or each matrix of a stack."""
+    """Return (A + A†)/2, C-contiguous, for one matrix or each matrix of a stack.
+
+    For finite input the result is its own Hermitian part, bit for bit.
+    """
     a = _as_square(a, stack=True)
     # A† in one new C-ordered buffer: a plain copy of the transposed view,
     # conjugated in place, is faster than a ufunc reading that view
@@ -87,7 +80,11 @@ def _half_sum(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(h + a) / 2, written into h: :func:`hermitian_part` of ``a`` when h is
     A† in a new C-ordered array."""
     h += a
-    return np.divide(h, 2, out=h)
+    # halve the real and imaginary parts as floats; complex division by 2
+    # adds 0*y to a real part x, which turns x = -0 into +0 on one side of a pair
+    halves = h.view(float)
+    halves *= 0.5
+    return h
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -132,20 +129,6 @@ def eig_hermitian(h: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=fix_phases(v))
 
 
-def _eigh(h: np.ndarray) -> EigenSystem:
-    """:func:`eig_hermitian` of ``h``, a :func:`hermitian_part` result, bit
-    for bit; it does not symmetrize h again where that would change no bit."""
-    w, v = np.linalg.eigh(_resymmetrized(h))
-    return EigenSystem(eigenvalues=w, eigenvectors=fix_phases(v))
-
-
-def _resymmetrized(h: np.ndarray) -> np.ndarray:
-    """hermitian_part(h) of a :func:`hermitian_part` result h: h itself
-    unless a real part is zero, the one case where a second pass can change
-    a bit (the sign of that zero; see the module docstring)."""
-    return h if np.count_nonzero(h.real) == h.size else hermitian_part(h)
-
-
 def matrix_function(
     h: np.ndarray,
     fn: Callable[[np.ndarray], np.ndarray],
@@ -158,14 +141,13 @@ def matrix_function(
     :class:`DomainError`; values within that band are clamped to the floor
     so that e.g. a square root never sees -1e-15.
     """
-    return _apply_spectrum(_spectrum(hermitian_part(_as_square(h)), domain_floor), fn)
+    return _apply_spectrum(_spectrum(_as_square(h), domain_floor), fn)
 
 
 def _spectrum(h: np.ndarray, domain_floor: float) -> EigenSystem:
-    """The first step of :func:`matrix_function`: eig(h) of a
-    :func:`hermitian_part` result h, checked against and clamped to
-    ``domain_floor``.  Keep it to apply several f to one h."""
-    w, v = _eigh(h)
+    """The first step of :func:`matrix_function`: eig(h), checked against
+    and clamped to ``domain_floor``.  Keep it to apply several f to one h."""
+    w, v = eig_hermitian(h)
     if np.any(w < domain_floor - 1e-12):
         raise DomainError(
             f"eigenvalue {w.min():.3e} below domain floor {domain_floor:.3e}"
@@ -192,9 +174,8 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_and_inv_sqrt(h: np.ndarray) -> tuple:
-    """(sqrt(H), H^(-1/2)) from one decomposition of a :func:`hermitian_part`
-    result H; see :func:`matrix_inv_sqrt`."""
-    w, v = _eigh(h)
+    """(sqrt(H), H^(-1/2)) from one decomposition; see :func:`matrix_inv_sqrt`."""
+    w, v = eig_hermitian(h)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
         raise SingularError(
@@ -211,7 +192,7 @@ def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
     Raises :class:`SingularError` when the smallest eigenvalue is at most
     1e-12 times the largest eigenvalue magnitude.
     """
-    return _sqrt_and_inv_sqrt(hermitian_part(_as_square(h)))[1]
+    return _sqrt_and_inv_sqrt(_as_square(h))[1]
 
 
 def min_eigenvalue(h: np.ndarray):

@@ -102,10 +102,10 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _core_spectrum(inner, b) -> EigenSystem:
-    """Clamped spectrum of hermitian_part(inner b inner): the core
-    A^(-1/2) B A^(-1/2) of every mean from inner = A^(-1/2), and that of the
-    operator M = rho1^(-1) # rho2 from inner = sqrt(rho1)."""
-    return _spectrum(hermitian_part(inner @ b @ inner), domain_floor=0.0)
+    """Clamped spectrum of inner b inner: the core A^(-1/2) B A^(-1/2) of
+    every mean from inner = A^(-1/2), and that of the operator
+    M = rho1^(-1) # rho2 from inner = sqrt(rho1)."""
+    return _spectrum(inner @ b @ inner, domain_floor=0.0)
 
 
 def _congruence(outer, core: EigenSystem, f) -> np.ndarray:
@@ -131,7 +131,7 @@ class _MeanPair:
     def roots(self) -> tuple:
         if min_eigenvalue(self.b) < -1e-12:
             raise ValidationError("second operand is not positive semidefinite")
-        return _sqrt_and_inv_sqrt(hermitian_part(self.a))  # SingularError if a is singular
+        return _sqrt_and_inv_sqrt(self.a)  # SingularError if a is singular
 
     @cached_property
     def core(self) -> EigenSystem:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import _as_square, hermitian_part
+from .linalg import _as_square, hermitian_part, min_eigenvalue
 from .monotone import density_matrix
 from .bures import _pair, _recall, bloch_vector
 
@@ -87,8 +87,7 @@ def _povm_stack(elements) -> np.ndarray:
         error = ValidationError(f"POVM element {k} is not Hermitian")
         stack = stack[:k]
     if error is not None or not _cholesky_certifies(stack, raw, scale.max()):
-        # eigvalsh directly: min_eigenvalue would symmetrize the stack again
-        negative = np.flatnonzero(np.linalg.eigvalsh(stack)[..., 0] < -_PSD_FLOOR)
+        negative = np.flatnonzero(min_eigenvalue(stack) < -_PSD_FLOOR)
         if negative.size:
             raise ValidationError(
                 f"POVM element {negative[0]} is not positive semidefinite"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryError, ValidationError
-from .linalg import _eigh, _half_sum, _is_hermitian
+from .linalg import _half_sum, _is_hermitian, eig_hermitian, min_eigenvalue
 from .means import _symmetry_defect, mean_function, operator_monotone_test
 
 __all__ = [
@@ -52,7 +52,7 @@ def _density_matrix(rho) -> tuple[np.ndarray, float]:
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-12:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    low = float(np.linalg.eigvalsh(rho)[0])  # min_eigenvalue would re-symmetrize rho
+    low = min_eigenvalue(rho)
     if low < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
     return rho, low
@@ -83,7 +83,7 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
         raise ValidationError(
             f"state has shape {rho.shape}, perturbation {drho.shape}"
         )
-    lam, v = _eigh(rho)  # rho is a hermitian_part result
+    lam, v = eig_hermitian(rho)
     if lam[0] <= 1e-10:
         raise BoundaryError(
             f"state eigenvalue {lam[0]:.3e} too close to the boundary"

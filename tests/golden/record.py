@@ -130,6 +130,12 @@ def write_inputs() -> None:
         pstr=[0.5, "0.5"],
         pempty=[],
         p500=[0.002] * 500,
+        # off-diagonal entries with -0.0 real parts, the signed zeros that
+        # hermitian_part must keep on both sides of each conjugate pair
+        negzero2=[[0.6, [-0.0, 0.2]], [[-0.0, -0.2], 0.4]],
+        negzero3=[[0.5, [-0.0, 0.1], [-0.0, -0.05]],
+                  [[-0.0, -0.1], 0.3, [-0.0, 0.08]],
+                  [[-0.0, 0.05], [-0.0, -0.08], 0.2]],
     )
     (HERE / "inputs").mkdir(exist_ok=True)
     for name, data in files.items():
@@ -193,6 +199,16 @@ def cases() -> list[list[str]]:
         ["nonsense"],
         [],
     ]
+    # states with signed zeros, and a coincident pair that is not diagonal
+    for a, b in (("negzero2", "s2a"), ("s2a", "negzero2"), ("negzero3", "s3a"),
+                 ("s3a", "negzero3"), ("s3a", "s3a")):
+        for command in ("fidelity", "bures-distance", "optimal-measurement"):
+            out.append([command, f(a), f(b)])
+        out.append(["geodesic", f(a), f(b), "--samples", "4"])
+    for a, b, drho in (("negzero2", "s2a", "drho2"), ("negzero3", "s3a", "drho3")):
+        for mean in ("arithmetic", "geometric", "harmonic"):
+            out.append(["mean", f(a), f(b), "--f", mean])
+        out.append(["monotone-metric", f(a), f(drho)])
     return out
 
 

@@ -29,6 +29,7 @@ from statgeom import (
     random_invertible_density_matrix,
     random_pure_state,
     random_unitary,
+    verify_billiard_theorem,
 )
 
 
@@ -199,6 +200,19 @@ def test_geodesic_rejects_identical_states():
     rho = np.eye(3, dtype=complex) / 3
     with pytest.raises(DegenerateError):
         geodesic(rho, rho.copy())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_geodesic_rejects_every_coincident_pair(dim):
+    # the angle floor alone passes about half of these, with t* near 1e-8,
+    # since sine = sqrt(1 - overlap^2) rounds to about sqrt(2 eps)
+    rng = np.random.default_rng(dim)
+    states = [random_invertible_density_matrix(dim, rng, min_eig=0.02) for _ in range(200)]
+    for rho in states:
+        with pytest.raises(DegenerateError, match="states coincide"):
+            geodesic(rho, rho.copy())
+    with pytest.raises(DegenerateError, match="states coincide"):
+        verify_billiard_theorem(states[0], states[0].copy())
 
 
 def test_fubini_study_frozen_and_phase_invariant():

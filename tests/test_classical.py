@@ -71,6 +71,16 @@ def test_tangent_vector_must_sum_to_zero():
         tangent_vector([0.1, 0.1])
 
 
+def test_tangent_vector_rejects_nan():
+    with pytest.raises(ValidationError, match="sum to nan"):
+        tangent_vector([math.nan, 0.0])
+
+
+def test_stochastic_matrix_rejects_nan():
+    with pytest.raises(ValidationError, match="columns must sum to 1"):
+        stochastic_matrix([[math.nan, 0.5], [math.nan, 0.5]])
+
+
 def test_fisher_rao_ds2_hand_value():
     p = np.array([0.5, 0.3, 0.2])
     dp = np.array([0.02, -0.01, -0.01])

@@ -27,7 +27,6 @@ from statgeom import (
     psd_order_geq,
     random_density_matrix,
 )
-from statgeom.linalg import _eigh, _resymmetrized
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -160,52 +159,62 @@ def _layouts(rng, shape):
     }
 
 
+def _positive_definite(rng, n):
+    """(3, n, n) positive definite inputs with -0.0 off-diagonal real parts:
+    as they are, off-Hermitian by roundoff, and with subnormal real parts."""
+    skew = rng.uniform(-0.25, 0.25, size=(n, n))
+    a = np.diag(np.arange(n, 2.0 * n)) + 1j * (skew - skew.T)  # Gershgorin: > 0
+    a.real[~np.eye(n, dtype=bool)] = -0.0
+    noisy = a + 1e-13 * rng.normal(size=(n, n))
+    tiny = a + 1e-310 * rng.normal(size=(n, n))
+    return np.stack([a, noisy, tiny])
+
+
+def _symmetrization_inputs(rng, n):
+    """Stacks with signed zeros and subnormals, and a generic one, in every layout."""
+    specials = [_kernel_stack(rng, n), 1e-310 * _kernel_stack(rng, n), _positive_definite(rng, n)]
+    return specials + list(_layouts(rng, (4, n, n)).values())
+
+
 @pytest.mark.parametrize("n", range(1, 33))
 def test_hermitian_part_bits(rng, n):
-    """hermitian_part is (conj(Aᵀ) + A) / 2 to the bit, C-contiguous, and
-    returns its own output unchanged, bar the zero real parts below."""
-    for shape in [(n, n), (4, n, n)]:
-        for layout, a in _layouts(rng, shape).items():
+    """hermitian_part is (conj(Aᵀ) + A) / 2, C-contiguous, and returns its
+    own output unchanged to the byte, signed zeros and subnormals included."""
+    for stack in _symmetrization_inputs(rng, n):
+        for a in [stack, *stack]:
             h = hermitian_part(a)
-            assert h.flags.c_contiguous, layout
-            assert h.tobytes() == ((np.conj(a.swapaxes(-1, -2)) + a) / 2).tobytes(), layout
-            assert hermitian_part(h).tobytes() == h.tobytes(), layout
-            assert _resymmetrized(h) is h
-    stack = _kernel_stack(rng, n)  # zero and rounded entries: signed zeros
-    h = hermitian_part(stack)
-    assert h.tobytes() == ((np.conj(stack.swapaxes(-1, -2)) + stack) / 2).tobytes()
-    assert _resymmetrized(h).tobytes() == hermitian_part(h).tobytes()
+            assert h.flags.c_contiguous
+            assert np.array_equal(h, (np.conj(a.swapaxes(-1, -2)) + a) / 2)
+            assert hermitian_part(h).tobytes() == h.tobytes()
 
 
-def test_a_second_symmetrization_can_flip_a_zero():
-    """Why _eigh symmetrizes again when a real part is zero: numpy divides
-    -0 + 0.6i by 2 as a complex number, to +0 + 0.3i, while its conjugate
-    pair keeps -0; a second pass makes both +0, and eigh reads the sign."""
+def test_hermitian_part_keeps_negative_zeros():
     a = np.array([[1.0, complex(-0.0, 0.3)], [complex(-0.0, -0.3), 2.0]])
     h = hermitian_part(a)
-    assert [math.copysign(1.0, x) for x in (h[0, 1].real, h[1, 0].real)] == [1.0, -1.0]
-    again = hermitian_part(h)
-    assert again.tobytes() != h.tobytes() and np.array_equal(again, h)
-    assert _resymmetrized(h).tobytes() == again.tobytes()
-    w, v = _eigh(h)
-    w_ref, v_ref = eig_hermitian(h)
-    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
-    assert fix_phases(np.linalg.eigh(h)[1]).tobytes() != v_ref.tobytes()
+    assert [math.copysign(1.0, x) for x in (h[0, 1].real, h[1, 0].real)] == [-1.0, -1.0]
+    assert hermitian_part(h).tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_eigh_of_hermitian_part_is_eig_hermitian(rng, n):
-    """_eigh(hermitian_part(a)) has the bits of eig_hermitian(hermitian_part(a)),
-    what its callers computed before, and on generic input those of
-    eig_hermitian(a)."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    for x in (a, _kernel_stack(rng, n)):
-        w, v = _eigh(hermitian_part(x))
-        w_ref, v_ref = eig_hermitian(hermitian_part(x))
-        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
-    w, v = _eigh(hermitian_part(a))
-    w_ref, v_ref = eig_hermitian(a)
-    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    """Every kernel that symmetrizes its input gives the same bytes on a as
+    on hermitian_part(a), so no caller needs to skip or repeat that step."""
+    for stack in _symmetrization_inputs(rng, n):
+        h = hermitian_part(stack)
+        for kernel in (eig_hermitian, min_eigenvalue):
+            assert _bytes(kernel(stack)) == _bytes(kernel(h))
+        for a, ha in zip(stack, h):
+            for kernel in (eig_hermitian, min_eigenvalue, lambda m: matrix_function(m, np.exp)):
+                assert _bytes(kernel(a)) == _bytes(kernel(ha))
+    for a in _positive_definite(rng, n):
+        for kernel in (matrix_sqrt, matrix_inv_sqrt):
+            assert _bytes(kernel(a)) == _bytes(kernel(hermitian_part(a)))
+
+
+def _bytes(result) -> bytes:
+    """The bytes of a kernel result: an array, a float, or a tuple of arrays."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return b"".join(np.asarray(part).tobytes() for part in parts)
 
 
 @pytest.mark.parametrize("n", range(1, 33))
