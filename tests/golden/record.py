@@ -102,6 +102,8 @@ def _state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def write_inputs() -> None:
     rng = np.random.default_rng(20261018)
     states = {f"s{dim}{tag}": _state(dim, rng) for dim in (2, 3, 4) for tag in "ab"}
+    # drawn after the small states, so those keep their values
+    states.update({f"s{dim}{tag}": _state(dim, rng) for dim in (8, 16) for tag in "ab"})
     files = {name: _matrix(rho) for name, rho in states.items()}
     files.update(
         pure2=[[1, 0], [0, 0]],
@@ -209,6 +211,11 @@ def cases() -> list[list[str]]:
         for mean in ("arithmetic", "geometric", "harmonic"):
             out.append(["mean", f(a), f(b), "--f", mean])
         out.append(["monotone-metric", f(a), f(drho)])
+    # larger states, where the optimal measurement has 8 and 16 projectors
+    for a, b in (("s8a", "s8b"), ("s8b", "s8a"), ("s16a", "s16b"), ("s16b", "s16a")):
+        for command in ("fidelity", "bures-distance", "optimal-measurement"):
+            out.append([command, f(a), f(b)])
+        out.append(["geodesic", f(a), f(b), "--samples", "4"])
     return out
 
 
