@@ -57,9 +57,10 @@ class _Pair:
     """A validated pair of states of one shape, and what the paper derives from it.
 
     Holds rho1, rho2 and their smallest eigenvalues ``lows``.  F, the lift
-    (M unsymmetrized, sqrt(rho1)), the geodesic and eig(M) are each computed
-    on first use, by one route per quantity; one that raises is not kept.
-    The arrays kept are shared, so a public view returns copies or new arrays.
+    (M unsymmetrized, sqrt(rho1)), the geodesic, eig(M) and the optimal
+    measurement are each computed on first use, by one route per quantity;
+    one that raises is not kept.  The arrays kept are shared, so a public
+    view returns copies or new arrays.
     """
 
     def __init__(self, state1: tuple, state2: tuple):
@@ -91,6 +92,12 @@ class _Pair:
     @cached_property
     def eig_m(self) -> EigenSystem:
         return eig_hermitian(self.lift[0])  # symmetrizes M first
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The rank-1 projectors v v† onto eig(M)'s eigenvectors, one C-ordered stack."""
+        rows = np.ascontiguousarray(self.eig_m.eigenvectors.T)
+        return rows[:, :, None] * rows.conj()[:, None, :]
 
     @cached_property
     def path(self) -> GeodesicPath:

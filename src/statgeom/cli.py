@@ -26,7 +26,7 @@ from .classical import (
 )
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
-from .measurement import _distribution, _povm_stack, _projectors, _qubit_povm_search
+from .measurement import _distribution, _optimal_stack, _qubit_povm_search
 from .linalg import min_eigenvalue
 from .monotone import (
     _density_matrix,
@@ -156,8 +156,7 @@ def _cmd_geodesic(args):
 def _cmd_optimal_measurement(args) -> dict:
     pair = _Pair(_read_state(args.a), _read_state(args.b))
     eigenvalues, eigenvectors = pair.eig_m
-    # the projectors of optimal_measurement, validated as a POVM
-    elements = _povm_stack(_projectors(eigenvectors))
+    elements = _optimal_stack(pair)  # the projectors of optimal_measurement
     return {
         "bures_angle": pair.angle,
         "classical_angle": fr_geodesic_distance(

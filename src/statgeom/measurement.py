@@ -94,10 +94,36 @@ def _povm_stack(elements) -> np.ndarray:
             )
         if error is not None:
             raise error
+    return _resolving_identity(stack)
+
+
+def _resolving_identity(stack: np.ndarray) -> np.ndarray:
+    """``stack``, once its elements are checked to sum to I (to 1e-10)."""
     total = np.sum(stack, axis=0)
     if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
         raise ValidationError("POVM elements must sum to the identity")
     return stack
+
+
+def _optimal_stack(pair) -> np.ndarray:
+    """The pair's optimal measurement as :func:`_povm_stack` returns it.
+
+    Each kept projector is fl(v v†) with |v| = 1 + O(N u): Hermitian to
+    about 2u and with least eigenvalue -O(u), far inside the 1e-10 and
+    -1e-12 of those checks, so only the sum, whose error rests on the
+    accuracy of eigh, is checked.  ``np.stack`` copies values, so
+    :func:`_povm_stack` of the projectors has these bytes.
+    """
+    return _resolving_identity(hermitian_part(pair.projectors))
+
+
+def _is_kept(elements, kept: np.ndarray) -> bool:
+    """True if ``elements`` are arrays with the bytes of the stack ``kept``."""
+    return len(elements) == len(kept) and all(
+        isinstance(e, np.ndarray) and e.dtype == k.dtype and e.shape == k.shape
+        and e.tobytes() == k.tobytes()
+        for e, k in zip(elements, kept)
+    )
 
 
 def _cholesky_certifies(stack: np.ndarray, scratch: np.ndarray, max_norm: float) -> bool:
@@ -140,10 +166,17 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
 
     Bounded above by the Bures angle of the two states for every POVM.
     The states come validated from the last pair the Bures views were given,
-    when that is this pair.
+    when that is this pair.  When that pair has made its optimal measurement
+    and ``elements`` are arrays with its bytes, as :func:`optimal_measurement`
+    returns them, the projectors are not validated again as an arbitrary
+    POVM: only their sum is checked (see ``_optimal_stack``).
     """
-    stack = _povm_stack(elements)
     pair = _recall(rho1, rho2)[1]
+    kept = vars(pair).get("projectors") if pair else None  # never built here
+    if kept is not None and _is_kept(elements, kept):
+        stack = _optimal_stack(pair)
+    else:
+        stack = _povm_stack(elements)
     p = _distribution(stack, pair.rho1 if pair else density_matrix(rho1))
     q = _distribution(stack, pair.rho2 if pair else density_matrix(rho2))
     return fr_geodesic_distance(p, q)
@@ -168,14 +201,10 @@ def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
     Returns the N rank-1 projectors onto the eigenvectors of
     fuchs_caves_operator(rho1, rho2).  When M has a degenerate eigenvalue
     the eigenbasis inside each eigenspace is an arbitrary orthonormal
-    choice; any such refinement attains the bound.
+    choice; any such refinement attains the bound.  The projectors are
+    copies of the ones the pair keeps, so changing them changes no later call.
     """
-    return list(_projectors(_pair(rho1, rho2).eig_m.eigenvectors))
-
-
-def _projectors(vectors: np.ndarray) -> np.ndarray:
-    """The rank-1 projectors v v† onto the columns v of ``vectors``, stacked."""
-    return vectors.T[:, :, None] * vectors.conj().T[:, None, :]
+    return list(_pair(rho1, rho2).projectors.copy())
 
 
 def _fibonacci_axes(count: int) -> np.ndarray:

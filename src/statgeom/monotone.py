@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryError, ValidationError
-from .linalg import _half_sum, _is_hermitian, eig_hermitian, min_eigenvalue
+from .linalg import _half_sum, _is_hermitian, eig_hermitian
 from .means import _symmetry_defect, mean_function, operator_monotone_test
 
 __all__ = [
@@ -52,7 +52,7 @@ def _density_matrix(rho) -> tuple[np.ndarray, float]:
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-12:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    low = min_eigenvalue(rho)
+    low = float(np.linalg.eigvalsh(rho)[0])  # rho is its own hermitian_part
     if low < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
     return rho, low

@@ -556,8 +556,9 @@ def test_state_commands_validate_each_file_once(
     code, _ = run_cli(capsys, *command, files["rho1"], files["rho2"])
     assert code == 0
     assert calls["eigvalsh"] == eigvalsh
-    # only optimal-measurement validates a POVM, proved positive by one Cholesky
-    assert calls["cholesky"] == (command == ["optimal-measurement"])
+    # none validates a POVM: optimal-measurement reads the pair's own
+    # projectors, which used to be proved positive by one Cholesky
+    assert calls["cholesky"] == 0
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from statgeom import (
     qubit_state,
     random_invertible_density_matrix,
     random_povm,
+    random_unitary,
 )
 
 
@@ -138,6 +139,41 @@ def test_optimal_projectors_match_outer_products_exactly(rng):
         elements = optimal_measurement(rho1, rho2)
         assert len(elements) == dim
         assert all(np.array_equal(e, o) for e, o in zip(elements, outers))
+
+
+def _rotated(spectrum, u):
+    return hermitian_part((u * (spectrum / spectrum.sum())) @ u.conj().T)
+
+
+@pytest.mark.parametrize("dim", range(2, 33))
+def test_povm_accepts_the_optimal_projectors_as_they_are(dim):
+    """povm_classical_angle skips validating the optimal projectors; this is why.
+
+    Each is fl(v v†) with |v| = 1 + O(N u), so it is Hermitian to about 2u
+    and its least eigenvalue is -O(u).  Validating them as any POVM must
+    pass and return their Hermitian part, byte for byte, for generic pairs,
+    rho1 with an eigenvalue of 1e-11, singular rho2 and degenerate M.
+    """
+    rng = np.random.default_rng(400 + dim)
+    for _ in range(2):
+        u, w = random_unitary(dim, rng), random_unitary(dim, rng)
+        p, q = rng.uniform(0.1, 1.0, dim), rng.uniform(0.1, 1.0, dim)
+        tiny = p.copy()
+        tiny[0] = 1e-11 * p.sum()
+        singular = q.copy()
+        singular[0] = 0.0
+        repeated = p * np.repeat(rng.uniform(0.5, 2.0, (dim + 1) // 2), 2)[:dim]
+        generic = [random_invertible_density_matrix(dim, rng) for _ in range(2)]
+        pairs = [
+            tuple(generic),
+            (_rotated(tiny, u), _rotated(q, w)),
+            (_rotated(p, u), _rotated(singular, w)),
+            (_rotated(p, u), _rotated(repeated, u)),  # M = sqrt of the ratios, repeated
+        ]
+        for rho1, rho2 in pairs:
+            elements = optimal_measurement(rho1, rho2)
+            expected = hermitian_part(np.stack(elements))
+            assert np.stack(povm(elements)).tobytes() == expected.tobytes()
 
 
 def test_no_random_povm_beats_the_quantum_angle(rng):

@@ -2,10 +2,12 @@
 
 The Bures views (fidelity, bures_angle, fuchs_caves_operator,
 horizontal_lift, geodesic, optimal_measurement, verify_billiard_theorem)
-validate a pair once and keep F, M, sqrt(rho1), the geodesic and eig(M)
-for the next call on the same pair; povm_classical_angle reads the
-validated states from it.  What is kept must never show: results are the
-bits a fresh pair gives, whatever callers do to the arrays they get back.
+validate a pair once and keep F, M, sqrt(rho1), the geodesic, eig(M) and
+the projectors of the optimal measurement for the next call on the same
+pair; povm_classical_angle reads the validated states from it, and takes
+those projectors without validating them again when it is given them.
+What is kept must never show: results are the bits a fresh pair gives,
+whatever callers do to the arrays they get back.
 """
 
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 from statgeom import (
     DegenerateError,
+    DimensionMismatchError,
     SingularError,
     ValidationError,
     bures_angle,
@@ -28,6 +31,7 @@ from statgeom import (
     random_invertible_density_matrix,
     verify_billiard_theorem,
 )
+from statgeom import measurement
 
 
 def _states(count, dim, seed):
@@ -79,9 +83,10 @@ def _assert_same_bits(got, expected):
             assert a.tobytes() == b.tobytes()
 
 
-def test_state_pairs_request_makes_eight_lapack_calls(lapack_calls):
+def test_state_pairs_request_makes_seven_lapack_calls(lapack_calls):
     # 2 eigvalsh validate the pair, 1 eigh + 1 eigvalsh give F, 2 eigh give M
-    # and sqrt(rho1), 1 eigh gives eig(M), 1 Cholesky certifies the POVM
+    # and sqrt(rho1), 1 eigh gives eig(M); the pair's own projectors need no
+    # Cholesky to certify them as a POVM, as they once did
     rho1, rho2 = _states(2, 4, 11)
     calls = lapack_calls("eigvalsh", "eigh", "cholesky")
     fidelity(rho1, rho2)
@@ -90,7 +95,7 @@ def test_state_pairs_request_makes_eight_lapack_calls(lapack_calls):
     classical = povm_classical_angle(elements, rho1, rho2)
     path = geodesic(rho1, rho2)
     path.state(path.t_star / 2)
-    assert dict(calls) == {"eigvalsh": 3, "eigh": 4, "cholesky": 1}
+    assert dict(calls) == {"eigvalsh": 3, "eigh": 4}
     assert classical == pytest.approx(angle, abs=1e-9)
     assert path.t_star == pytest.approx(angle, abs=1e-9)
 
@@ -194,3 +199,75 @@ def test_root_fidelity_is_the_trace_of_rho1_m(dim):
         trace = np.trace(rho1 @ fuchs_caves_operator(rho1, rho2))
         tol = dim * np.finfo(float).eps / np.linalg.eigvalsh(rho1)[0]
         assert abs(trace - np.sqrt(fidelity(rho1, rho2))) <= tol
+
+
+def _classical(elements, rho1, rho2):
+    """repr of povm_classical_angle, or the type and message of its error."""
+    try:
+        return repr(povm_classical_angle(elements, rho1, rho2))
+    except (ValidationError, DimensionMismatchError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_pairs_own_projectors_are_not_validated_again(lapack_calls):
+    rho1, rho2 = _states(2, 8, 21)
+    elements = optimal_measurement(rho1, rho2)
+    calls = lapack_calls("eigvalsh", "eigh", "cholesky")
+    angle = _classical(elements, rho1, rho2)
+    assert not calls  # no Cholesky or eigvalsh for the POVM, the states are kept
+    _forget()
+    assert _classical(elements, rho1, rho2) == angle  # validated as any POVM
+    assert calls["cholesky"] == 1
+
+
+def _change_an_entry(elements, other):
+    elements[1][0, 0] *= 1.0 + 2.0**-40  # still a POVM to 1e-10
+    return elements
+
+
+def _flip_a_zero(elements, other):
+    parts = elements[0].view(float)
+    k = np.flatnonzero(parts == 0.0)[0]
+    parts[k] = -parts[k]  # +0.0 becomes -0.0: equal values, other bytes
+    return elements
+
+
+def _spoil_with_nan(elements, other):
+    elements[1][...] = np.nan
+    return elements
+
+
+_FALLBACKS = {
+    "entry changed in place": _change_an_entry,
+    "signed zero flipped": _flip_a_zero,
+    "reordered": lambda elements, other: elements[::-1],
+    "element dropped": lambda elements, other: elements[:-1],
+    "nested lists": lambda elements, other: [e.tolist() for e in elements],
+    "another pair's projectors": lambda elements, other: other,
+    "element overwritten with NaN": _spoil_with_nan,
+}
+
+
+@pytest.mark.parametrize("case", list(_FALLBACKS))
+def test_other_elements_are_validated_as_any_povm(monkeypatch, case):
+    if case == "signed zero flipped":  # commuting states: projectors with zeros
+        rho1, rho2 = np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])
+        others = _states(2, 3, 22)
+    else:
+        rho1, rho2, *others = _states(4, 4, 22)
+    other = optimal_measurement(*others)
+    elements = _FALLBACKS[case](optimal_measurement(rho1, rho2), other)
+    validated = []
+
+    def povm_stack(elements):
+        validated.append(len(elements))
+        return stack(elements)
+
+    stack = measurement._povm_stack
+    monkeypatch.setattr(measurement, "_povm_stack", povm_stack)
+    outcome = _classical(elements, rho1, rho2)
+    assert validated
+    _forget()
+    assert _classical(elements, rho1, rho2) == outcome  # as with no pair kept
+    if case == "element overwritten with NaN":
+        assert outcome == "ValidationError: POVM element 1 is not Hermitian"
