@@ -106,14 +106,8 @@ def _resolving_identity(stack: np.ndarray) -> np.ndarray:
 
 
 def _optimal_stack(pair) -> np.ndarray:
-    """The pair's optimal measurement as :func:`_povm_stack` returns it.
-
-    Each kept projector is fl(v v†) with |v| = 1 + O(N u): Hermitian to
-    about 2u and with least eigenvalue -O(u), far inside the 1e-10 and
-    -1e-12 of those checks, so only the sum, whose error rests on the
-    accuracy of eigh, is checked.  ``np.stack`` copies values, so
-    :func:`_povm_stack` of the projectors has these bytes.
-    """
+    """The pair's projectors, checked to sum to I, with the bytes
+    :func:`_povm_stack` gives them (``np.stack`` copies values)."""
     return _resolving_identity(hermitian_part(pair.projectors))
 
 
@@ -166,13 +160,16 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
 
     Bounded above by the Bures angle of the two states for every POVM.
     The states come validated from the last pair the Bures views were given,
-    when that is this pair.  When that pair has made its optimal measurement
-    and ``elements`` are arrays with its bytes, as :func:`optimal_measurement`
-    returns them, the projectors are not validated again as an arbitrary
-    POVM: only their sum is checked (see ``_optimal_stack``).
+    when that is this pair.  The projectors :func:`optimal_measurement` made
+    for that pair, given as arrays of their dtype, shape and bytes, are not
+    validated again as an arbitrary POVM: each is fl(v v†) with
+    |v| = 1 + O(N u), so Hermitian to about 2u with least eigenvalue -O(u),
+    far inside the 1e-10 and -1e-12 of those checks.  Only their sum, whose
+    error rests on the accuracy of eigh, is checked.
     """
     pair = _recall(rho1, rho2)[1]
-    kept = vars(pair).get("projectors") if pair else None  # never built here
+    # only projectors already made: another POVM must not pay for eig(M)
+    kept = vars(pair).get("projectors") if pair else None
     if kept is not None and _is_kept(elements, kept):
         stack = _optimal_stack(pair)
     else:
