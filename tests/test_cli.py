@@ -46,6 +46,8 @@ def files(tmp_path_factory):
         "nonherm": write("nonherm.json", [[0.5, 0.3], [0.0, 0.5]]),
         "trace2": write("trace2.json", [[1.2, 0.0], [0.0, 0.8]]),
         "qutrit": write("qutrit.json", [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]),
+        "negative": write("negative.json", [[1.2, 0], [0, -0.2]]),
+        "ragged": write("ragged.json", [[1, 0], [0]]),
         "missing": str(root / "missing.json"),
         "dir": str(root),
     }
@@ -505,6 +507,16 @@ def test_state_commands_reject_bad_inputs(capsys, files, command, a, b, error):
     code, out = run_cli(capsys, *command, files[a], files[b])
     assert code == 1
     envelope = {"error": {"type": error[0], "message": error[1]}}
+    assert out == json.dumps(envelope, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("b", ["nonherm", "trace2", "ragged", "qutrit", "missing"])
+def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files, b):
+    # a is read and validated, positivity included, before b is read
+    code, out = run_cli(capsys, "fidelity", files["negative"], files[b])
+    assert code == 1
+    envelope = {"error": {
+        "type": "ValidationError", "message": "density matrix has a negative eigenvalue"}}
     assert out == json.dumps(envelope, sort_keys=True) + "\n"
 
 

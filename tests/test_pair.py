@@ -120,6 +120,27 @@ def test_unconvertible_input_keeps_its_error_and_precedence():
         fidelity(2.0 * rho1, ragged)  # the first state is checked first
 
 
+# unit trace and Hermitian, but with eigenvalue -0.2
+_NEGATIVE = np.diag([1.2, -0.2]).astype(complex)
+_SECONDS = {
+    "non-Hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+    "trace 2": np.diag([1.2, 0.8]),
+    "ragged": [[1.0, 0.0], [0.0]],
+    "another shape": np.eye(3) / 3,
+}
+
+
+@pytest.mark.parametrize("second", list(_SECONDS))
+@pytest.mark.parametrize("call", [fidelity, geodesic])
+def test_the_first_states_negative_eigenvalue_is_reported_first(call, second):
+    # each state is validated in full before the next, and both before
+    # their shapes are compared
+    with pytest.raises(ValidationError) as info:
+        call(_NEGATIVE, _SECONDS[second])
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "density matrix has a negative eigenvalue"
+
+
 def test_spoiled_results_do_not_reach_later_calls():
     rho1, rho2 = _states(2, 4, 14)
     _views(rho1, rho2, spoil=True)
