@@ -24,10 +24,10 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _sqrt_and_inv_sqrt
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _roots
 from .linalg import eig_hermitian, hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
 from .means import _congruence, _core_spectrum
-from .monotone import _density_matrix, density_matrix
+from .monotone import _check_positive, _density_matrix, _unit_trace_hermitian, density_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -56,25 +56,50 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class _Pair:
     """A validated pair of states of one shape, and what the paper derives from it.
 
-    Holds rho1, rho2 and their smallest eigenvalues ``lows``.  F, the lift
+    Holds rho1, rho2, the eigendecomposition of each (``spectra``, from one
+    eig_hermitian of the pair as a stack, with the bits of one call per
+    state) and their smallest eigenvalues ``lows``.  sqrt(rho1) and
+    rho1^(-1/2) come from the first spectrum and sqrt(rho2) from the second,
+    with the bits _sqrt_and_inv_sqrt and matrix_sqrt give.  F, the lift
     (M unsymmetrized, sqrt(rho1)), the geodesic, eig(M) and the optimal
     measurement are each computed on first use, by one route per quantity;
-    one that raises is not kept.  The arrays kept are shared, so a public
-    view returns copies or new arrays.
+    one that raises is not kept.  The arrays kept are shared, so a
+    public view returns copies or new arrays.
     """
 
-    def __init__(self, state1: tuple, state2: tuple):
-        """Pair two ``_density_matrix`` results, (state, smallest eigenvalue)."""
-        (self.rho1, low1), (self.rho2, low2) = state1, state2
-        if self.rho1.shape != self.rho2.shape:
-            raise DimensionMismatchError(
-                f"states have shapes {self.rho1.shape} and {self.rho2.shape}"
-            )
-        self.lows = (low1, low2)
+    def __init__(self, rho1, rho2):
+        """Validate two states as density_matrix does, then their shapes."""
+        try:
+            self.rho1 = _unit_trace_hermitian(rho1)
+            self.rho2 = _unit_trace_hermitian(rho2)
+            if self.rho1.shape != self.rho2.shape:
+                raise DimensionMismatchError(
+                    f"states have shapes {self.rho1.shape} and {self.rho2.shape}"
+                )
+            stacked = eig_hermitian(np.stack([self.rho1, self.rho2]))
+            self.spectra = tuple(map(EigenSystem, *stacked))
+            self.lows = tuple(float(w[0]) for w, _ in self.spectra)
+            _check_positive(min(self.lows))
+        except Exception:
+            # the checks above ran out of order; state by state, as
+            # density_matrix runs them, they raise the error they raise there
+            _density_matrix(rho1)
+            _density_matrix(rho2)
+            raise
+
+    @property
+    def roots1(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(rho1), rho1^(-1/2)) from its spectrum; rho1 invertible."""
+        return _roots(self.spectra[0])
+
+    @property
+    def root2(self) -> np.ndarray:
+        """sqrt(rho2) from its spectrum."""
+        return _apply_spectrum(_floored(self.spectra[1], 0.0), np.sqrt)
 
     @cached_property
     def fidelity(self) -> float:
-        r2 = matrix_sqrt(self.rho2)
+        r2 = self.root2
         w = np.linalg.eigvalsh(hermitian_part(r2 @ self.rho1 @ r2))
         root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
         return min(1.0, root_sum * root_sum)
@@ -86,7 +111,7 @@ class _Pair:
     @cached_property
     def lift(self) -> tuple[np.ndarray, np.ndarray]:
         """(M unsymmetrized, sqrt(rho1)); rho1 invertible."""
-        root, inv_root = _sqrt_and_inv_sqrt(self.rho1)
+        root, inv_root = self.roots1
         return _congruence(inv_root, _core_spectrum(root, self.rho2), np.sqrt), root
 
     @cached_property
@@ -124,7 +149,7 @@ class _Pair:
 # The most recent valid pair, so the public views called in a row on one
 # pair share it: _pair(rho1, rho2) gives it, validating a new pair, and
 # _recall(rho1, rho2) gives (key, the remembered pair or None).
-_pairs = _PairSlot(lambda rho1, rho2: _Pair(_density_matrix(rho1), _density_matrix(rho2)))
+_pairs = _PairSlot(_Pair)
 _pair, _recall = _pairs.get, _pairs.recall
 
 

@@ -24,16 +24,11 @@ from .classical import (
     multinomial_ellipse_experiment,
     probability_vector,
 )
-from .errors import NumericalError, ValidationError
+from .errors import DimensionMismatchError, NumericalError, ValidationError
 from .means import operator_mean
 from .measurement import _distribution, _optimal_stack, _qubit_povm_search
 from .linalg import min_eigenvalue
-from .monotone import (
-    _density_matrix,
-    density_matrix,
-    monotone_ds2,
-    tangent_perturbation,
-)
+from .monotone import density_matrix, monotone_ds2, tangent_perturbation
 from .sampling import random_density_matrix, substream
 from .serialize import _float_token, dumps_canonical, read_matrix_file, read_vector_file
 
@@ -120,22 +115,29 @@ def _cmd_monotone_metric(args) -> dict:
     return {"ds2": monotone_ds2(rho, drho, args.f), "f": args.f}
 
 
-def _read_state(path: str) -> tuple:
-    """A state file, read and validated: (state, smallest eigenvalue)."""
-    return _density_matrix(read_matrix_file(path))
+def _read_states(args) -> tuple:
+    """The matrices in files ``args.a`` and ``args.b``; a's validation error
+    comes before b's read error, as when a was validated before b was read."""
+    a = read_matrix_file(args.a)
+    try:
+        b = read_matrix_file(args.b)
+    except ValidationError:
+        density_matrix(a)
+        raise
+    return a, b
 
 
 def _cmd_fidelity(args) -> dict:
-    return {"fidelity": _Pair(_read_state(args.a), _read_state(args.b)).fidelity}
+    return {"fidelity": _Pair(*_read_states(args)).fidelity}
 
 
 def _cmd_bures_distance(args) -> dict:
-    pair = _Pair(_read_state(args.a), _read_state(args.b))
+    pair = _Pair(*_read_states(args))
     return {"angle": pair.angle, "fidelity": pair.fidelity}
 
 
 def _cmd_geodesic(args):
-    path = _Pair(_read_state(args.a), _read_state(args.b)).path
+    path = _Pair(*_read_states(args)).path
     ts = np.linspace(0.0, path.t_star, args.samples)
     states = path.state(ts)
     lams = min_eigenvalue(states)
@@ -154,7 +156,7 @@ def _cmd_geodesic(args):
 
 
 def _cmd_optimal_measurement(args) -> dict:
-    pair = _Pair(_read_state(args.a), _read_state(args.b))
+    pair = _Pair(*_read_states(args))
     eigenvalues, eigenvectors = pair.eig_m
     elements = _optimal_stack(pair)  # the projectors of optimal_measurement
     return {
@@ -168,11 +170,15 @@ def _cmd_optimal_measurement(args) -> dict:
 
 
 def _cmd_povm_search(args) -> dict:
-    a, b = _read_state(args.a), _read_state(args.b)
-    # the search first: a qubit and a qutrit must fail as "qubits only"
-    report = _qubit_povm_search(a[0], b[0], _bloch_vector, args.grid)
+    a, b = _read_states(args)
+    try:
+        pair = _Pair(a, b)
+    except DimensionMismatchError:  # two valid states of different shapes:
+        _qubit_povm_search(a, b, _bloch_vector, args.grid)  # fails as it did first
+        raise
+    report = _qubit_povm_search(pair.rho1, pair.rho2, _bloch_vector, args.grid)
     return {
-        "bures_angle": _Pair(a, b).angle,
+        "bures_angle": pair.angle,
         "best_angle": report["best_angle"],
         "best_axis": report["best_axis"],
         "non_unique": report["non_unique"],

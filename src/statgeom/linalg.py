@@ -147,7 +147,13 @@ def matrix_function(
 def _spectrum(h: np.ndarray, domain_floor: float) -> EigenSystem:
     """The first step of :func:`matrix_function`: eig(h), checked against
     and clamped to ``domain_floor``.  Keep it to apply several f to one h."""
-    w, v = eig_hermitian(h)
+    return _floored(eig_hermitian(h), domain_floor)
+
+
+def _floored(spectrum: EigenSystem, domain_floor: float) -> EigenSystem:
+    """A spectrum from :func:`eig_hermitian`, checked against and clamped to
+    ``domain_floor`` as :func:`_spectrum` does."""
+    w, v = spectrum
     if np.any(w < domain_floor - 1e-12):
         raise DomainError(
             f"eigenvalue {w.min():.3e} below domain floor {domain_floor:.3e}"
@@ -175,7 +181,12 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
 
 def _sqrt_and_inv_sqrt(h: np.ndarray) -> tuple:
     """(sqrt(H), H^(-1/2)) from one decomposition; see :func:`matrix_inv_sqrt`."""
-    w, v = eig_hermitian(h)
+    return _roots(eig_hermitian(h))
+
+
+def _roots(spectrum: EigenSystem) -> tuple:
+    """:func:`_sqrt_and_inv_sqrt` of the matrix :func:`eig_hermitian` gave ``spectrum``."""
+    w, v = spectrum
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
         raise SingularError(

@@ -48,14 +48,26 @@ def density_matrix(rho) -> np.ndarray:
 
 def _density_matrix(rho) -> tuple[np.ndarray, float]:
     """The checks of :func:`density_matrix`; also the smallest eigenvalue."""
+    rho = _unit_trace_hermitian(rho)
+    low = float(np.linalg.eigvalsh(rho)[0])  # rho is its own hermitian_part
+    _check_positive(low)
+    return rho, low
+
+
+def _unit_trace_hermitian(rho) -> np.ndarray:
+    """The checks of :func:`density_matrix` before positivity: square,
+    Hermitian and unit trace; returns hermitian_part(rho)."""
     rho = _hermitian(rho, "density matrix")
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-12:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    low = float(np.linalg.eigvalsh(rho)[0])  # rho is its own hermitian_part
+    return rho
+
+
+def _check_positive(low) -> None:
+    """The positivity check of :func:`density_matrix` on the smallest eigenvalue."""
     if low < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
-    return rho, low
 
 
 def tangent_perturbation(drho) -> np.ndarray:

@@ -550,40 +550,45 @@ def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
 
 
 @pytest.mark.parametrize(
-    "command, eigvalsh",
+    "command, expected",
     [
-        # two to validate the files, then what each command computes; each
-        # command used to validate the files again inside the library
-        (["fidelity"], 3),  # was 5
-        (["bures-distance"], 3),  # was 5
-        (["geodesic", "--samples", "5"], 3),  # was 7
-        (["optimal-measurement"], 3),  # was 13, then 4 before the Cholesky
-        (["povm-search", "--grid", "20"], 3),  # was 7
+        # one stacked eigh validates both files, then what each command
+        # computes; each command used to validate the files again inside the
+        # library, then validated them with 2 eigvalsh and decomposed them
+        # again for sqrt(rho1) and sqrt(rho2)
+        (["fidelity"], {"eigh": 1, "eigvalsh": 1}),  # 5 eigvalsh, then 3 and 1 eigh
+        (["bures-distance"], {"eigh": 1, "eigvalsh": 1}),  # as fidelity
+        # 7 eigvalsh, then 3 and 2 eigh
+        (["geodesic", "--samples", "5"], {"eigh": 2, "eigvalsh": 1}),
+        # 13 eigvalsh, then 4 before the Cholesky, then 3 and 4 eigh
+        (["optimal-measurement"], {"eigh": 3, "eigvalsh": 1}),
+        (["povm-search", "--grid", "20"], {"eigh": 1, "eigvalsh": 1}),  # 7, then 3 and 1
     ],
 )
 def test_state_commands_validate_each_file_once(
-    capsys, files, lapack_calls, command, eigvalsh
+    capsys, files, lapack_calls, command, expected
 ):
-    calls = lapack_calls("eigvalsh", "cholesky")
+    calls = lapack_calls("eigh", "eigvalsh", "cholesky")
     code, _ = run_cli(capsys, *command, files["rho1"], files["rho2"])
     assert code == 0
-    assert calls["eigvalsh"] == eigvalsh
     # none validates a POVM: optimal-measurement reads the pair's own
     # projectors, which used to be proved positive by one Cholesky
-    assert calls["cholesky"] == 0
+    assert calls == expected
 
 
 @pytest.mark.parametrize(
-    "argv, eigvalsh",
+    "argv, expected",
     [
-        # the library validates the sampled pair once; the CLI used to as well
-        (["--dim", "3", "--seed", "0"], 2),  # was 4
-        (["--dim", "3", "--seed", "0", "--format", "csv"], 3),  # was 5
+        # the library validates the sampled pair once, by one stacked eigh;
+        # the CLI used to as well, and then by one eigvalsh per state
+        (["--dim", "3", "--seed", "0"], {"eigh": 4}),  # 4 eigvalsh, then 2 and 4 eigh
+        # 5 eigvalsh, then 3 and 2 eigh; the one left is the scan's
+        (["--dim", "3", "--seed", "0", "--format", "csv"], {"eigh": 2, "eigvalsh": 1}),
     ],
     ids=["json", "csv"],
 )
-def test_billiard_validates_the_sampled_pair_once(capsys, lapack_calls, argv, eigvalsh):
-    calls = lapack_calls("eigvalsh")
+def test_billiard_validates_the_sampled_pair_once(capsys, lapack_calls, argv, expected):
+    calls = lapack_calls("eigh", "eigvalsh")
     code, _ = run_cli(capsys, "billiard", *argv)
     assert code == 0
-    assert calls["eigvalsh"] == eigvalsh
+    assert calls == expected

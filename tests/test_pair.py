@@ -31,7 +31,10 @@ from statgeom import (
     random_invertible_density_matrix,
     verify_billiard_theorem,
 )
-from statgeom import measurement
+from statgeom import bures, measurement
+from statgeom.linalg import _sqrt_and_inv_sqrt, hermitian_part, matrix_sqrt
+from statgeom.means import _congruence, _core_spectrum
+from statgeom.monotone import density_matrix
 
 
 def _states(count, dim, seed):
@@ -83,10 +86,12 @@ def _assert_same_bits(got, expected):
             assert a.tobytes() == b.tobytes()
 
 
-def test_state_pairs_request_makes_seven_lapack_calls(lapack_calls):
-    # 2 eigvalsh validate the pair, 1 eigh + 1 eigvalsh give F, 2 eigh give M
-    # and sqrt(rho1), 1 eigh gives eig(M); the pair's own projectors need no
-    # Cholesky to certify them as a POVM, as they once did
+def test_state_pairs_request_makes_four_lapack_calls(lapack_calls):
+    # 1 stacked eigh validates the pair and gives sqrt(rho1), rho1^(-1/2) and
+    # sqrt(rho2), 1 eigvalsh gives F, 1 eigh gives M's core and 1 eig(M); the
+    # pair's own projectors need no Cholesky to certify them as a POVM, as
+    # they once did.  It was 7 calls: 2 validating eigvalsh, and one eigh
+    # each of rho1 and rho2 where the stacked eigh serves now
     rho1, rho2 = _states(2, 4, 11)
     calls = lapack_calls("eigvalsh", "eigh", "cholesky")
     fidelity(rho1, rho2)
@@ -95,9 +100,32 @@ def test_state_pairs_request_makes_seven_lapack_calls(lapack_calls):
     classical = povm_classical_angle(elements, rho1, rho2)
     path = geodesic(rho1, rho2)
     path.state(path.t_star / 2)
-    assert dict(calls) == {"eigvalsh": 3, "eigh": 4}
+    assert dict(calls) == {"eigh": 3, "eigvalsh": 1}
     assert classical == pytest.approx(angle, abs=1e-9)
     assert path.t_star == pytest.approx(angle, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
+def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
+    """sqrt(rho1), rho1^(-1/2), sqrt(rho2), F and M from the pair's stacked
+    eigh have the bytes of one decomposition per state, formed as the pair
+    formed them with one eigvalsh and one eigh each.  Its smallest
+    eigenvalues, from eigh, are within the N u |rho| <= N u that a backward
+    stable eigvalsh is of the exact ones."""
+    for rho1, rho2 in zip(*[iter(_states(20, dim, 60 + dim))] * 2):
+        pair = bures._Pair(rho1, rho2)
+        a, b = density_matrix(rho1), density_matrix(rho2)
+        root1, inv_root1 = _sqrt_and_inv_sqrt(a)
+        root2 = matrix_sqrt(b)
+        w = np.linalg.eigvalsh(hermitian_part(root2 @ a @ root2))
+        root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+        m = _congruence(inv_root1, _core_spectrum(root1, b), np.sqrt)
+        fid = min(1.0, root_sum * root_sum)
+        expected = [root1, inv_root1, root2, m, np.array(fid)]
+        got = [*pair.roots1, pair.root2, pair.lift[0], np.array(pair.fidelity)]
+        _assert_same_bits([got], [expected])
+        for low, state in zip(pair.lows, (a, b)):
+            assert abs(low - np.linalg.eigvalsh(state)[0]) <= dim * np.finfo(float).eps
 
 
 def test_an_invalid_pair_does_not_replace_the_remembered_one(lapack_calls):
