@@ -285,7 +285,18 @@ def criterion_8_optimality(seed: int) -> tuple[bool, dict]:
 
 
 def criterion_9_ambiguity(seed: int) -> tuple[bool, dict]:
-    """Analytic pure-pair diameter formula == measured classical angle."""
+    """Analytic pure-pair diameter formula == measured classical angle.
+
+    The tolerance 1e-9 lies below the floor of arccos at coincident
+    distributions, arccos(1 - u) ~ sqrt(2u) = 1.49e-8 with u the unit
+    roundoff.  At the diameter that bisects the two states p = q, and a sum
+    of sqrt(p_k q_k) one ulp below 1 reads 1.49e-8 where the answer is 0.
+    With p_k = Tr(E_k rho) taken as einsum("kij,ji->k"), np.vecdot,
+    (E * rho^T).sum or one zdotu per element, max_abs_diff is 1.49e-8 and
+    the criterion fails; the trace of each E_k rho and the one
+    matrix-vector product of the stack give 1.6e-14.  A well-conditioned
+    arc, 2 arcsin(|sqrt(p) - sqrt(q)| / 2), would remove the floor.
+    """
     worst = 0.0
     points = 0
     thetas = np.linspace(0.1, np.pi - 0.1, 25)

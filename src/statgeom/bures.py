@@ -27,7 +27,7 @@ from .errors import (
 from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _roots
 from .linalg import eig_hermitian, hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
 from .means import _congruence, _core_spectrum
-from .monotone import _check_positive, _density_matrix, _unit_trace_hermitian, density_matrix
+from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -56,15 +56,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class _Pair:
     """A validated pair of states of one shape, and what the paper derives from it.
 
-    Holds rho1, rho2, the eigendecomposition of each (``spectra``, from one
-    eig_hermitian of the pair as a stack, with the bits of one call per
-    state) and their smallest eigenvalues ``lows``.  sqrt(rho1) and
-    rho1^(-1/2) come from the first spectrum and sqrt(rho2) from the second,
-    with the bits _sqrt_and_inv_sqrt and matrix_sqrt give.  F, the lift
-    (M unsymmetrized, sqrt(rho1)), the geodesic, eig(M) and the optimal
-    measurement are each computed on first use, by one route per quantity;
-    one that raises is not kept.  The arrays kept are shared, so a
-    public view returns copies or new arrays.
+    Holds rho1, rho2, their eigendecompositions ``spectra`` (one stacked
+    eig_hermitian, with the bits of one call per state) and smallest
+    eigenvalues ``lows``.  F, the lift (M unsymmetrized, sqrt(rho1)), the
+    geodesic, eig(M) and the optimal measurement are each computed on first
+    use, by one route per quantity; one that raises is not kept.  The arrays
+    kept are shared, so a public view returns copies or new arrays.
     """
 
     def __init__(self, rho1, rho2):
@@ -80,21 +77,22 @@ class _Pair:
             self.spectra = tuple(map(EigenSystem, *stacked))
             self.lows = tuple(float(w[0]) for w, _ in self.spectra)
             _check_positive(min(self.lows))
-        except Exception:
-            # the checks above ran out of order; state by state, as
-            # density_matrix runs them, they raise the error they raise there
-            _density_matrix(rho1)
-            _density_matrix(rho2)
+        except (ValidationError, ValueError, TypeError):  # or unconvertible input
+            # positivity comes after both states here: checked in full one
+            # state at a time, they raise the error they raised before
+            density_matrix(rho1)
+            density_matrix(rho2)
             raise
 
     @property
     def roots1(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sqrt(rho1), rho1^(-1/2)) from its spectrum; rho1 invertible."""
+        """(sqrt(rho1), rho1^(-1/2)) from its spectrum, with the bits of
+        _sqrt_and_inv_sqrt; rho1 invertible."""
         return _roots(self.spectra[0])
 
     @property
     def root2(self) -> np.ndarray:
-        """sqrt(rho2) from its spectrum."""
+        """sqrt(rho2) from its spectrum, with the bits of matrix_sqrt."""
         return _apply_spectrum(_floored(self.spectra[1], 0.0), np.sqrt)
 
     @cached_property

@@ -141,18 +141,13 @@ def matrix_function(
     :class:`DomainError`; values within that band are clamped to the floor
     so that e.g. a square root never sees -1e-15.
     """
-    return _apply_spectrum(_spectrum(_as_square(h), domain_floor), fn)
-
-
-def _spectrum(h: np.ndarray, domain_floor: float) -> EigenSystem:
-    """The first step of :func:`matrix_function`: eig(h), checked against
-    and clamped to ``domain_floor``.  Keep it to apply several f to one h."""
-    return _floored(eig_hermitian(h), domain_floor)
+    return _apply_spectrum(_floored(eig_hermitian(_as_square(h)), domain_floor), fn)
 
 
 def _floored(spectrum: EigenSystem, domain_floor: float) -> EigenSystem:
-    """A spectrum from :func:`eig_hermitian`, checked against and clamped to
-    ``domain_floor`` as :func:`_spectrum` does."""
+    """The first step of :func:`matrix_function` after eig(h): the spectrum
+    checked against and clamped to ``domain_floor``.  Keep it to apply
+    several f to one h."""
     w, v = spectrum
     if np.any(w < domain_floor - 1e-12):
         raise DomainError(

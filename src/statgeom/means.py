@@ -28,8 +28,9 @@ from .linalg import (
     EigenSystem,
     _PairSlot,
     _apply_spectrum,
-    _spectrum,
+    _floored,
     _sqrt_and_inv_sqrt,
+    eig_hermitian,
     hermitian_part,
     hs_norm,
     is_hermitian,
@@ -105,7 +106,7 @@ def _core_spectrum(inner, b) -> EigenSystem:
     """Clamped spectrum of inner b inner: the core A^(-1/2) B A^(-1/2) of
     every mean from inner = A^(-1/2), and that of the operator
     M = rho1^(-1) # rho2 from inner = sqrt(rho1)."""
-    return _spectrum(inner @ b @ inner, domain_floor=0.0)
+    return _floored(eig_hermitian(inner @ b @ inner), 0.0)
 
 
 def _congruence(outer, core: EigenSystem, f) -> np.ndarray:

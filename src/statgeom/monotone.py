@@ -43,15 +43,9 @@ def _hermitian(a, noun: str) -> np.ndarray:
 
 def density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD (to -1e-12), unit trace."""
-    return _density_matrix(rho)[0]
-
-
-def _density_matrix(rho) -> tuple[np.ndarray, float]:
-    """The checks of :func:`density_matrix`; also the smallest eigenvalue."""
     rho = _unit_trace_hermitian(rho)
-    low = float(np.linalg.eigvalsh(rho)[0])  # rho is its own hermitian_part
-    _check_positive(low)
-    return rho, low
+    _check_positive(float(np.linalg.eigvalsh(rho)[0]))  # rho is its own hermitian_part
+    return rho
 
 
 def _unit_trace_hermitian(rho) -> np.ndarray:
