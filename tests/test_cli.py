@@ -564,6 +564,7 @@ def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
         (["optimal-measurement"], {"eigh": 3, "eigvalsh": 1}),
         (["povm-search", "--grid", "20"], {"eigh": 1, "eigvalsh": 1}),  # 7, then 3 and 1
     ],
+    ids=["fidelity", "bures-distance", "geodesic", "optimal-measurement", "povm-search"],
 )
 def test_state_commands_validate_each_file_once(
     capsys, files, lapack_calls, command, expected

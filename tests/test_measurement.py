@@ -296,10 +296,10 @@ def _gamma(n):
     return n * u / (1 - n * u)
 
 
-def test_stacked_povm_matches_element_loop():
-    """The stacked POVM check repeats the element loop exactly; the
-    distribution is one matrix-vector product, which the loop of traces
-    repeats to within rounding.
+def test_stacked_povm_matches_element_loop_exactly():
+    """The stacked POVM check repeats the element loop exactly, and the
+    distribution is exactly one matrix-vector product of the stack, which a
+    loop of traces repeats to within rounding.
 
     Each complex dot product of n terms rounds to within
     gamma_{n+2} sum |x_i||y_i| of its value (Higham, Accuracy and Stability
