@@ -5,8 +5,8 @@ Any measurement turns a pair of density matrices into a pair of outcome
 distributions, whose sphere-arc distance can never exceed the Bures angle
 of the original states.  The bound is tight: measuring in the eigenbasis
 of the likelihood-ratio-like operator M (the geometric mean of rho1^-1
-and rho2) achieves it exactly.  A brute-force search over qubit
-projective measurements finds the same answer the slow way.
+and rho2) achieves it exactly.  A search over qubit projective
+measurements, which never looks at M, finds the same answer.
 """
 
 import numpy as np
@@ -52,7 +52,7 @@ def optimal_in_any_dimension():
 
 
 def exhaustive_qubit_search():
-    print("== brute force agrees on a qubit ==")
+    print("== a search that never reads M agrees on a qubit ==")
     rho1 = qubit_state(0.5, 0.1, -0.2)
     rho2 = qubit_state(-0.3, 0.25, 0.4)
     report = qubit_povm_search(rho1, rho2, grid_resolution=120)

@@ -25,7 +25,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _roots
-from .linalg import eig_hermitian, hermitian_part, hs_inner, matrix_sqrt, min_eigenvalue
+from .linalg import eig_hermitian, hermitian_part, hs_inner, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
@@ -179,8 +179,11 @@ def purification(a) -> np.ndarray:
 
 
 def purify(rho) -> np.ndarray:
-    """Canonical purification A = sqrt(rho), the positive-root gauge choice."""
-    return matrix_sqrt(density_matrix(rho))
+    """Canonical purification A = sqrt(rho), the positive-root gauge choice;
+    one eigh validates rho and gives the bits of matrix_sqrt(density_matrix(rho))."""
+    spectrum = eig_hermitian(_unit_trace_hermitian(rho))
+    _check_positive(float(spectrum.eigenvalues[0]))
+    return _apply_spectrum(_floored(spectrum, 0.0), np.sqrt)
 
 
 def project(a) -> np.ndarray:

@@ -303,10 +303,10 @@ def _build_parser() -> _Parser:
     p.add_argument("b")
 
     p = add("povm-search", _cmd_povm_search,
-            "brute-force qubit projective-measurement search")
+            "qubit projective-measurement search, not reading M")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--grid", type=int, default=200, help="axis grid resolution")
+    p.add_argument("--grid", type=int, default=200, help="circle resolution (grid² angles)")
 
     p = add("billiard", _cmd_billiard,
             "boundary bounce points of a random geodesic's great circle",

@@ -8,10 +8,10 @@ eigenbasis of the operator
     M(rho1, rho2) = rho1^(-1/2) sqrt(sqrt(rho1) rho2 sqrt(rho1)) rho1^(-1/2),
 
 the geometric mean of rho1^(-1) and rho2.  The module provides the POVM
-plumbing, the operator M, the optimal projective measurement, a brute
-force qubit axis search that rediscovers it, and the closed-form answer
-for a pair of pure qubit states measured along an arbitrary diameter of
-their Bloch-disk section.
+plumbing, the operator M, the optimal projective measurement, a qubit
+axis search on the circle of the two Bloch vectors that rediscovers it
+without reading M, and the closed-form answer for a pair of pure qubit
+states measured along an arbitrary diameter of their Bloch-disk section.
 """
 
 from __future__ import annotations
@@ -211,38 +211,42 @@ def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
     return list(_pair(rho1, rho2).projectors.copy())
 
 
-def _fibonacci_axes(count: int) -> np.ndarray:
-    """Near-uniform axis grid on the sphere (Fibonacci lattice)."""
-    i = np.arange(count) + 0.5
-    golden = np.pi * (1.0 + np.sqrt(5.0))
-    cos_theta = 1.0 - 2.0 * i / count
-    sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, None))
-    phi = golden * i
-    return np.stack(
-        [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1
-    )
+def _axis_cosine(phi, polars) -> np.ndarray:
+    """cos of the classical angle measuring along the axes at angles ``phi``
+    of a plane, for Bloch vectors r given in it as (|r|, angle psi).
 
-
-def _axis_cosine(axes: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """cos of the classical angle for projective measurements along axes."""
-    p_plus = np.clip(0.5 * (1.0 + axes @ r1), 0.0, 1.0)
-    q_plus = np.clip(0.5 * (1.0 + axes @ r2), 0.0, 1.0)
-    return np.sqrt(p_plus * q_plus) + np.sqrt((1.0 - p_plus) * (1.0 - q_plus))
-
-
-def _spherical_axis(theta: float, phi: float) -> np.ndarray:
-    s = np.sin(theta)
-    return np.array([s * np.cos(phi), s * np.sin(phi), np.cos(theta)])
+    p = (1 + n.r)/2 and 1 - p are each summed from nonnegative terms,
+    (1 - |r|)/2 + |r| cos^2 or sin^2 of (phi - psi)/2, to keep their relative
+    accuracy where small: 1 - fl(p) errs by u near a pure state's axis, its
+    square root by sqrt(u) ~ 1e-8, and a search finds such dips.
+    """
+    plus, minus = 1.0, 1.0
+    for length, psi in polars:
+        mixed, half = 0.5 * max(0.0, 1.0 - length), 0.5 * (phi - psi)
+        plus = plus * (mixed + length * np.cos(half) ** 2)
+        minus = minus * (mixed + length * np.sin(half) ** 2)
+    return np.sqrt(plus) + np.sqrt(minus)
 
 
 def qubit_povm_search(rho1, rho2, grid_resolution: int = 200) -> dict:
-    """Brute-force the best projective measurement over Bloch axes.
+    """Search the Bloch axes, without reading M, for the best projective
+    measurement: the largest classical angle and an axis attaining it.
+    ``non_unique`` is set when both states are pure, where a continuum of
+    measurements is optimal.
 
-    Evaluates the induced classical angle on a Fibonacci grid of
-    grid_resolution^2 axes, then polishes the best axis by 60 rounds of a
-    shrinking compass search in spherical coordinates.  Reports the largest
-    angle found and the axis attaining it; ``non_unique`` is set when both
-    states are pure, where a continuum of measurements is optimal.
+    An optimal axis lies in a plane holding the Bloch vectors r1 and r2.
+    The cosine to minimize is B(a, b) = sqrt(pq) + sqrt((1-p)(1-q)), with
+    p = (1+a)/2, q = (1+b)/2, a = n.r1 and b = n.r2.  B is concave, each
+    term being the geometric mean of two nonnegative affine functions.  As
+    n runs over the unit sphere, (a, b) fills an ellipse (a segment or a
+    point when r1 and r2 span no plane), whose boundary the axes n in such
+    a plane trace.  A concave function takes its minimum over a compact
+    convex set at an extreme point.
+
+    The search evaluates grid_resolution^2 equally spaced angles in [0, pi)
+    on that circle (n and -n are one measurement), as many cosines as a
+    sphere grid of that resolution, then refines the best one's cell by
+    golden-section search.  grid_resolution must lie in [2, 1000].
     """
     return _qubit_povm_search(rho1, rho2, bloch_vector, grid_resolution)
 
@@ -251,31 +255,31 @@ def _qubit_povm_search(rho1, rho2, bloch, grid_resolution) -> dict:
     """:func:`qubit_povm_search`, reading each state's Bloch vector with ``bloch``."""
     if grid_resolution < 2:
         raise ValidationError("grid_resolution must be >= 2")
+    if grid_resolution > 1000:  # before the grid_resolution^2 angles exist
+        raise ValidationError("grid_resolution must be <= 1000")
     r1 = bloch(rho1)
     r2 = bloch(rho2)
-    axes = _fibonacci_axes(grid_resolution * grid_resolution)
-    cosines = _axis_cosine(axes, r1, r2)
+    # orthonormal columns whose span holds r1 and r2, whatever their rank,
+    # and the coordinates of r1 and r2 in that plane
+    plane, coords = np.linalg.qr(np.column_stack([r1, r2]))
+    polars = [(np.hypot(x, y), np.arctan2(y, x)) for x, y in coords.T]
+    count = grid_resolution * grid_resolution
+    phis = np.pi / count * np.arange(count)
+    cosines = _axis_cosine(phis, polars)
     best = int(np.argmin(cosines))
-    best_axis = axes[best]
-    best_cos = float(cosines[best])
-
-    theta = float(np.arccos(np.clip(best_axis[2], -1.0, 1.0)))
-    phi = float(np.arctan2(best_axis[1], best_axis[0]))
-    step = 4.0 / grid_resolution
-    for _ in range(60):
-        moved = False
-        for dt, dp in (
-            (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
-            (step, step), (step, -step), (-step, step), (-step, -step),
-        ):
-            axis = _spherical_axis(theta + dt, phi + dp)
-            c = float(_axis_cosine(axis[None, :], r1, r2)[0])
-            if c < best_cos:
-                best_cos, theta, phi = c, theta + dt, phi + dp
-                moved = True
-        if not moved:
-            step *= 0.5
-    best_axis = _spherical_axis(theta, phi)
+    best_phi, best_cos = phis[best], cosines[best]
+    # golden-section search of the best angle's cell, keeping the best point
+    shrink = 0.5 * (np.sqrt(5.0) - 1.0)
+    lo, hi = best_phi - np.pi / count, best_phi + np.pi / count
+    while hi - lo > 1e-12:
+        inner = np.array([hi - shrink * (hi - lo), lo + shrink * (hi - lo)])
+        values = _axis_cosine(inner, polars)
+        k = int(np.argmin(values))
+        if values[k] < best_cos:
+            best_phi, best_cos = inner[k], values[k]
+        lo, hi = (lo, inner[1]) if k == 0 else (inner[0], hi)
+    # a unit vector to rounding; clipped to the schema's bounds of 1
+    best_axis = np.clip(plane @ np.array([np.cos(best_phi), np.sin(best_phi)]), -1.0, 1.0)
     if best_axis[np.argmax(np.abs(best_axis))] < 0:
         best_axis = -best_axis
     both_pure = min(np.linalg.norm(r1), np.linalg.norm(r2)) >= 1.0 - 1e-9

@@ -14,11 +14,13 @@ from statgeom import (
     ZeroVectorError,
     bloch_vector,
     bures_angle,
+    density_matrix,
     fidelity,
     fubini_study_distance,
     geodesic,
     horizontal_lift,
     hs_inner,
+    matrix_sqrt,
     project,
     purification,
     purify,
@@ -82,6 +84,36 @@ def test_purify_project_roundtrip(rng):
     a = purify(rho)
     assert np.allclose(a @ a.conj().T, rho, atol=1e-12)
     assert np.allclose(project(a), rho, atol=1e-12)
+
+
+def test_purify_is_the_root_of_the_validated_state(rng):
+    for dim in range(1, 17):
+        rho = random_density_matrix(dim, rng)
+        assert purify(rho).tobytes() == matrix_sqrt(density_matrix(rho)).tobytes()
+
+
+def test_purify_decomposes_the_state_once(rng, lapack_calls):
+    rho = random_density_matrix(3, rng)
+    calls = lapack_calls("eigh", "eigvalsh")
+    purify(rho)
+    assert calls == {"eigh": 1}  # was 1 eigvalsh to validate, then 1 eigh
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [[1.1, 0.0], [0.0, -0.1]],  # negative eigenvalue
+        [[0.5, 0.3], [0.0, 0.5]],  # not Hermitian
+        [[1.2, 0.0], [0.0, 0.8]],  # trace 2
+    ],
+    ids=["negative", "nonhermitian", "trace2"],
+)
+def test_purify_rejects_as_density_matrix_does(rho):
+    with pytest.raises(ValidationError) as expected:
+        density_matrix(rho)
+    with pytest.raises(ValidationError) as got:
+        purify(rho)
+    assert str(got.value) == str(expected.value)
 
 
 def test_purification_validates():

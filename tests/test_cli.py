@@ -163,7 +163,7 @@ def test_povm_search(capsys, files):
         capsys, "povm-search", "povm-search",
         files["rho1"], files["rho2"], "--grid", "40",
     )
-    assert payload["best_angle"] == pytest.approx(payload["bures_angle"], abs=1e-5)
+    assert payload["best_angle"] == pytest.approx(payload["bures_angle"], abs=1e-12)
     assert not payload["non_unique"]
 
 
@@ -540,6 +540,9 @@ def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files
         # both files are validated before the grid, the grid before the shapes
         ("nonherm", "missing", "1", ("ValidationError", "density matrix must be Hermitian")),
         ("qutrit", "rho1", "1", ("ValidationError", "grid_resolution must be >= 2")),
+        # bounded before the grid_resolution^2 angles are made
+        ("rho1", "rho2", "1001", ("ValidationError", "grid_resolution must be <= 1000")),
+        ("qutrit", "rho1", "1001", ("ValidationError", "grid_resolution must be <= 1000")),
     ],
 )
 def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):

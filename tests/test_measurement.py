@@ -10,6 +10,7 @@ from statgeom import (
     DomainError,
     SingularError,
     ValidationError,
+    bloch_vector,
     bures_angle,
     density_matrix,
     eig_hermitian,
@@ -30,7 +31,9 @@ from statgeom import (
     random_invertible_density_matrix,
     random_povm,
     random_unitary,
+    substream,
 )
+from statgeom.acceptance import _mixed_state  # criterion 8's draw
 
 
 def _trine_povm():
@@ -190,10 +193,10 @@ def test_qubit_povm_search_commuting_pair():
     rho2 = np.diag([0.4, 0.6]).astype(complex)
     report = qubit_povm_search(rho1, rho2, grid_resolution=80)
     assert report["best_angle"] == pytest.approx(
-        bures_angle(rho1, rho2), abs=1e-7
+        bures_angle(rho1, rho2), abs=1e-12
     )
     # optimal axis is the z axis, up to canonical sign
-    assert abs(report["best_axis"][2]) == pytest.approx(1.0, abs=1e-5)
+    assert abs(report["best_axis"][2]) == pytest.approx(1.0, abs=1e-12)
     assert not report["non_unique"]
 
 
@@ -202,13 +205,103 @@ def test_qubit_povm_search_flags_pure_pairs():
     rho2 = qubit_state(math.sin(1.0), 0.0, math.cos(1.0))
     report = qubit_povm_search(rho1, rho2, grid_resolution=60)
     assert report["non_unique"]
-    assert report["best_angle"] == pytest.approx(0.5, abs=1e-6)
+    assert report["best_angle"] == pytest.approx(0.5, abs=1e-11)
 
 
 def test_qubit_povm_search_rejects_non_qubits(rng):
     rho = random_invertible_density_matrix(3, rng)
     with pytest.raises(DimensionMismatchError):
         qubit_povm_search(rho, rho)
+
+
+@pytest.mark.parametrize("grid", [1, 1001])
+def test_qubit_povm_search_bounds_the_grid(grid):
+    # checked before the grid_resolution^2 angles are made
+    rho = qubit_state(0.1, 0.2, 0.3)
+    bound = ">= 2" if grid < 2 else "<= 1000"
+    with pytest.raises(ValidationError, match=f"grid_resolution must be {bound}"):
+        qubit_povm_search(rho, rho, grid_resolution=grid)
+
+
+def test_qubit_povm_search_axis_stays_within_one():
+    # the report's schema bounds each component by 1; at the pure state's
+    # axis, the circle's orthonormal basis gave 1 + 2^-52
+    rho1 = qubit_state(0.0, 0.3, math.sqrt(0.5))
+    report = qubit_povm_search(rho1, qubit_state(1.0, 0.0, 0.0), grid_resolution=3)
+    assert np.abs(report["best_axis"]).max() <= 1.0
+    assert report["best_axis"][0] == 1.0
+
+
+def _sphere_search(rho1, rho2, grid_resolution):
+    """Reference: the largest classical angle found over the whole sphere.
+
+    A Fibonacci grid of grid_resolution^2 axes, then 60 rounds of a
+    shrinking 8-neighbour compass search in spherical coordinates.
+    """
+    r1, r2 = bloch_vector(rho1), bloch_vector(rho2)
+
+    def cosine(axes):
+        p = np.clip(0.5 * (1.0 + axes @ r1), 0.0, 1.0)
+        q = np.clip(0.5 * (1.0 + axes @ r2), 0.0, 1.0)
+        return np.sqrt(p * q) + np.sqrt((1.0 - p) * (1.0 - q))
+
+    def axis(theta, phi):
+        s = np.sin(theta)
+        return np.array([s * np.cos(phi), s * np.sin(phi), np.cos(theta)])
+
+    count = grid_resolution * grid_resolution
+    i = np.arange(count) + 0.5
+    cos_theta = 1.0 - 2.0 * i / count
+    sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, None))
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    axes = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1)
+    cosines = cosine(axes)
+    best = int(np.argmin(cosines))
+    best_cos = float(cosines[best])
+    theta = float(np.arccos(np.clip(axes[best, 2], -1.0, 1.0)))
+    phi = float(np.arctan2(axes[best, 1], axes[best, 0]))
+    step = 4.0 / grid_resolution
+    for _ in range(60):
+        moved = False
+        for dt, dp in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
+                       (step, step), (step, -step), (-step, step), (-step, -step)):
+            c = float(cosine(axis(theta + dt, phi + dp)[None, :])[0])
+            if c < best_cos:
+                best_cos, theta, phi, moved = c, theta + dt, phi + dp, True
+        if not moved:
+            step *= 0.5
+    return float(np.arccos(np.clip(best_cos, 0.0, 1.0)))
+
+
+def test_qubit_povm_search_is_not_beaten_on_the_sphere():
+    # an optimal axis lies in the plane of the Bloch vectors: over criterion
+    # 8's pairs, the whole sphere finds no larger angle beyond rounding
+    rng = substream(1729, "acceptance-8")
+    for _ in range(30):
+        rho1 = _mixed_state(2, rng)
+        rho2 = _mixed_state(2, rng)
+        circle = qubit_povm_search(rho1, rho2)["best_angle"]
+        assert circle >= _sphere_search(rho1, rho2, 200) - 1e-13
+
+
+@pytest.mark.parametrize(
+    "r1, r2, non_unique",
+    [
+        ((0.0, 0.0, 0.0), (0.3, -0.2, 0.5), False),
+        ((0.1, 0.6, -0.2), (0.0, 0.0, 0.0), False),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), False),  # angle 0
+        ((0.2, 0.4, 0.1), (0.4, 0.8, 0.2), False),
+        ((0.2, 0.4, 0.1), (-0.4, -0.8, -0.2), False),
+        ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), True),  # orthogonal pure states
+    ],
+    ids=["r1-zero", "r2-zero", "both-zero", "parallel", "antiparallel", "orthogonal-pure"],
+)
+def test_qubit_povm_search_when_the_bloch_vectors_span_no_plane(r1, r2, non_unique):
+    rho1, rho2 = qubit_state(*r1), qubit_state(*r2)
+    report = qubit_povm_search(rho1, rho2, grid_resolution=12)
+    assert report["best_angle"] == pytest.approx(bures_angle(rho1, rho2), abs=1e-14)
+    assert report["non_unique"] is non_unique
+    assert np.linalg.norm(report["best_axis"]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pure_state_angle_inside_and_outside():
