@@ -50,6 +50,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _at_least_one(count: int, option: str) -> None:
+    if count < 1:
+        raise ValidationError(f"{option} must be >= 1")
+
+
 def _csv_text(header: list[str], rows: np.ndarray) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -137,6 +142,7 @@ def _cmd_bures_distance(args) -> dict:
 
 
 def _cmd_geodesic(args):
+    _at_least_one(args.samples, "--samples")
     path = _Pair(*_read_states(args)).path
     ts = np.linspace(0.0, path.t_star, args.samples)
     states = path.state(ts)
@@ -186,6 +192,8 @@ def _cmd_povm_search(args) -> dict:
 
 
 def _cmd_billiard(args):
+    _at_least_one(args.dim, "--dim")
+    _at_least_one(args.samples, "--samples")
     rho1, rho2 = _sampled_pair(args.dim, args.seed)
     if args.format == "csv":
         path = geodesic(rho1, rho2)
@@ -328,8 +336,8 @@ def main(argv=None) -> int:
         if tol is not None and tol <= 0:
             raise ValidationError("--tol must be positive")
         trials = getattr(args, "trials", None)
-        if trials is not None and trials < 1:
-            raise ValidationError("--trials must be >= 1")
+        if trials is not None:
+            _at_least_one(trials, "--trials")
         result = args.func(args)
         text = result if isinstance(result, str) else dumps_canonical(result)
         _emit(text, args.out)

@@ -34,13 +34,7 @@ __all__ = [
     "pure_state_qubit_angle",
 ]
 
-# eigvalsh passes E when its least eigenvalue is >= -_PSD_FLOOR.  Cholesky
-# succeeding on E + _SHIFT I proves lambda_min(E) >= -_SHIFT - (N+1) u tr(E +
-# _SHIFT I), u = 2^-53 (Demmel 1989; Rump 2006); that error plus eigvalsh's
-# N u |E|_F must fit in half the gap, the rest covering complex arithmetic.
-_PSD_FLOOR = 1e-12
-_SHIFT = 5e-13
-_ROUNDING_BUDGET = 0.5 * (_PSD_FLOOR - _SHIFT) / 2.0**-53  # in units of u
+_PSD_FLOOR = 1e-12  # a POVM element passes when its least eigenvalue is >= -this
 
 
 def povm(elements) -> list[np.ndarray]:
@@ -56,8 +50,6 @@ def _povm_stack(elements) -> np.ndarray:
     covers only the elements before the first that fails shape, the one
     batched eigvalsh only those before the first that fails either, and
     that failure is raised when none of them is negative.
-    Positivity of a POVM passing both is first proved by one cheaper shifted
-    Cholesky (see _PSD_FLOOR); eigvalsh runs only if that proves nothing.
     """
     if len(elements) == 0:
         raise ValidationError("a POVM needs at least one element")
@@ -86,14 +78,11 @@ def _povm_stack(elements) -> np.ndarray:
         k = int(np.argmin(hermitian))
         error = ValidationError(f"POVM element {k} is not Hermitian")
         stack = stack[:k]
-    if error is not None or not _cholesky_certifies(stack, raw, scale.max()):
-        negative = np.flatnonzero(min_eigenvalue(stack) < -_PSD_FLOOR)
-        if negative.size:
-            raise ValidationError(
-                f"POVM element {negative[0]} is not positive semidefinite"
-            )
-        if error is not None:
-            raise error
+    negative = np.flatnonzero(min_eigenvalue(stack) < -_PSD_FLOOR)
+    if negative.size:
+        raise ValidationError(f"POVM element {negative[0]} is not positive semidefinite")
+    if error is not None:
+        raise error
     return _resolving_identity(stack)
 
 
@@ -118,21 +107,6 @@ def _is_kept(elements, kept: np.ndarray) -> bool:
         and e.tobytes() == k.tobytes()
         for e, k in zip(elements, kept)
     )
-
-
-def _cholesky_certifies(stack: np.ndarray, scratch: np.ndarray, max_norm: float) -> bool:
-    """True if one shifted Cholesky (in ``scratch``) proves eigvalsh passes all."""
-    n = stack.shape[-1]
-    trace = stack.trace(axis1=1, axis2=2).real.max() + n * _SHIFT
-    if not (n + 1) * trace + n * max_norm <= _ROUNDING_BUDGET:
-        return False
-    np.copyto(scratch, stack)
-    scratch.reshape(len(stack), -1)[:, :: n + 1] += _SHIFT
-    try:
-        np.linalg.cholesky(scratch)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _hs_norms(stack: np.ndarray) -> np.ndarray:
@@ -282,6 +256,7 @@ def _qubit_povm_search(rho1, rho2, bloch, grid_resolution) -> dict:
     best_axis = np.clip(plane @ np.array([np.cos(best_phi), np.sin(best_phi)]), -1.0, 1.0)
     if best_axis[np.argmax(np.abs(best_axis))] < 0:
         best_axis = -best_axis
+    best_axis += 0.0  # -0 to +0, every other value unchanged
     both_pure = min(np.linalg.norm(r1), np.linalg.norm(r2)) >= 1.0 - 1e-9
     return {
         "best_angle": float(np.arccos(np.clip(best_cos, 0.0, 1.0))),

@@ -286,6 +286,27 @@ def test_bad_tolerance_exits_1(capsys, files):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        # a numpy traceback, with nothing on stdout
+        (["geodesic", "rho1", "rho2", "--samples", "-1"], "--samples"),
+        # exit 0 with an empty "samples" list, which the schema forbids
+        (["geodesic", "rho1", "rho2", "--samples", "0"], "--samples"),
+        (["billiard", "--format", "csv", "--samples", "-1"], "--samples"),  # a traceback
+        (["billiard", "--samples", "0"], "--samples"),  # unread by the JSON report
+        (["billiard", "--dim", "-1"], "--dim"),  # a traceback
+        (["billiard", "--dim", "0"], "--dim"),
+    ],
+)
+def test_counts_below_one_exit_1(capsys, files, argv, option):
+    code, out = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert code == 1
+    payload = json.loads(out)
+    _validate("error", payload)
+    assert payload["error"] == {"type": "ValidationError", "message": f"{option} must be >= 1"}
+
+
 def test_negative_probability_exits_1(capsys, files, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[0.5, -0.2, 0.7]")

@@ -6,6 +6,13 @@ exactly or with number literals masked, by the platform's fingerprint; see
 tests/golden/record.py.  The terminal summary names the mode that ran.
 """
 
+import json
+from importlib import resources
+
+import jsonschema
+
+SCHEMAS = resources.files("statgeom").joinpath("schemas")
+
 
 def test_cli_replays_the_golden_corpus(golden, monkeypatch):
     monkeypatch.chdir(golden.HERE)
@@ -16,6 +23,20 @@ def test_cli_replays_the_golden_corpus(golden, monkeypatch):
         if code != case["exit"] or not golden.same_stdout(stdout, case["stdout"], mode):
             changed.append(" ".join(case["argv"]))
     assert not changed, f"{len(changed)} of {len(cases)} changed ({mode}): {changed[:5]}"
+
+
+def test_every_recorded_json_stdout_validates(golden):
+    # a failing call prints the error envelope; a passing one its command's
+    # schema, or CSV where asked for
+    validators = {}
+    for case in golden.corpus()["cases"]:
+        if case["exit"] == 0 and "csv" in case["argv"]:
+            continue
+        name = case["argv"][0] if case["exit"] == 0 else "error"
+        if name not in validators:
+            schema = json.loads(SCHEMAS.joinpath(f"{name}.schema.json").read_text())
+            validators[name] = jsonschema.Draft202012Validator(schema)
+        validators[name].validate(json.loads(case["stdout"]))
 
 
 def test_masking_keeps_everything_but_numbers(golden):

@@ -1,5 +1,6 @@
 """POVMs, induced distributions, and optimal state discrimination."""
 
+import itertools
 import math
 
 import numpy as np
@@ -230,6 +231,16 @@ def test_qubit_povm_search_axis_stays_within_one():
     report = qubit_povm_search(rho1, qubit_state(1.0, 0.0, 0.0), grid_resolution=3)
     assert np.abs(report["best_axis"]).max() <= 1.0
     assert report["best_axis"][0] == 1.0
+
+
+def test_qubit_povm_search_axis_has_no_negative_zero():
+    # the canonical sign flip negated +0 components, which printed as -0
+    units = [np.array(v) / np.linalg.norm(v) for v in itertools.product((-1, 0, 1), repeat=3)
+             if any(v)]
+    for v, w in itertools.product(units, repeat=2):
+        report = qubit_povm_search(qubit_state(*(0.5 * v)), qubit_state(*(0.9 * w)), 20)
+        axis = report["best_axis"]
+        assert not np.signbit(axis[axis == 0.0]).any()
 
 
 def _sphere_search(rho1, rho2, grid_resolution):
@@ -522,45 +533,36 @@ def test_povm_state_dimension_mismatch():
 
 
 @pytest.mark.parametrize("outcomes", [3, 8, 32])
-def test_classical_angle_certifies_the_povm_with_one_cholesky(lapack_calls, outcomes):
-    # one batched Cholesky proves every element positive and one eigvalsh
-    # checks each state; a batched eigvalsh of the elements used to take the
-    # Cholesky's place, and checking element by element 2K + 2 eigvalsh
+def test_classical_angle_runs_one_stacked_eigvalsh(lapack_calls, outcomes):
+    # one eigvalsh checks each state and one batched eigvalsh every element;
+    # a shifted Cholesky once took the elements' place, and checking element
+    # by element took 2K + 2 eigvalsh
     rng = np.random.default_rng(outcomes)
     elements = random_povm(3, outcomes, rng)
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
     calls = lapack_calls("eigh", "eigvalsh", "cholesky")
     povm_classical_angle(elements, rho1, rho2)
-    assert calls == {"eigvalsh": 2, "cholesky": 1}
+    assert calls == {"eigvalsh": 3}
 
 
 @pytest.mark.parametrize(
-    "elements, calls, outcome",
+    "elements, outcome",
     [
-        ([np.eye(32)], {"cholesky": 1}, "valid"),
-        (random_povm(32, 40, np.random.default_rng(47)), {"cholesky": 1}, "valid"),
-        # tr I = 64 puts the Cholesky rounding bound past the budget
-        ([np.eye(64)], {"eigvalsh": 1}, "valid"),
-        (
-            [np.diag([1.5, 1.0]), _NEGATIVE],
-            {"cholesky": 1, "eigvalsh": 1},
-            "POVM element 1 is not positive semidefinite",
-        ),
-        (
-            [np.eye(2) / 2, np.full((2, 2), np.nan)],
-            {"eigvalsh": 1},
-            "POVM element 1 is not Hermitian",
-        ),
+        ([np.eye(32)], "valid"),
+        (random_povm(32, 40, np.random.default_rng(47)), "valid"),
+        ([np.eye(64)], "valid"),
+        ([np.diag([1.5, 1.0]), _NEGATIVE], "POVM element 1 is not positive semidefinite"),
+        ([np.eye(2) / 2, np.full((2, 2), np.nan)], "POVM element 1 is not Hermitian"),
     ],
     ids=["identity-32", "random-povm-32", "identity-64", "negative", "nan"],
 )
-def test_povm_positivity_certificate_or_fallback(lapack_calls, elements, calls, outcome):
-    # the Cholesky certificate replaces the batched eigvalsh only for a
-    # Hermitian stack within its rounding budget, and only when it succeeds
+def test_povm_positivity_certificate_or_fallback(lapack_calls, elements, outcome):
+    # the batched eigvalsh is the one positivity check, whatever the outcome
+    # (the name is that of the shifted-Cholesky certificate this once pinned)
     counts = lapack_calls("eigh", "eigvalsh", "cholesky")
     assert _outcome(povm, elements) == outcome
-    assert counts == calls
+    assert counts == {"eigvalsh": 1}
 
 
 def _hermitian_with_least(n, least, top, rng):
@@ -571,14 +573,12 @@ def _hermitian_with_least(n, least, top, rng):
     return hermitian_part((q * spectrum) @ q.conj().T)
 
 
-def test_positivity_certificate_never_over_accepts(lapack_calls):
-    # single-element POVMs straddling the -1e-12 floor: the certificate
-    # (no eigvalsh run) may only accept what element-wise eigvalsh accepts,
-    # so povm and the reference reach the same error.  Elements of norm 1e4
-    # fall outside the Cholesky rounding budget and must take the fallback.
+def test_positivity_floor_matches_the_element_loop():
+    # single-element POVMs straddling the -1e-12 floor, of norm up to 1e4:
+    # povm accepts exactly what element-wise eigvalsh accepts, so povm and
+    # the reference reach the same error
     rng = np.random.default_rng(53)
-    counts = lapack_calls("eigvalsh")
-    certified, outcomes = 0, set()
+    outcomes = set()
     for n in (2, 3, 4, 8, 16, 32):
         for top in (1.0, 1e4):
             for _ in range(10):
@@ -589,12 +589,9 @@ def test_positivity_certificate_never_over_accepts(lapack_calls):
                     -1e-16,
                 ):
                     element = _hermitian_with_least(n, least, top, rng)
-                    counts.clear()
                     outcome = _outcome(povm, [element])
-                    certified += counts["eigvalsh"] == 0
                     assert outcome == _outcome(_povm_reference, [element])
                     outcomes.add(outcome)
-    assert certified >= 100
     assert outcomes == {
         "POVM element 0 is not positive semidefinite",
         "POVM elements must sum to the identity",

@@ -265,8 +265,10 @@ def test_the_pairs_own_projectors_are_not_validated_again(lapack_calls):
     angle = _classical(elements, rho1, rho2)
     assert not calls  # no Cholesky or eigvalsh for the POVM, the states are kept
     _forget()
-    assert _classical(elements, rho1, rho2) == angle  # validated as any POVM
-    assert calls["cholesky"] == 1
+    calls.clear()
+    # validated as any POVM: one eigvalsh per state, one for the stack
+    assert _classical(elements, rho1, rho2) == angle
+    assert calls == {"eigvalsh": 3}
 
 
 def _change_an_entry(elements, other):
