@@ -57,11 +57,15 @@ def admission_test():
         ("t^0.3", lambda t: t ** 0.3),
     ]
     for label, f in candidates:
-        report = f_conditions_check(f, seed=2)
+        report = f_conditions_check(f)
         verdict = "ok" if report["all_pass"] else "rejected"
         reasons = []
         if not report["operator_monotone"]:
-            reasons.append(f"not operator monotone (dim {report['counterexample_dim']})")
+            witness = report["witness"]
+            reasons.append(
+                f"not operator monotone (Löwner witness: {len(witness)} points"
+                f" in [{min(witness):.3g}, {max(witness):.3g}])"
+            )
         if not report["symmetric"]:
             reasons.append("not symmetric under t -> 1/t")
         if not report["normalized"]:

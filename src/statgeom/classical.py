@@ -39,9 +39,9 @@ def probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0:
         raise ValidationError("probability vector must be nonempty")
-    if np.any(p < -1e-12):
+    if (p < -1e-12).any():
         raise ValidationError(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     total = p.sum()
     if not 0.0 < total < math.inf:  # zero, NaN, or an infinite entry or sum
         raise ValidationError(f"probability vector sums to {'zero' if total == 0 else total}")
@@ -62,10 +62,10 @@ def stochastic_matrix(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValidationError("stochastic matrix must be 2-d")
-    if np.any(t < -1e-12):
+    if (t < -1e-12).any():
         raise ValidationError("stochastic matrix has negative entries")
     col_sums = t.sum(axis=0)
-    if not np.all(np.abs(col_sums - 1.0) <= 1e-12):  # NaN fails
+    if not (np.abs(col_sums - 1.0) <= 1e-12).all():  # NaN fails
         raise ValidationError("columns must sum to 1")
     return t
 
@@ -100,7 +100,7 @@ def fr_geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
-    cosine = float(np.sum(np.sqrt(p * q)))
+    cosine = float(np.sqrt(p * q).sum())
     if not math.isfinite(cosine):  # a NaN, infinite or negative entry
         raise ValidationError(f"sum of sqrt(p_i q_i) is {cosine}, not finite")
     return math.acos(min(1.0, max(0.0, cosine)))
@@ -136,6 +136,8 @@ def monotonicity_stress(seed: int, trials: int, distance=None, tol: float = 1e-9
 
     Returns a dict with ``violations`` and ``max_excess``.
     """
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     if distance is None:
         distance = fr_geodesic_distance
     rng = substream(seed, "monotonicity-stress")
@@ -172,6 +174,8 @@ def multinomial_ellipse_experiment(
         raise BoundaryError("experiment needs a strictly positive p")
     if samples_per_trial < 100:
         raise ValidationError("samples_per_trial must be >= 100")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     rng = substream(seed, "multinomial-ellipse")
     counts = rng.multinomial(samples_per_trial, p, size=trials)
     deviations = counts / samples_per_trial - p

@@ -248,6 +248,8 @@ def operator_monotone_test(f, dim: int, seed: int, trials: int) -> dict:
     """
     if dim < 2:
         raise ValidationError("dim must be >= 2")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     rng = substream(seed, "operator-monotone")
     worst = np.inf
     counterexample = None
@@ -262,7 +264,7 @@ def operator_monotone_test(f, dim: int, seed: int, trials: int) -> dict:
             counterexample = {"a": a, "b": b, "min_eigenvalue": gap}
     return {
         "counterexample": counterexample,
-        "min_gap": float(worst) if trials else 0.0,
+        "min_gap": float(worst),
         "trials": trials,
     }
 

@@ -18,6 +18,7 @@ from statgeom import (
     jeffreys_density,
     monotonicity_stress,
     multinomial_ellipse_experiment,
+    operator_monotone_test,
     probability_vector,
     sphere_embed,
     stochastic_matrix,
@@ -269,3 +270,18 @@ def test_jeffreys_density_integrates_to_one():
     samples = rng.dirichlet([0.5] * 3, size=20000)
     values = 2.0 / np.array([jeffreys_density(p) for p in samples])
     assert abs(values.mean() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda trials: operator_monotone_test(np.sqrt, 2, 1, trials),
+        lambda trials: monotonicity_stress(1, trials),
+        lambda trials: multinomial_ellipse_experiment([0.2, 0.3, 0.5], 100, trials, 1),
+    ],
+    ids=["operator_monotone_test", "monotonicity_stress", "multinomial_ellipse_experiment"],
+)
+def test_trials_below_one_are_rejected(run, trials):
+    with pytest.raises(ValidationError, match="trials must be >= 1"):
+        run(trials)

@@ -7,6 +7,7 @@ import pytest
 
 from statgeom import (
     BoundaryError,
+    DomainError,
     ValidationError,
     density_matrix,
     f_conditions_check,
@@ -101,31 +102,88 @@ def test_monotone_ds2_shape_mismatch():
         monotone_ds2(np.eye(3) / 3, np.diag([0.1, -0.1]))
 
 
+def _wigner_yanase(t):
+    return ((1.0 + np.sqrt(t)) / 2.0) ** 2
+
+
+def _kubo_mori(t):
+    """(t - 1)/ln t, with its limit 1 at t = 1."""
+    t = np.asarray(t, dtype=float)
+    return np.divide(t - 1.0, np.log(t), out=np.ones_like(t), where=t != 1.0)
+
+
 def test_f_conditions_named_trio():
-    for name, divergent in (
+    for f, divergent in (
         ("arithmetic", False),
         ("geometric", True),
         ("harmonic", True),
+        (_wigner_yanase, False),  # f(0) = 1/4
+        (_kubo_mori, True),  # f(0) = 0, though f(1e-14) = 0.031
     ):
-        report = f_conditions_check(name, seed=2)
+        report = f_conditions_check(f)
         assert report["all_pass"], report
         assert report["operator_monotone"]
+        assert report["witness"] is None
         assert report["symmetric"]
         assert report["normalized"]
         assert report["boundary_divergent"] is divergent
 
 
+# Löwner's verdicts on functions the metric family is and is not built from;
+# the exponents of t^1.001 and t^-0.01 miss [0, 1] by little
+LOWNER_VERDICTS = {
+    "arithmetic": ("arithmetic", True),
+    "geometric": ("geometric", True),
+    "harmonic": ("harmonic", True),
+    "wigner-yanase": (_wigner_yanase, True),
+    "kubo-mori": (_kubo_mori, True),
+    "log1p": (np.log1p, True),
+    "t^0.3": (lambda t: t**0.3, True),
+    "constant": (np.ones_like, True),  # f' = 0: the diagonal is left unscaled
+    "t^2": (np.square, False),
+    "t^1.5": (lambda t: t**1.5, False),
+    "rms": (lambda t: np.sqrt((1.0 + t * t) / 2.0), False),
+    "t^1.1": (lambda t: t**1.1, False),
+    "t^1.01": (lambda t: t**1.01, False),
+    "t^1.001": (lambda t: t**1.001, False),
+    "t^-0.01": (lambda t: t**-0.01, False),
+}
+
+
+@pytest.mark.parametrize("name", LOWNER_VERDICTS)
+def test_f_conditions_operator_monotone_verdicts(name):
+    f, monotone = LOWNER_VERDICTS[name]
+    report = f_conditions_check(f)
+    assert report["operator_monotone"] is monotone
+    assert (report["witness"] is None) is monotone
+
+
+def test_f_conditions_rejects_f_undefined_on_the_grid():
+    with pytest.raises(DomainError):
+        f_conditions_check(lambda t: np.log(t - 0.5))  # NaN below t = 0.5
+
+
+def test_f_conditions_is_deterministic():
+    first = f_conditions_check(lambda t: t**1.001)
+    assert f_conditions_check(lambda t: t**1.001) == first
+
+
 def test_f_conditions_reject_square():
-    report = f_conditions_check(lambda t: t**2, seed=2)
+    report = f_conditions_check(lambda t: t**2)
     assert not report["all_pass"]
     assert not report["operator_monotone"]
-    assert report["counterexample_dim"] == 2
+    # the Löwner matrix of t^2 is [x_i + x_j]; on the witness points alone it
+    # already has a negative eigenvalue
+    x = np.array(report["witness"])
+    assert x.size >= 2 and np.all((x >= 1e-3) & (x <= 1e3))
+    assert np.linalg.eigvalsh(x[:, None] + x)[0] < 0.0
     assert not report["symmetric"]
     assert report["normalized"]  # f(1) = 1 still holds
 
 
 def test_f_conditions_reject_asymmetric():
     # monotone and normalized, but fails the f(1/t) = f(t)/t identity
-    report = f_conditions_check(lambda t: t**0.3, seed=2)
+    report = f_conditions_check(lambda t: t**0.3)
+    assert report["operator_monotone"]
     assert not report["symmetric"]
     assert not report["all_pass"]
