@@ -30,7 +30,7 @@ from .measurement import _distribution, _optimal_stack, _qubit_povm_search
 from .linalg import min_eigenvalue
 from .monotone import density_matrix, monotone_ds2, tangent_perturbation
 from .sampling import random_density_matrix, substream
-from .serialize import _float_token, dumps_canonical, read_matrix_file, read_vector_file
+from .serialize import _fill, dumps_canonical, read_matrix_file, read_vector_file
 
 __all__ = ["main"]
 
@@ -56,10 +56,8 @@ def _at_least_one(count: int, option: str) -> None:
 
 
 def _csv_text(header: list[str], rows: np.ndarray) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_float_token(v) for v in row))
-    return "\n".join(lines) + "\n"
+    line = "\n" + ",".join(["%.17g"] * rows.shape[1])
+    return ",".join(header) + _fill(line * len(rows), rows) + "\n"
 
 
 def _sampled_pair(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -75,10 +75,10 @@ def validate_mean_function(f) -> None:
     log grid over [1e-3, 1e3].  Raises ValidationError on failure.
     """
     one = float(f(1.0))
-    if abs(one - 1.0) > 1e-12:
+    if not abs(one - 1.0) <= 1e-12:  # NaN fails
         raise ValidationError(f"f(1) = {one!r}, expected 1")
     defect = _symmetry_defect(f)
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValidationError(f"f(1/t) = f(t)/t fails on the grid (defect {defect:.3e})")
 
 
@@ -139,7 +139,12 @@ class _MeanPair:
         return _core_spectrum(self.roots[1], self.b)
 
     def mean(self, f) -> np.ndarray:
-        return hermitian_part(_congruence(self.roots[0], self.core, f))
+        def finite(w):
+            fw = f(w)
+            if not np.isfinite(fw).all():
+                raise DomainError("f is not finite on the spectrum of A^(-1/2) B A^(-1/2)")
+            return fw
+        return hermitian_part(_congruence(self.roots[0], self.core, finite))
 
 
 # The most recent valid operand pair, so the means called in a row on one
@@ -152,7 +157,8 @@ def operator_mean(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
 
     ``f`` is either a mean name ("arithmetic", "geometric", "harmonic") or a
     callable applied to the eigenvalues of A^(-1/2) B A^(-1/2).  ``a`` must be
-    positive definite; ``b`` positive semidefinite.
+    positive definite; ``b`` positive semidefinite.  Raises DomainError if f
+    is not finite on those eigenvalues.
     """
     if isinstance(f, str):
         f = mean_function(f)

@@ -93,21 +93,24 @@ def _encode(obj) -> str:
 
 
 def _encode_array(arr: np.ndarray) -> str:
-    """A float or complex array in bulk: one finiteness check, then each real
-    formatted in row-major order (re before im), nested by the shape."""
+    """A float or complex array in bulk: one finiteness check, then one
+    template, nested by the shape, formats each real (re before im)."""
     if arr.size == 0 or arr.dtype.char not in "efdFD":  # half to double, complex
         return _encode(to_jsonable(arr))
     flat = np.ascontiguousarray(arr, dtype=complex if arr.dtype.kind == "c" else float)
-    flat = flat.ravel().view(float)
+    template = "[%.17g, %.17g]" if arr.dtype.kind == "c" else "%.17g"
+    for n in reversed(arr.shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return _fill(template, flat.view(float))
+
+
+def _fill(template: str, values: np.ndarray) -> str:
+    """``template % values`` (float values, row-major) once all are finite."""
+    flat = values.ravel()
     finite = np.isfinite(flat)
     if not finite.all():
         _float_token(flat[np.argmin(finite)])  # raises, naming the first one
-    items = [format(x, ".17g") for x in flat.tolist()]
-    if arr.dtype.kind == "c":
-        items = [f"[{re}, {im}]" for re, im in zip(items[::2], items[1::2])]
-    for n in reversed(arr.shape):
-        items = ["[" + ", ".join(items[i:i + n]) + "]" for i in range(0, len(items), n)]
-    return items[0]
+    return template % tuple(flat.tolist())
 
 
 def dumps_canonical(obj) -> str:
@@ -149,17 +152,17 @@ def parse_real_vector(data, where: str = "vector") -> np.ndarray:
     return out
 
 
-def _parse_entry(v, where: str, i: int, j: int) -> complex:
-    """Entry [i][j] of the matrix at ``where``; the location is formatted
-    only for an error."""
+def _parse_entry(v, where: str, i: int, j: int) -> tuple[float, float]:
+    """(re, im) of entry [i][j] of the matrix at ``where``; the location is
+    formatted only for an error."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(float(v), 0.0)
+        return float(v), 0.0
     if (
         isinstance(v, list)
         and len(v) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
-        return complex(float(v[0]), float(v[1]))
+        return float(v[0]), float(v[1])
     raise ParseError(f"{where}[{i}][{j}]: expected a number or [re, im] pair, got {v!r}")
 
 
@@ -167,19 +170,17 @@ def parse_complex_matrix(data, where: str = "matrix") -> np.ndarray:
     """Parse a row-major JSON matrix whose entries are reals or [re, im]."""
     if not isinstance(data, list) or len(data) == 0:
         raise ParseError(f"{where}: expected a nonempty JSON array of rows")
-    rows = []
-    width = None
+    width = len(data[0]) if isinstance(data[0], list) else None
+    parts = []  # re, im of each entry, row-major
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) == 0:
             raise ParseError(f"{where}[{i}]: expected a nonempty row array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"{where}[{i}]: row has {len(row)} entries, expected {width}"
-            )
-        rows.append([_parse_entry(v, where, i, j) for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        if len(row) != width:
+            raise ParseError(f"{where}[{i}]: row has {len(row)} entries, expected {width}")
+        for j, v in enumerate(row):
+            pair = type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is float
+            parts += v if pair else _parse_entry(v, where, i, j)
+    return np.array(parts, dtype=float).view(complex).reshape(len(data), width)
 
 
 def read_vector_file(path: str) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Operator means: named trio, axioms, ordering, non-monotone rejects."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from statgeom import (
+    DomainError,
     SingularError,
     ValidationError,
     arithmetic_mean,
@@ -108,6 +110,35 @@ def test_validate_mean_function():
         validate_mean_function(lambda t: t)  # f(1) = 1 but not symmetric
     with pytest.raises(ValidationError):
         validate_mean_function(lambda t: 2.0 * t / (1.0 + t) + 0.1)  # f(1) != 1
+
+
+def _all_nan(t):
+    return np.full_like(np.asarray(t, dtype=float), np.nan)
+
+
+def _log_mean_without_limit(t):
+    return (t - 1.0) / np.log(t)  # 0/0 = NaN at t = 1
+
+
+def test_validate_mean_function_rejects_nan():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f, message in [
+            (_all_nan, "f(1) = nan"),
+            (_log_mean_without_limit, "f(1) = nan"),
+            (lambda t: np.where(t == 1.0, 1.0, np.nan), "defect nan"),  # only f(1) finite
+        ]:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                validate_mean_function(f)
+
+
+def test_operator_mean_rejects_f_not_finite_on_the_core():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            operator_mean(np.eye(2), 2.0 * np.eye(2), _all_nan)
+        with pytest.raises(DomainError, match="not finite"):
+            operator_mean(np.eye(2), np.eye(2), _log_mean_without_limit)  # core spectrum {1}
+    # the pair stays usable: its named means are unchanged
+    assert np.array_equal(operator_mean(np.eye(2), 2.0 * np.eye(2), "arithmetic"), 1.5 * np.eye(2))
 
 
 def test_mean_function_lookup():

@@ -6,6 +6,7 @@ from numbers import Integral, Real
 import numpy as np
 import pytest
 
+from statgeom.cli import _csv_text
 from statgeom.errors import ParseError, ValidationError
 from statgeom.serialize import (
     dump_canonical,
@@ -199,7 +200,12 @@ def _payloads():
     for shape in [(), (5,), (3, 3), (4, 3, 3), (0,), (2, 0)]:
         z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         out += [z, z.real, z.T, z.astype(np.complex64), z.real.astype(np.float32)]
+    big = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     out += [
+        big,
+        stack,
+        rng.normal(size=7),
         _EDGES,
         _EDGES + 1j * _EDGES[::-1],
         np.float64(-0.0), np.float32(0.1), np.int64(-7), np.uint8(200),
@@ -240,3 +246,70 @@ def test_non_finite_error_names_the_reference_value(obj):
     with pytest.raises(ValidationError) as got:
         dumps_canonical(obj)
     assert str(got.value) == str(expected.value)
+
+
+def _edge_seeded(rng, shape):
+    """A random complex matrix with the edge values written over some entries."""
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = m.view(float).ravel()  # a view: writes reach m
+    picks = rng.choice(flat.size, size=min(flat.size, len(_EDGES)), replace=False)
+    flat[picks] = _EDGES[: len(picks)]
+    return m
+
+
+def test_round_trip_keeps_the_bytes_of_every_size():
+    rng = np.random.default_rng(5)
+    for n in range(1, 33):
+        m = _edge_seeded(rng, (n, n))
+        back = parse_complex_matrix(json.loads(dumps_canonical(m)))
+        # -0.0 is written "-0", which JSON reads as the integer 0: only the
+        # sign of zero is lost (m + 0.0 clears it and keeps every other bit)
+        assert back.tobytes() == (m + 0.0).tobytes(), n
+
+
+def _reference_parse(data) -> np.ndarray:
+    """The former matrix parser, kept as the reference: one complex() per entry."""
+    rows = []
+    for row in data:
+        out = []
+        for v in row:
+            if isinstance(v, list):
+                out.append(complex(float(v[0]), float(v[1])))
+            else:
+                out.append(complex(float(v), 0.0))
+        rows.append(out)
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1, [0, 1]], [2.5, 3]],
+        [[-0.0, [1, -0.0]], [[0.5, 2], [-0.0, -0.0]]],
+        [[[5e-324, 1e308], 7], [0, [-1e308, 0.1]]],
+        [[1, 2, 3]],
+        [[[1.5, 2.5]], [[-1, 0]], [4]],
+    ],
+    ids=["ints-and-pairs", "signed-zeros", "extremes", "one-row", "one-column"],
+)
+def test_mixed_entries_parse_to_the_reference_bytes(data):
+    got = parse_complex_matrix(data)
+    expected = _reference_parse(data)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_csv_rows_match_per_value_formatting():
+    rows = np.array([_EDGES, _EDGES[::-1]])
+    header = [f"c{k}%" for k in range(rows.shape[1])]  # a % in a header is literal
+    lines = [",".join(header)] + [",".join(format(x, ".17g") for x in row) for row in rows]
+    assert _csv_text(header, rows) == "\n".join(lines) + "\n"
+    assert _csv_text(["t"], np.empty((0, 1))) == "t\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_rejects_non_finite_values_by_name(bad):
+    rows = np.array([[0.5, 1.0], [2.0, bad], [np.nan, 3.0]])
+    with pytest.raises(ValidationError) as excinfo:
+        _csv_text(["a", "b"], rows)
+    assert str(excinfo.value) == f"cannot serialize non-finite value {float(bad)!r}"
