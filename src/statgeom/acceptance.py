@@ -110,7 +110,12 @@ def criterion_2_monotonicity(seed: int) -> tuple[bool, dict]:
 
 
 def criterion_3_multinomial(seed: int) -> tuple[bool, dict]:
-    """Empirical frequency covariance within 5% of the multinomial law."""
+    """Empirical frequency covariance within 5% of the multinomial law.
+
+    It fails at some seeds by design.  Over seeds 0-1999, ``max_rel_err``
+    exceeds 0.05 at 145 (7.3%); median 0.027, p95 0.054, p99 0.066, maximum
+    0.090.  0.05 is about 2.2 sigma of a 10,000-trial covariance entry.
+    """
     p = np.full(3, 1.0 / 3.0)
     report = multinomial_ellipse_experiment(
         p, samples_per_trial=100_000, trials=10_000, seed=seed

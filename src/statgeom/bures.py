@@ -87,7 +87,7 @@ class _Pair:
     @property
     def roots1(self) -> tuple[np.ndarray, np.ndarray]:
         """(sqrt(rho1), rho1^(-1/2)) from its spectrum, with the bits of
-        _sqrt_and_inv_sqrt; rho1 invertible."""
+        matrix_sqrt and matrix_inv_sqrt; rho1 invertible."""
         return _roots(self.spectra[0])
 
     @property
@@ -118,9 +118,10 @@ class _Pair:
 
     @cached_property
     def projectors(self) -> np.ndarray:
-        """The rank-1 projectors v v† onto eig(M)'s eigenvectors, one C-ordered stack."""
+        """The rank-1 projectors onto eig(M)'s eigenvectors, one C-ordered stack,
+        each the Hermitian part of v v†, as validating a POVM returns it."""
         rows = np.ascontiguousarray(self.eig_m.eigenvectors.T)
-        return rows[:, :, None] * rows.conj()[:, None, :]
+        return hermitian_part(rows[:, :, None] * rows.conj()[:, None, :])
 
     @cached_property
     def path(self) -> GeodesicPath:

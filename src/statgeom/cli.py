@@ -16,7 +16,7 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_all
 from .billiard import verify_billiard_theorem
-from .bures import _Pair, _bloch_vector, geodesic
+from .bures import _pair, bures_angle, fidelity, geodesic
 from .classical import (
     fr_geodesic_distance,
     jeffreys_density,
@@ -24,11 +24,11 @@ from .classical import (
     multinomial_ellipse_experiment,
     probability_vector,
 )
-from .errors import DimensionMismatchError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .means import operator_mean
-from .measurement import _distribution, _optimal_stack, _qubit_povm_search
+from .measurement import optimal_measurement, povm_classical_angle, qubit_povm_search
 from .linalg import min_eigenvalue
-from .monotone import density_matrix, monotone_ds2, tangent_perturbation
+from .monotone import density_matrix, monotone_ds2
 from .sampling import random_density_matrix, substream
 from .serialize import _fill, dumps_canonical, read_matrix_file, read_vector_file
 
@@ -113,17 +113,16 @@ def _cmd_mean(args) -> dict:
 
 
 def _cmd_monotone_metric(args) -> dict:
-    rho = density_matrix(read_matrix_file(args.rho))
-    drho = tangent_perturbation(read_matrix_file(args.drho))
+    rho, drho = _read_states(args.rho, args.drho)
     return {"ds2": monotone_ds2(rho, drho, args.f), "f": args.f}
 
 
-def _read_states(args) -> tuple:
-    """The matrices in files ``args.a`` and ``args.b``; a's validation error
-    comes before b's read error, as when a was validated before b was read."""
-    a = read_matrix_file(args.a)
+def _read_states(path_a: str, path_b: str) -> tuple:
+    """The matrices in two files, the first a state; its validation error
+    comes before the second's read error, as when it was validated first."""
+    a = read_matrix_file(path_a)
     try:
-        b = read_matrix_file(args.b)
+        b = read_matrix_file(path_b)
     except ValidationError:
         density_matrix(a)
         raise
@@ -131,17 +130,17 @@ def _read_states(args) -> tuple:
 
 
 def _cmd_fidelity(args) -> dict:
-    return {"fidelity": _Pair(*_read_states(args)).fidelity}
+    return {"fidelity": fidelity(*_read_states(args.a, args.b))}
 
 
 def _cmd_bures_distance(args) -> dict:
-    pair = _Pair(*_read_states(args))
-    return {"angle": pair.angle, "fidelity": pair.fidelity}
+    a, b = _read_states(args.a, args.b)
+    return {"angle": bures_angle(a, b), "fidelity": fidelity(a, b)}
 
 
 def _cmd_geodesic(args):
     _at_least_one(args.samples, "--samples")
-    path = _Pair(*_read_states(args)).path
+    path = geodesic(*_read_states(args.a, args.b))
     ts = np.linspace(0.0, path.t_star, args.samples)
     states = path.state(ts)
     lams = min_eigenvalue(states)
@@ -160,33 +159,20 @@ def _cmd_geodesic(args):
 
 
 def _cmd_optimal_measurement(args) -> dict:
-    pair = _Pair(*_read_states(args))
-    eigenvalues, eigenvectors = pair.eig_m
-    elements = _optimal_stack(pair)  # the projectors of optimal_measurement
+    a, b = _read_states(args.a, args.b)
+    eigenvalues, eigenvectors = _pair(a, b).eig_m  # eig(M) has no public view
     return {
-        "bures_angle": pair.angle,
-        "classical_angle": fr_geodesic_distance(
-            _distribution(elements, pair.rho1), _distribution(elements, pair.rho2)
-        ),
+        "bures_angle": bures_angle(a, b),
+        "classical_angle": povm_classical_angle(optimal_measurement(a, b), a, b),
         "m_eigenvalues": eigenvalues,
         "m_eigenvectors": eigenvectors,
     }
 
 
 def _cmd_povm_search(args) -> dict:
-    a, b = _read_states(args)
-    try:
-        pair = _Pair(a, b)
-    except DimensionMismatchError:  # two valid states of different shapes:
-        _qubit_povm_search(a, b, _bloch_vector, args.grid)  # fails as it did first
-        raise
-    report = _qubit_povm_search(pair.rho1, pair.rho2, _bloch_vector, args.grid)
-    return {
-        "bures_angle": pair.angle,
-        "best_angle": report["best_angle"],
-        "best_axis": report["best_axis"],
-        "non_unique": report["non_unique"],
-    }
+    a, b = _read_states(args.a, args.b)
+    report = qubit_povm_search(a, b, args.grid)  # first: its errors come in its order
+    return {**report, "bures_angle": bures_angle(a, b)}
 
 
 def _cmd_billiard(args):

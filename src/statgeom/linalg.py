@@ -174,13 +174,10 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
     return matrix_function(h, np.sqrt, domain_floor=0.0)
 
 
-def _sqrt_and_inv_sqrt(h: np.ndarray) -> tuple:
-    """(sqrt(H), H^(-1/2)) from one decomposition; see :func:`matrix_inv_sqrt`."""
-    return _roots(eig_hermitian(h))
-
-
 def _roots(spectrum: EigenSystem) -> tuple:
-    """:func:`_sqrt_and_inv_sqrt` of the matrix :func:`eig_hermitian` gave ``spectrum``."""
+    """(sqrt(H), H^(-1/2)) of the matrix H that :func:`eig_hermitian` gave
+    ``spectrum``, with the bits of :func:`matrix_sqrt` and
+    :func:`matrix_inv_sqrt`; raises as :func:`matrix_inv_sqrt` does."""
     w, v = spectrum
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
@@ -198,7 +195,7 @@ def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
     Raises :class:`SingularError` when the smallest eigenvalue is at most
     1e-12 times the largest eigenvalue magnitude.
     """
-    return _sqrt_and_inv_sqrt(_as_square(h))[1]
+    return _roots(eig_hermitian(_as_square(h)))[1]
 
 
 def min_eigenvalue(h: np.ndarray):

@@ -11,8 +11,8 @@ positive-semidefinite sense.  Only f differs between the means of one
 pair, so each is a view of one private pair object: it validates A and B
 once, and computes (sqrt(A), A^(-1/2)) and the spectrum of the core
 A^(-1/2) B A^(-1/2) once, on first use.  The last pair is remembered, so
-the trio on one pair decomposes A and the core once between them; returned
-arrays are always new.  The module also carries a randomized
+the trio on one pair decomposes (A, B), stacked, and the core once between
+them; returned arrays are always new.  The module also carries a randomized
 operator-monotonicity tester and the standard 2x2 witness that t -> t^2
 fails it.
 """
@@ -29,7 +29,7 @@ from .linalg import (
     _PairSlot,
     _apply_spectrum,
     _floored,
-    _sqrt_and_inv_sqrt,
+    _roots,
     eig_hermitian,
     hermitian_part,
     hs_norm,
@@ -121,8 +121,8 @@ class _MeanPair:
     Holds copies of A and B.  (sqrt(A), A^(-1/2)), with B checked positive
     semidefinite first, and the core spectrum are each computed on first
     use; one that raises is not kept.  A mean applies its f to the kept core
-    and returns a new array, so the trio costs one decomposition of B, of A
-    and of the core between them.
+    and returns a new array, so the trio costs one stacked decomposition of
+    (A, B) and one of the core between them.
     """
 
     def __init__(self, a, b):
@@ -130,9 +130,10 @@ class _MeanPair:
 
     @cached_property
     def roots(self) -> tuple:
-        if min_eigenvalue(self.b) < -1e-12:
+        w, v = eig_hermitian(np.stack([self.a, self.b]))  # the bits of one call each
+        if w[1, 0] < -1e-12:
             raise ValidationError("second operand is not positive semidefinite")
-        return _sqrt_and_inv_sqrt(self.a)  # SingularError if a is singular
+        return _roots(EigenSystem(w[0], v[0]))  # SingularError if a is singular
 
     @cached_property
     def core(self) -> EigenSystem:

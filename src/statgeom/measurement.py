@@ -22,7 +22,7 @@ from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import _as_square, hermitian_part, min_eigenvalue
 from .monotone import density_matrix
-from .bures import _pair, _recall, bloch_vector
+from .bures import _bloch_vector, _pair, _recall
 
 __all__ = [
     "povm",
@@ -94,12 +94,6 @@ def _resolving_identity(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _optimal_stack(pair) -> np.ndarray:
-    """The pair's projectors, checked to sum to I, with the bytes
-    :func:`_povm_stack` gives them (``np.stack`` copies values)."""
-    return _resolving_identity(hermitian_part(pair.projectors))
-
-
 def _is_kept(elements, kept: np.ndarray) -> bool:
     """True if ``elements`` are arrays with the bytes of the stack ``kept``."""
     return len(elements) == len(kept) and all(
@@ -143,16 +137,16 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
     The states come validated from the last pair the Bures views were given,
     when that is this pair.  The projectors :func:`optimal_measurement` made
     for that pair, given as arrays of their dtype, shape and bytes, are not
-    validated again as an arbitrary POVM: each is fl(v v†) with
-    |v| = 1 + O(N u), so Hermitian to about 2u with least eigenvalue -O(u),
-    far inside the 1e-10 and -1e-12 of those checks.  Only their sum, whose
-    error rests on the accuracy of eigh, is checked.
+    validated again as an arbitrary POVM: each is the Hermitian part of
+    fl(v v†) with |v| = 1 + O(N u), so its own Hermitian part, with least
+    eigenvalue -O(u), far inside the -1e-12 of that check.  Only their sum,
+    whose error rests on the accuracy of eigh, is checked.
     """
     pair = _recall(rho1, rho2)[1]
     # only projectors already made: another POVM must not pay for eig(M)
     kept = vars(pair).get("projectors") if pair else None
     if kept is not None and _is_kept(elements, kept):
-        stack = _optimal_stack(pair)
+        stack = _resolving_identity(kept)
     else:
         stack = _povm_stack(elements)
     p = _distribution(stack, pair.rho1 if pair else density_matrix(rho1))
@@ -220,19 +214,22 @@ def qubit_povm_search(rho1, rho2, grid_resolution: int = 200) -> dict:
     The search evaluates grid_resolution^2 equally spaced angles in [0, pi)
     on that circle (n and -n are one measurement), as many cosines as a
     sphere grid of that resolution, then refines the best one's cell by
-    golden-section search.  grid_resolution must lie in [2, 1000].
+    golden-section search.  grid_resolution must lie in [2, 1000]; it is
+    checked after the states, which are validated through the pair the Bures
+    views share, and before the qubit shape, so two valid states of different
+    shapes raise "Bloch vector is defined for qubits only".
     """
-    return _qubit_povm_search(rho1, rho2, bloch_vector, grid_resolution)
-
-
-def _qubit_povm_search(rho1, rho2, bloch, grid_resolution) -> dict:
-    """:func:`qubit_povm_search`, reading each state's Bloch vector with ``bloch``."""
+    try:
+        pair = _pair(rho1, rho2)
+    except DimensionMismatchError:  # two valid states of different shapes
+        pair = None
     if grid_resolution < 2:
         raise ValidationError("grid_resolution must be >= 2")
     if grid_resolution > 1000:  # before the grid_resolution^2 angles exist
         raise ValidationError("grid_resolution must be <= 1000")
-    r1 = bloch(rho1)
-    r2 = bloch(rho2)
+    if pair is None:
+        raise DimensionMismatchError("Bloch vector is defined for qubits only")
+    r1, r2 = _bloch_vector(pair.rho1), _bloch_vector(pair.rho2)
     # orthonormal columns whose span holds r1 and r2, whatever their rank,
     # and the coordinates of r1 and r2 in that plane
     plane, coords = np.linalg.qr(np.column_stack([r1, r2]))

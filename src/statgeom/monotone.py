@@ -83,13 +83,14 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
     """
     if isinstance(f, str):
         f = mean_function(f)
-    rho = density_matrix(rho)
+    # one eigh validates rho, as density_matrix would, and serves the metric
+    lam, v = eig_hermitian(_unit_trace_hermitian(rho))
+    _check_positive(float(lam[0]))
     drho = tangent_perturbation(drho)
-    if rho.shape != drho.shape:
+    if v.shape != drho.shape:
         raise ValidationError(
-            f"state has shape {rho.shape}, perturbation {drho.shape}"
+            f"state has shape {v.shape}, perturbation {drho.shape}"
         )
-    lam, v = eig_hermitian(rho)
     if lam[0] <= 1e-10:
         raise BoundaryError(
             f"state eigenvalue {lam[0]:.3e} too close to the boundary"

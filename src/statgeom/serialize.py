@@ -128,10 +128,14 @@ def dump_canonical(obj, path: str) -> None:
 
 
 def load_json(path: str):
-    """Load a JSON file, wrapping syntax errors in ParseError with context."""
+    """Load a JSON file, wrapping syntax errors in ParseError with context.
+
+    Reads the token ``-0``, written for -0.0, as -0.0, so a canonical file
+    keeps its signed zeros; plain ``json.loads`` reads it as the integer 0.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=lambda t: -0.0 if t == "-0" else int(t))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -1,5 +1,6 @@
 """Import cost, dependencies and exports: the package runs on numpy alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,3 +56,17 @@ def test_package_exports_the_union_of_module_exports():
     for module in modules:
         for name in module.__all__:
             assert getattr(statgeom, name) is getattr(module, name)
+
+
+def test_cli_imports_no_private_library_name_but_the_pair_and_fill():
+    # the CLI calls the public functions; the pair's eig(M), printed by
+    # optimal-measurement, and the CSV formatter are its only private reads
+    tree = ast.parse((ROOT / "src" / "statgeom" / "cli.py").read_text())
+    private = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {("bures", "_pair"), ("serialize", "_fill")}

@@ -139,7 +139,7 @@ def test_optimal_projectors_match_outer_products_exactly(rng):
         rho1 = random_invertible_density_matrix(dim, rng)
         rho2 = random_invertible_density_matrix(dim, rng)
         _, vectors = eig_hermitian(fuchs_caves_operator(rho1, rho2))
-        outers = [np.outer(v, v.conj()) for v in vectors.T]
+        outers = [hermitian_part(np.outer(v, v.conj())) for v in vectors.T]
         elements = optimal_measurement(rho1, rho2)
         assert len(elements) == dim
         assert all(np.array_equal(e, o) for e, o in zip(elements, outers))
@@ -153,10 +153,11 @@ def _rotated(spectrum, u):
 def test_povm_accepts_the_optimal_projectors_as_they_are(dim):
     """povm_classical_angle skips validating the optimal projectors; this is why.
 
-    Each is fl(v v†) with |v| = 1 + O(N u), so it is Hermitian to about 2u
-    and its least eigenvalue is -O(u).  Validating them as any POVM must
-    pass and return their Hermitian part, byte for byte, for generic pairs,
-    rho1 with an eigenvalue of 1e-11, singular rho2 and degenerate M.
+    Each is the Hermitian part of fl(v v†) with |v| = 1 + O(N u), so it is
+    its own Hermitian part and its least eigenvalue is -O(u).  Validating
+    them as any POVM must pass and return their Hermitian part, byte for
+    byte, for generic pairs, rho1 with an eigenvalue of 1e-11, singular rho2
+    and degenerate M.
     """
     rng = np.random.default_rng(400 + dim)
     for _ in range(2):
@@ -213,6 +214,37 @@ def test_qubit_povm_search_rejects_non_qubits(rng):
     rho = random_invertible_density_matrix(3, rng)
     with pytest.raises(DimensionMismatchError):
         qubit_povm_search(rho, rho)
+
+
+_QUTRIT = np.eye(3) / 3
+_QUBIT = np.diag([0.7, 0.3])
+_TRACE_TWO = np.diag([1.2, 0.8])
+
+
+@pytest.mark.parametrize(
+    "rho1, rho2, grid, error, message",
+    [
+        # the states first: an invalid second state before a bad grid ...
+        (_QUBIT, _TRACE_TWO, 1, ValidationError, "trace is 2.0"),
+        # ... and before a qutrit first state
+        (_QUTRIT, _TRACE_TWO, 20, ValidationError, "trace is 2.0"),
+        # then the grid, before the qubit shape
+        (_QUTRIT, _QUTRIT, 1001, ValidationError, "must be <= 1000"),
+        (_QUTRIT, _QUBIT, 1, ValidationError, "must be >= 2"),
+        # two valid states of different shapes: the qubit check, not the pair's
+        (_QUBIT, _QUTRIT, 20, DimensionMismatchError, "qubits only"),
+        (_QUTRIT, _QUBIT, 20, DimensionMismatchError, "qubits only"),
+    ],
+    ids=["state-then-grid", "state-then-shape", "grid-then-shape",
+         "grid-then-mixed-shapes", "qubit-qutrit", "qutrit-qubit"],
+)
+def test_qubit_povm_search_reports_the_state_then_the_grid_then_the_shape(
+    rho1, rho2, grid, error, message
+):
+    # the order the povm-search command reports its errors in
+    with pytest.raises(error, match=message) as info:
+        qubit_povm_search(rho1, rho2, grid_resolution=grid)
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("grid", [1, 1001])

@@ -102,6 +102,20 @@ def test_monotone_ds2_shape_mismatch():
         monotone_ds2(np.eye(3) / 3, np.diag([0.1, -0.1]))
 
 
+def test_monotone_ds2_decomposes_the_state_once(lapack_calls):
+    # one eigh validates rho, positivity included, and gives the metric its
+    # eigenbasis; it was an eigvalsh to check positivity, then that eigh
+    rng = np.random.default_rng(31)
+    rho = random_density_matrix(4, rng)
+    drho = random_traceless_hermitian(4, rng)
+    calls = lapack_calls("eigh", "eigvalsh")
+    monotone_ds2(rho, drho, "geometric")
+    assert dict(calls) == {"eigh": 1}
+    # the state, positivity included, is still checked before the perturbation
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        monotone_ds2(np.diag([1.2, -0.2]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def _wigner_yanase(t):
     return ((1.0 + np.sqrt(t)) / 2.0) ** 2
 

@@ -1,11 +1,12 @@
 """The remembered state pair: calls in a row on one pair share its work.
 
 The Bures views (fidelity, bures_angle, fuchs_caves_operator,
-horizontal_lift, geodesic, optimal_measurement, verify_billiard_theorem)
-validate a pair once and keep F, M, sqrt(rho1), the geodesic, eig(M) and
-the projectors of the optimal measurement for the next call on the same
-pair; povm_classical_angle reads the validated states from it, and takes
-those projectors without validating them again when it is given them.
+horizontal_lift, geodesic, optimal_measurement, verify_billiard_theorem and
+qubit_povm_search) validate a pair once and keep F, M, sqrt(rho1), the
+geodesic, eig(M) and the projectors of the optimal measurement for the next
+call on the same pair; povm_classical_angle reads the validated states from
+it, and takes those projectors without validating them again when it is
+given them.
 What is kept must never show: results are the bits a fresh pair gives,
 whatever callers do to the arrays they get back.
 """
@@ -28,11 +29,12 @@ from statgeom import (
     horizontal_lift,
     optimal_measurement,
     povm_classical_angle,
+    qubit_povm_search,
     random_invertible_density_matrix,
     verify_billiard_theorem,
 )
 from statgeom import bures, measurement
-from statgeom.linalg import _sqrt_and_inv_sqrt, hermitian_part, matrix_sqrt
+from statgeom.linalg import hermitian_part, matrix_inv_sqrt, matrix_sqrt
 from statgeom.means import _congruence, _core_spectrum
 from statgeom.monotone import density_matrix
 
@@ -105,6 +107,19 @@ def test_state_pairs_request_makes_four_lapack_calls(lapack_calls):
     assert path.t_star == pytest.approx(angle, abs=1e-9)
 
 
+def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
+    # the search validates through the pair (1 stacked eigh), bures_angle
+    # adds F (1 eigvalsh) and fuchs_caves_operator M's core (1 eigh)
+    rho1, rho2 = _states(2, 2, 23)
+    calls = lapack_calls("eigvalsh", "eigh")
+    qubit_povm_search(rho1, rho2, grid_resolution=20)
+    pair = bures._recall(rho1, rho2)[1]
+    bures_angle(rho1, rho2)
+    fuchs_caves_operator(rho1, rho2)
+    assert bures._recall(rho1, rho2)[1] is pair is not None
+    assert dict(calls) == {"eigh": 2, "eigvalsh": 1}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
 def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
     """sqrt(rho1), rho1^(-1/2), sqrt(rho2), F and M from the pair's stacked
@@ -115,7 +130,7 @@ def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
     for rho1, rho2 in zip(*[iter(_states(20, dim, 60 + dim))] * 2):
         pair = bures._Pair(rho1, rho2)
         a, b = density_matrix(rho1), density_matrix(rho2)
-        root1, inv_root1 = _sqrt_and_inv_sqrt(a)
+        root1, inv_root1 = matrix_sqrt(a), matrix_inv_sqrt(a)
         root2 = matrix_sqrt(b)
         w = np.linalg.eigvalsh(hermitian_part(root2 @ a @ root2))
         root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))

@@ -121,6 +121,22 @@ def test_file_round_trip(tmp_path):
     assert m[0, 1] == 0.5j
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[-0.0]]),
+        np.array([[[-0.0, -0.0], [0.5, 0.0]], [[1.0, -0.0], [-0.0, 2.0]]]).view(complex)[..., 0],
+    ],
+    ids=["real-1x1", "complex"],
+)
+def test_file_round_trip_keeps_signed_zeros(tmp_path, m):
+    path = tmp_path / "m.json"
+    dump_canonical(m, str(path))
+    assert read_matrix_file(str(path)).tobytes() == m.astype(complex).tobytes()
+    # -0.0 is written as the token -0, which plain json.loads reads as the integer 0
+    assert repr(json.loads(path.read_text())[0][0]) in ("0", "[0, 0]")
+
+
 def test_load_json_errors(tmp_path):
     with pytest.raises(ParseError):
         load_json(str(tmp_path / "missing.json"))
