@@ -6,13 +6,17 @@ sphere geometry, monotonicity, the multinomial ellipse, operator-mean
 ordering and axioms, monotone-metric consistency, the qubit hemisphere,
 fidelity/lift/M contracts, measurement optimality, the pure-state
 ambiguity formula, and the boundary billiard theorem.  Each criterion
-returns a report dict with ``passed``, diagnostic metrics, and its
-runtime; ``run_all`` executes the lot.
+returns its gates and its diagnostic metrics; ``run_criterion`` prints
+each gate's observed value (and its bound, where the gate names a key for
+it) among the metrics, decides ``passed`` from the gates alone, and adds
+the runtime.  ``run_all`` executes the lot.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,13 +68,30 @@ __all__ = ["DEFAULT_SEED", "CRITERIA", "run_criterion", "run_all"]
 DEFAULT_SEED = 1729
 
 
+class Gate(NamedTuple):
+    """One pass condition of a criterion: ``observed op bound``.
+
+    ``run_criterion`` writes ``observed`` into the report's details under
+    ``key`` and ``bound`` under ``bound_key``; a None key writes nothing.
+    """
+
+    key: str | None
+    observed: object
+    op: str  # one of _OPS
+    bound: object
+    bound_key: str | None = None
+
+
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, "==": operator.eq}
+
+
 def _mixed_state(dim: int, rng: np.random.Generator, mix: float = 0.1) -> np.ndarray:
     """Random full-rank state, blended toward the maximally mixed one."""
     rho = random_density_matrix(dim, rng)
     return density_matrix((1.0 - mix) * rho + mix * np.eye(dim) / dim)
 
 
-def criterion_1_sphere(seed: int) -> tuple[bool, dict]:
+def criterion_1_sphere(seed: int) -> tuple[list[Gate], dict]:
     """Simplex geodesic distance == great-circle arc between embeddings."""
     rng = substream(seed, "acceptance-1")
     worst = 0.0
@@ -82,10 +103,10 @@ def criterion_1_sphere(seed: int) -> tuple[bool, dict]:
         cosine = float(np.dot(sphere_embed(p), sphere_embed(q)))
         arc = float(np.arccos(np.clip(cosine, 0.0, 1.0)))
         worst = max(worst, abs(direct - arc))
-    return worst <= 1e-10, {"pairs": 1000, "max_abs_diff": worst, "tol": 1e-10}
+    return [Gate("max_abs_diff", worst, "<=", 1e-10, "tol")], {"pairs": 1000}
 
 
-def criterion_2_monotonicity(seed: int) -> tuple[bool, dict]:
+def criterion_2_monotonicity(seed: int) -> tuple[list[Gate], dict]:
     """No Fisher-Rao stretching under 10^4 random stochastic maps."""
     report = monotonicity_stress(seed, trials=10_000)
     p = np.array([1.0, 0.0, 0.0])
@@ -98,18 +119,19 @@ def criterion_2_monotonicity(seed: int) -> tuple[bool, dict]:
         and abs(after - np.sqrt(2.0)) <= 1e-12
         and after > before
     )
-    passed = report["violations"] == 0 and flat_ok
-    return passed, {
+    gates = [
+        Gate("violations", report["violations"], "==", 0),
+        Gate("flat_counterexample_reproduced", flat_ok, "==", True),
+    ]
+    return gates, {
         "trials": 10_000,
-        "violations": report["violations"],
         "max_excess": report["max_excess"],
         "flat_before": before,
         "flat_after": after,
-        "flat_counterexample_reproduced": flat_ok,
     }
 
 
-def criterion_3_multinomial(seed: int) -> tuple[bool, dict]:
+def criterion_3_multinomial(seed: int) -> tuple[list[Gate], dict]:
     """Empirical frequency covariance within 5% of the multinomial law.
 
     It fails at some seeds by design.  Over seeds 0-1999, ``max_rel_err``
@@ -120,15 +142,11 @@ def criterion_3_multinomial(seed: int) -> tuple[bool, dict]:
     report = multinomial_ellipse_experiment(
         p, samples_per_trial=100_000, trials=10_000, seed=seed
     )
-    return report["max_rel_err"] <= 0.05, {
-        "samples_per_trial": 100_000,
-        "trials": 10_000,
-        "max_rel_err": report["max_rel_err"],
-        "tol": 0.05,
-    }
+    gate = Gate("max_rel_err", report["max_rel_err"], "<=", 0.05, "tol")
+    return [gate], {"samples_per_trial": 100_000, "trials": 10_000}
 
 
-def criterion_4_means(seed: int) -> tuple[bool, dict]:
+def criterion_4_means(seed: int) -> tuple[list[Gate], dict]:
     """Mean ordering, the four mean axioms, and the t^2 counterexample."""
     rng = substream(seed, "acceptance-4")
     min_slack = np.inf
@@ -140,25 +158,24 @@ def criterion_4_means(seed: int) -> tuple[bool, dict]:
         g = geometric_mean(a, b)
         m = arithmetic_mean(a, b)
         min_slack = min(min_slack, min_eigenvalue(g - h), min_eigenvalue(m - g))
-    ordering_ok = min_slack >= -1e-9
-    axiom_reports = {
-        name: mean_axioms_check(name, seed, trials=300)
+    violations = {
+        name: mean_axioms_check(name, seed, trials=300)["violations"]
         for name in ("arithmetic", "geometric", "harmonic")
     }
-    axioms_ok = all(r["violations"] == 0 for r in axiom_reports.values())
     square = operator_monotone_test(lambda t: t * t, dim=2, seed=seed, trials=10_000)
-    found = square["counterexample"] is not None
-    passed = ordering_ok and axioms_ok and found
-    return passed, {
+    gates = [
+        Gate("ordering_min_slack", float(min_slack), ">=", -1e-9),
+        Gate(None, sum(violations.values()), "==", 0),
+        Gate("square_counterexample_found", square["counterexample"] is not None, "==", True),
+    ]
+    return gates, {
         "ordering_pairs": 1000,
-        "ordering_min_slack": float(min_slack),
-        "axiom_violations": {k: r["violations"] for k, r in axiom_reports.items()},
-        "square_counterexample_found": found,
+        "axiom_violations": violations,
         "square_min_gap": square["min_gap"],
     }
 
 
-def criterion_5_monotone_consistency(seed: int) -> tuple[bool, dict]:
+def criterion_5_monotone_consistency(seed: int) -> tuple[list[Gate], dict]:
     """Bures finite differences converge at third order to monotone_ds2."""
     rng = substream(seed, "acceptance-5")
     steps = 0.02 * 0.5 ** np.arange(5)
@@ -189,18 +206,14 @@ def criterion_5_monotone_consistency(seed: int) -> tuple[bool, dict]:
         for f in ("arithmetic", "geometric", "harmonic"):
             quantum = monotone_ds2(np.diag(lam.astype(complex)), np.diag(dp.astype(complex)), f)
             diag_worst = max(diag_worst, abs(quantum - classical))
-    passed = min_order >= 2.5 and diag_worst <= 1e-12
-    return passed, {
-        "samples": 100,
-        "min_observed_order": float(min_order),
-        "median_observed_order": float(np.median(orders)),
-        "order_tol": 2.5,
-        "diagonal_max_abs_diff": diag_worst,
-        "diagonal_tol": 1e-12,
-    }
+    gates = [
+        Gate("min_observed_order", float(min_order), ">=", 2.5, "order_tol"),
+        Gate("diagonal_max_abs_diff", diag_worst, "<=", 1e-12, "diagonal_tol"),
+    ]
+    return gates, {"samples": 100, "median_observed_order": float(np.median(orders))}
 
 
-def criterion_6_hemisphere(seed: int) -> tuple[bool, dict]:
+def criterion_6_hemisphere(seed: int) -> tuple[list[Gate], dict]:
     """Closed-form qubit line element == monotone metric with arithmetic f."""
     rng = substream(seed, "acceptance-6")
     worst = 0.0
@@ -215,10 +228,10 @@ def criterion_6_hemisphere(seed: int) -> tuple[bool, dict]:
             qubit_state(x, y, z), qubit_perturbation(dx, dy, dz), "arithmetic"
         )
         worst = max(worst, abs(closed - general))
-    return worst <= 1e-10, {"points": 1000, "max_abs_diff": worst, "tol": 1e-10}
+    return [Gate("max_abs_diff", worst, "<=", 1e-10, "tol")], {"points": 1000}
 
 
-def criterion_7_fidelity_lift(seed: int) -> tuple[bool, dict]:
+def criterion_7_fidelity_lift(seed: int) -> tuple[list[Gate], dict]:
     """Fidelity symmetry and the lift/M algebraic contracts."""
     rng = substream(seed, "acceptance-7")
     worst = {"symmetry": 0.0, "lift_trace": 0.0, "riccati": 0.0, "inverse": 0.0}
@@ -240,16 +253,12 @@ def criterion_7_fidelity_lift(seed: int) -> tuple[bool, dict]:
         worst["inverse"] = max(
             worst["inverse"], hs_norm(m12 @ m21 - np.eye(dim))
         )
-    passed = (
-        worst["symmetry"] <= 1e-10
-        and worst["lift_trace"] <= 1e-9
-        and worst["riccati"] <= 1e-9
-        and worst["inverse"] <= 1e-9
-    )
-    return passed, {"pairs": 1000, **{f"max_{k}": v for k, v in worst.items()}}
+    bounds = {"symmetry": 1e-10, "lift_trace": 1e-9, "riccati": 1e-9, "inverse": 1e-9}
+    gates = [Gate(f"max_{k}", v, "<=", bounds[k]) for k, v in worst.items()]
+    return gates, {"pairs": 1000}
 
 
-def criterion_8_optimality(seed: int) -> tuple[bool, dict]:
+def criterion_8_optimality(seed: int) -> tuple[list[Gate], dict]:
     """Axis search attains the Bures angle; no POVM ever beats it."""
     rng = substream(seed, "acceptance-8")
     worst_angle_gap = 0.0
@@ -273,23 +282,15 @@ def criterion_8_optimality(seed: int) -> tuple[bool, dict]:
         elements = random_povm(dim, dim + 2, rng)
         excess = povm_classical_angle(elements, rho1, rho2) - bures_angle(rho1, rho2)
         worst_excess = max(worst_excess, excess)
-    passed = (
-        worst_angle_gap <= 1e-4
-        and worst_axis_gap <= np.pi / 200
-        and worst_excess <= 1e-9
-    )
-    return passed, {
-        "search_pairs": 100,
-        "max_angle_gap": worst_angle_gap,
-        "angle_tol": 1e-4,
-        "max_axis_gap": worst_axis_gap,
-        "axis_tol": float(np.pi / 200),
-        "random_povms": 1000,
-        "max_suboptimality_excess": float(worst_excess),
-    }
+    gates = [
+        Gate("max_angle_gap", worst_angle_gap, "<=", 1e-4, "angle_tol"),
+        Gate("max_axis_gap", worst_axis_gap, "<=", float(np.pi / 200), "axis_tol"),
+        Gate("max_suboptimality_excess", float(worst_excess), "<=", 1e-9),
+    ]
+    return gates, {"search_pairs": 100, "random_povms": 1000}
 
 
-def criterion_9_ambiguity(seed: int) -> tuple[bool, dict]:
+def criterion_9_ambiguity(seed: int) -> tuple[list[Gate], dict]:
     """Analytic pure-pair diameter formula == measured classical angle.
 
     The tolerance 1e-9 lies below the floor of arccos at coincident
@@ -319,54 +320,36 @@ def criterion_9_ambiguity(seed: int) -> tuple[bool, dict]:
                 analytic = pure_state_qubit_angle(theta, theta_a, inside=inside)
                 worst = max(worst, abs(measured - analytic))
                 points += 1
-    return worst <= 1e-9, {"grid_points": points, "max_abs_diff": worst, "tol": 1e-9}
+    return [Gate("max_abs_diff", worst, "<=", 1e-9, "tol")], {"grid_points": points}
 
 
-def criterion_10_billiard(seed: int) -> tuple[bool, dict]:
+def criterion_10_billiard(seed: int) -> tuple[list[Gate], dict]:
     """Bounce kernel states are M's eigenstates, 200 runs per dimension."""
     rng = substream(seed, "acceptance-10")
     per_dim = {}
-    all_ok = True
-    total_runs = 0
-    total_flagged = 0
     for dim in (2, 3, 4, 5):
-        flagged = 0
-        mismatched = 0
-        wrong_count = 0
-        failures = 0
+        counts = dict.fromkeys(("flagged", "mismatched", "wrong_count", "failures"), 0)
         for _ in range(200):
             rho1 = _mixed_state(dim, rng, mix=0.15)
             rho2 = _mixed_state(dim, rng, mix=0.15)
             try:
                 report = verify_billiard_theorem(rho1, rho2)
             except NumericalError:
-                failures += 1
+                counts["failures"] += 1
                 continue
             if report["flagged"]:
-                flagged += 1
+                counts["flagged"] += 1
                 continue
-            if len(report["bounce_ts"]) != dim:
-                wrong_count += 1
-            if not report["matched"]:
-                mismatched += 1
-        per_dim[dim] = {
-            "flagged": flagged,
-            "mismatched": mismatched,
-            "wrong_count": wrong_count,
-            "failures": failures,
-        }
-        total_runs += 200
-        total_flagged += flagged
-        if mismatched or wrong_count or failures:
-            all_ok = False
-    flagged_fraction = total_flagged / total_runs
-    passed = all_ok and flagged_fraction < 0.05
-    return passed, {
-        "runs_per_dim": 200,
-        "per_dim": {str(k): v for k, v in per_dim.items()},
-        "flagged_fraction": flagged_fraction,
-        "flagged_tol": 0.05,
-    }
+            counts["wrong_count"] += len(report["bounce_ts"]) != dim
+            counts["mismatched"] += not report["matched"]
+        per_dim[str(dim)] = counts
+    flagged = sum(c["flagged"] for c in per_dim.values())
+    wrong = sum(c["mismatched"] + c["wrong_count"] + c["failures"] for c in per_dim.values())
+    gates = [
+        Gate(None, wrong, "==", 0),
+        Gate("flagged_fraction", flagged / (200 * len(per_dim)), "<", 0.05, "flagged_tol"),
+    ]
+    return gates, {"runs_per_dim": 200, "per_dim": per_dim}
 
 
 CRITERIA = [
@@ -388,12 +371,15 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> dict:
     for num, name, func in CRITERIA:
         if num == number:
             start = time.perf_counter()
-            passed, details = func(seed)
+            gates, details = func(seed)
+            for gate in gates:
+                details.update({gate.key: gate.observed, gate.bound_key: gate.bound})
+            details.pop(None, None)
             return {
                 "criterion": num,
                 "name": name,
                 "seed": seed,
-                "passed": bool(passed),
+                "passed": all(_OPS[g.op](g.observed, g.bound) for g in gates),
                 "details": details,
                 "runtime_s": time.perf_counter() - start,
             }

@@ -89,13 +89,25 @@ def _half_sum(h: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray) -> bool:
     """True if A equals A† within 1e-10 relative to its HS norm."""
-    a = _as_square(a)
-    return _is_hermitian(a, a.conj().T)
+    return bool(_hermitian_checked(_as_square(a))[1])
 
 
-def _is_hermitian(a: np.ndarray, adjoint: np.ndarray) -> bool:
-    """:func:`is_hermitian` of a square ``a`` given A†."""
-    return hs_norm(a - adjoint) <= 1e-10 * max(hs_norm(a), 1.0)
+def _hermitian_checked(a: np.ndarray) -> tuple:
+    """(hermitian_part(a), the verdict of :func:`is_hermitian` on each slice)
+    for a square matrix or a ``(..., n, n)`` stack, from one A†.
+
+    A slice passes if |A - A†| <= 1e-10 max(|A|, 1); NaN fails.
+    """
+    a = _as_square(a, stack=True)
+    h = a.swapaxes(-1, -2).copy()  # A†, C-ordered, as in hermitian_part
+    np.conjugate(h, out=h)
+    # HS norms over the real and imaginary parts side by side, of C-ordered
+    # arrays; |A†| = |A|
+    diff = np.subtract(a, h, order="C").view(float)
+    parts = h.view(float)
+    norms = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
+    scale = np.maximum(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), 1.0)
+    return _half_sum(h, a), norms <= 1e-10 * scale
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:

@@ -28,12 +28,13 @@ from .linalg import (
     EigenSystem,
     _PairSlot,
     _apply_spectrum,
+    _as_square,
     _floored,
+    _hermitian_checked,
     _roots,
     eig_hermitian,
     hermitian_part,
     hs_norm,
-    is_hermitian,
     matrix_function,
     min_eigenvalue,
     psd_order_geq,
@@ -96,9 +97,9 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.array(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"operands have shapes {a.shape} and {b.shape}")
-    for m in (a, b):
-        if not is_hermitian(m):
-            raise ValidationError("operator means need Hermitian operands")
+    _as_square(a)  # b has a's shape
+    if not _hermitian_checked(np.stack([a, b]))[1].all():
+        raise ValidationError("operator means need Hermitian operands")
     return a, b
 
 

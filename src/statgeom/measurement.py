@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import _as_square, hermitian_part, min_eigenvalue
+from .linalg import _as_square, _hermitian_checked, hermitian_part, min_eigenvalue
 from .monotone import density_matrix
 from .bures import _bloch_vector, _pair, _recall
 
@@ -67,13 +67,7 @@ def _povm_stack(elements) -> np.ndarray:
     if not checked:
         raise error
     _as_square(checked[0])  # every checked element has this shape
-    raw = np.stack(checked)
-    stack = hermitian_part(raw)
-    # is_hermitian on every element at once: |A - A†| = 2 |A - H| must be at
-    # most 1e-10 max(|A|, 1), and NaN fails
-    scale = np.maximum(_hs_norms(raw), 1.0)
-    raw -= stack
-    hermitian = 2.0 * _hs_norms(raw) <= 1e-10 * scale
+    stack, hermitian = _hermitian_checked(np.stack(checked))
     if not hermitian.all():
         k = int(np.argmin(hermitian))
         error = ValidationError(f"POVM element {k} is not Hermitian")
@@ -101,12 +95,6 @@ def _is_kept(elements, kept: np.ndarray) -> bool:
         and e.tobytes() == k.tobytes()
         for e, k in zip(elements, kept)
     )
-
-
-def _hs_norms(stack: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt norm of each matrix of a contiguous complex stack."""
-    parts = stack.view(float)  # real and imaginary parts side by side
-    return np.sqrt(np.einsum("kij,kij->k", parts, parts))
 
 
 def _distribution(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryError, DomainError, ValidationError
-from .linalg import _half_sum, _is_hermitian, eig_hermitian
+from .linalg import _hermitian_checked, eig_hermitian
 from .means import _symmetry_defect, mean_function
 
 __all__ = [
@@ -31,14 +31,14 @@ __all__ = [
 
 
 def _hermitian(a, noun: str) -> np.ndarray:
-    """hermitian_part(a) of a square ``a`` that passes is_hermitian; one A† serves both."""
+    """hermitian_part(a) of a square ``a`` that passes is_hermitian."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{noun} must be square, got shape {a.shape}")
-    adjoint = a.conj().T
-    if not _is_hermitian(a, adjoint):
+    h, hermitian = _hermitian_checked(a)
+    if not hermitian:
         raise ValidationError(f"{noun} must be Hermitian")
-    return _half_sum(adjoint.copy(), a)  # hermitian_part(a)
+    return h
 
 
 def density_matrix(rho) -> np.ndarray:

@@ -12,6 +12,7 @@ import hashlib
 
 import numpy as np
 
+from .errors import ValidationError
 from .linalg import hermitian_part, min_eigenvalue
 
 __all__ = [
@@ -84,7 +85,10 @@ def random_invertible_density_matrix(
 
 
 def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random traceless Hermitian matrix with unit HS norm."""
+    """Random traceless Hermitian matrix with unit HS norm; ``dim`` >= 2,
+    since the only traceless 1 x 1 Hermitian matrix is 0."""
+    if dim < 2:
+        raise ValidationError(f"traceless unit-norm sampling needs dim >= 2, got {dim}")
     h = hermitian_part(_ginibre(dim, rng))
     h -= np.trace(h) / dim * np.eye(dim)
     return h * (1.0 / np.linalg.norm(h))  # h / norm rounds differently

@@ -11,8 +11,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from statgeom import cli
-from statgeom.acceptance import CRITERIA, DEFAULT_SEED, run_criterion
+from statgeom import acceptance, cli
+from statgeom.acceptance import CRITERIA, DEFAULT_SEED, Gate, run_criterion
 
 _reports = {}
 
@@ -121,3 +121,50 @@ def test_verify_all_stdout_matches_the_golden_file(golden, monkeypatch, capsys):
     expected = (golden.HERE / f"verify-all-{DEFAULT_SEED}.txt").read_text()
     mode = golden.mode()
     assert golden.same_stdout(capsys.readouterr().out, expected, mode), f"stdout changed ({mode})"
+
+
+def _stub_report(monkeypatch, gates, details):
+    """run_criterion's report on a stub criterion that returns ``gates``."""
+    monkeypatch.setattr(acceptance, "CRITERIA", [(99, "stub", lambda seed: (gates, details))])
+    return run_criterion(99, seed=5)
+
+
+def test_one_failing_gate_fails_the_criterion(monkeypatch):
+    gates = [Gate("max_abs_diff", 1e-12, "<=", 1e-10, "tol"), Gate("violations", 1, "==", 0)]
+    report = _stub_report(monkeypatch, gates, {"pairs": 10})
+    assert report["passed"] is False
+    assert report["details"] == {"pairs": 10, "max_abs_diff": 1e-12, "tol": 1e-10, "violations": 1}
+
+
+def test_holding_gates_pass_and_print_each_bound_under_its_key(monkeypatch):
+    gates = [
+        Gate("max_abs_diff", 1e-12, "<=", 1e-10, "tol"),
+        Gate("min_observed_order", 3.0, ">=", 2.5, "order_tol"),
+        Gate("flagged_fraction", 0.0, "<", 0.05, "flagged_tol"),
+        Gate("max_suboptimality_excess", -1e-3, "<=", 1e-9),  # bound not printed
+        Gate(None, 0, "==", 0),  # neither printed
+    ]
+    report = _stub_report(monkeypatch, gates, {"pairs": 10})
+    assert report["passed"] is True
+    assert report["details"] == {
+        "pairs": 10,
+        "max_abs_diff": 1e-12,
+        "tol": 1e-10,
+        "min_observed_order": 3.0,
+        "order_tol": 2.5,
+        "flagged_fraction": 0.0,
+        "flagged_tol": 0.05,
+        "max_suboptimality_excess": -1e-3,
+    }
+
+
+@pytest.mark.parametrize(
+    "gate, passed",
+    [
+        (Gate("flagged_fraction", 0.05, "<", 0.05, "flagged_tol"), False),
+        (Gate("min_observed_order", 2.5, ">=", 2.5, "order_tol"), True),
+    ],
+    ids=["criterion-10-strict", "criterion-5-inclusive"],
+)
+def test_a_gate_at_its_bound(monkeypatch, gate, passed):
+    assert _stub_report(monkeypatch, [gate], {})["passed"] is passed

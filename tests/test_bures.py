@@ -119,6 +119,8 @@ def test_purify_rejects_as_density_matrix_does(rho):
 def test_purification_validates():
     with pytest.raises(ValidationError):
         purification(np.eye(2))  # squared norm 2, not a unit vector of matrices
+    with pytest.raises(ValidationError, match="must be square"):
+        purification(np.ones((2, 3)) / math.sqrt(6.0))
 
 
 def test_project_rejects_zero():
@@ -259,6 +261,8 @@ def test_fubini_study_frozen_and_phase_invariant():
     assert fubini_study_distance(psi, psi) == pytest.approx(0.0, abs=1e-7)
     with pytest.raises(ZeroVectorError):
         fubini_study_distance(psi, np.zeros(2))
+    with pytest.raises(DimensionMismatchError):
+        fubini_study_distance(psi, np.ones(3))
 
 
 def test_fubini_study_equals_bures_on_projectors(rng):

@@ -9,6 +9,7 @@ import scipy.stats
 
 from statgeom import (
     BoundaryError,
+    DimensionMismatchError,
     NumericalError,
     ValidationError,
     apply_stochastic,
@@ -16,6 +17,7 @@ from statgeom import (
     fisher_rao_ds2,
     fr_geodesic_distance,
     jeffreys_density,
+    mean_axioms_check,
     monotonicity_stress,
     multinomial_ellipse_experiment,
     operator_monotone_test,
@@ -80,6 +82,30 @@ def test_tangent_vector_rejects_nan():
 def test_stochastic_matrix_rejects_nan():
     with pytest.raises(ValidationError, match="columns must sum to 1"):
         stochastic_matrix([[math.nan, 0.5], [math.nan, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [([0.5, 0.5], "must be 2-d"), ([[1.5, 0.5], [-0.5, 0.5]], "negative entries")],
+    ids=["one-dimensional", "negative-entry"],
+)
+def test_stochastic_matrix_rejects_bad_shape_and_sign(t, message):
+    with pytest.raises(ValidationError, match=message):
+        stochastic_matrix(t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fisher_rao_ds2([0.5, 0.5], [0.1, -0.05, -0.05]),
+        lambda: euclidean_distance([0.5, 0.5], [0.2, 0.3, 0.5]),
+        lambda: apply_stochastic(np.eye(2), [0.2, 0.3, 0.5]),
+    ],
+    ids=["fisher_rao_ds2", "euclidean_distance", "apply_stochastic"],
+)
+def test_operands_of_different_shapes_are_rejected(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
 
 
 def test_fisher_rao_ds2_hand_value():
@@ -202,6 +228,11 @@ def test_multinomial_experiment_validation():
         )
 
 
+def test_jeffreys_density_diverges_on_the_boundary():
+    with pytest.raises(BoundaryError):
+        jeffreys_density(np.array([1.0, 0.0]))
+
+
 def test_jeffreys_density_frozen_values():
     # N = 2 uniform: Gamma(1)/pi * (1/2 * 1/2)^(-1/2) = 2/pi
     assert jeffreys_density(np.array([0.5, 0.5])) == pytest.approx(
@@ -279,8 +310,12 @@ def test_jeffreys_density_integrates_to_one():
         lambda trials: operator_monotone_test(np.sqrt, 2, 1, trials),
         lambda trials: monotonicity_stress(1, trials),
         lambda trials: multinomial_ellipse_experiment([0.2, 0.3, 0.5], 100, trials, 1),
+        lambda trials: mean_axioms_check("geometric", 1, trials),
     ],
-    ids=["operator_monotone_test", "monotonicity_stress", "multinomial_ellipse_experiment"],
+    ids=[
+        "operator_monotone_test", "monotonicity_stress", "multinomial_ellipse_experiment",
+        "mean_axioms_check",
+    ],
 )
 def test_trials_below_one_are_rejected(run, trials):
     with pytest.raises(ValidationError, match="trials must be >= 1"):

@@ -27,6 +27,7 @@ from statgeom import (
     psd_order_geq,
     random_density_matrix,
 )
+from statgeom.linalg import _hermitian_checked
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -188,6 +189,19 @@ def test_hermitian_part_bits(rng, n):
             assert hermitian_part(h).tobytes() == h.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 33))
+def test_one_hermitian_test_for_a_matrix_or_a_stack(rng, n):
+    """_hermitian_checked gives the bytes of hermitian_part and, slice by
+    slice, the verdict |A - A†| <= 1e-10 max(|A|, 1), in every layout."""
+    for stack in _symmetrization_inputs(rng, n):
+        for a in [stack, *stack]:
+            part, verdict = _hermitian_checked(a)
+            assert part.tobytes() == hermitian_part(a).tobytes()
+            gap = np.linalg.norm(a - np.conj(a.swapaxes(-1, -2)), axis=(-2, -1))
+            scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
+            assert np.array_equal(verdict, gap <= 1e-10 * scale)
+
+
 def test_hermitian_part_keeps_negative_zeros():
     a = np.array([[1.0, complex(-0.0, 0.3)], [complex(-0.0, -0.3), 2.0]])
     h = hermitian_part(a)
@@ -315,6 +329,8 @@ def test_hs_inner_and_norm():
     # conjugate linearity in the first slot
     a = np.array([[1j, 0.0], [0.0, 0.0]])
     assert hs_inner(a, sx) == pytest.approx(np.trace(a.conj().T @ sx))
+    with pytest.raises(DimensionMismatchError):
+        hs_inner(sx, np.eye(3))
 
 
 def test_matrix_sqrt_of_density_matrix(rng):

@@ -154,6 +154,26 @@ def test_axioms_hold_for_named_means():
         assert report["violations"] == 0, report
 
 
+def test_axioms_flag_the_square_in_mixed_monotonicity():
+    # the formula with f(t) = t^2 keeps axioms a, b and d, and breaks c, since
+    # t^2 is not operator monotone: on each of the 30 pairs drawn at seed 1729
+    report = mean_axioms_check(lambda t: t * t, 1729, trials=30)
+    assert report["c"] == report["violations"] == 30
+
+
+@pytest.mark.parametrize(
+    "f, dim, error, message",
+    [
+        (np.sqrt, 1, ValidationError, "dim must be >= 2"),
+        (lambda t: np.full_like(t, np.inf), 2, DomainError, "f is undefined"),
+    ],
+    ids=["dim-1", "f-infinite"],
+)
+def test_operator_monotone_search_rejects_bad_input(f, dim, error, message):
+    with pytest.raises(error, match=message):
+        operator_monotone_test(f, dim=dim, seed=1, trials=10)
+
+
 def test_operator_monotone_search_clears_sqrt():
     report = operator_monotone_test(np.sqrt, dim=3, seed=1, trials=200)
     assert report["counterexample"] is None

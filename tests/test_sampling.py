@@ -1,6 +1,7 @@
 """Seeded random ensembles: determinism and structural guarantees."""
 
 import numpy as np
+import pytest
 
 from statgeom import (
     apply_channel,
@@ -17,6 +18,7 @@ from statgeom import (
     random_unitary,
     substream,
 )
+from statgeom.errors import ValidationError
 from statgeom.sampling import _haar_isometry
 
 
@@ -68,6 +70,17 @@ def test_random_traceless_hermitian(rng):
     h = random_traceless_hermitian(4, rng)
     assert np.allclose(h, h.conj().T)
     assert abs(np.trace(h)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 0])
+def test_random_traceless_hermitian_rejects_dim_below_two_before_drawing(dim):
+    """The only traceless 1 x 1 Hermitian matrix is 0, which has no unit-norm
+    rescaling; the generator is left as it was."""
+    rng = substream(7, "traceless")
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="dim >= 2"):
+        random_traceless_hermitian(dim, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_random_probability_vector(rng):

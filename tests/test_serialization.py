@@ -93,6 +93,8 @@ def test_parse_complex_matrix():
         parse_complex_matrix([[True]])
     with pytest.raises(ParseError):
         parse_complex_matrix([[[1, 2, 3]]])  # not a pair
+    with pytest.raises(ParseError, match=r"matrix\[1\]: expected a nonempty row"):
+        parse_complex_matrix([[1.0], []])
     with pytest.raises(ParseError):
         parse_complex_matrix([])
 
