@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _roots
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _half_sum, _roots
 from .linalg import eig_hermitian, hermitian_part, hs_inner, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
@@ -60,8 +60,8 @@ class _Pair:
     eig_hermitian, with the bits of one call per state) and smallest
     eigenvalues ``lows``.  F, the lift (M unsymmetrized, sqrt(rho1)), the
     geodesic, eig(M) and the optimal measurement are each computed on first
-    use, by one route per quantity; one that raises is not kept.  The arrays
-    kept are shared, so a public view returns copies or new arrays.
+    use, by one route per quantity; one that raises is not kept.  Public views
+    copy what is kept, bar the read-only projectors, matched later by identity.
     """
 
     def __init__(self, rho1, rho2):
@@ -117,11 +117,21 @@ class _Pair:
         return eig_hermitian(self.lift[0])  # symmetrizes M first
 
     @cached_property
-    def projectors(self) -> np.ndarray:
-        """The rank-1 projectors onto eig(M)'s eigenvectors, one C-ordered stack,
-        each the Hermitian part of v v†, as validating a POVM returns it."""
+    def projectors(self) -> list[np.ndarray]:
+        """The rank-1 projectors onto eig(M)'s eigenvectors, each the Hermitian
+        part of v v†, as validating a POVM returns it: read-only views of one
+        C-ordered stack, written in place through temporaries of 64 KB."""
         rows = np.ascontiguousarray(self.eig_m.eigenvectors.T)
-        return hermitian_part(rows[:, :, None] * rows.conj()[:, None, :])
+        stack = np.empty((len(rows),) * 3, dtype=complex)
+        step = max(1, 4096 // rows.size)  # rows per block of 4096 entries
+        for k in range(0, len(rows), step):
+            block, out = rows[k : k + step], stack[k : k + step]
+            outer = block[:, :, None] * block.conj()[:, None, :]
+            out[...] = outer.swapaxes(-1, -2)  # conjugated in place: no ufunc buffer
+            _half_sum(np.conjugate(out, out=out), outer)
+            del outer  # before the next block's is made
+        stack.flags.writeable = False
+        return list(stack)
 
     @cached_property
     def path(self) -> GeodesicPath:

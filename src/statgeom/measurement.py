@@ -16,6 +16,8 @@ states measured along an arbitrary diameter of their Bloch-disk section.
 
 from __future__ import annotations
 
+from operator import is_
+
 import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
@@ -88,15 +90,6 @@ def _resolving_identity(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _is_kept(elements, kept: np.ndarray) -> bool:
-    """True if ``elements`` are arrays with the bytes of the stack ``kept``."""
-    return len(elements) == len(kept) and all(
-        isinstance(e, np.ndarray) and e.dtype == k.dtype and e.shape == k.shape
-        and e.tobytes() == k.tobytes()
-        for e, k in zip(elements, kept)
-    )
-
-
 def _distribution(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """p_k = Tr(E_k rho) for a validated POVM stack and state.
 
@@ -123,18 +116,18 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
 
     Bounded above by the Bures angle of the two states for every POVM.
     The states come validated from the last pair the Bures views were given,
-    when that is this pair.  The projectors :func:`optimal_measurement` made
-    for that pair, given as arrays of their dtype, shape and bytes, are not
-    validated again as an arbitrary POVM: each is the Hermitian part of
-    fl(v v†) with |v| = 1 + O(N u), so its own Hermitian part, with least
-    eigenvalue -O(u), far inside the -1e-12 of that check.  Only their sum,
-    whose error rests on the accuracy of eigh, is checked.
+    when that is this pair.  The very read-only arrays :func:`optimal_measurement`
+    returned for that pair, in order, are not validated again as an arbitrary
+    POVM: each is the Hermitian part of fl(v v†) with |v| = 1 + O(N u), so its
+    own Hermitian part, with least eigenvalue -O(u), far inside the -1e-12 of
+    that check.  Only their sum, whose error rests on the accuracy of eigh, is
+    checked.  Other elements, byte-equal copies too, are validated as any POVM.
     """
     pair = _recall(rho1, rho2)[1]
     # only projectors already made: another POVM must not pay for eig(M)
     kept = vars(pair).get("projectors") if pair else None
-    if kept is not None and _is_kept(elements, kept):
-        stack = _resolving_identity(kept)
+    if kept and len(elements) == len(kept) and all(map(is_, elements, kept)):
+        stack = _resolving_identity(kept[0].base)  # the stack they are views of
     else:
         stack = _povm_stack(elements)
     p = _distribution(stack, pair.rho1 if pair else density_matrix(rho1))
@@ -162,9 +155,9 @@ def optimal_measurement(rho1, rho2) -> list[np.ndarray]:
     fuchs_caves_operator(rho1, rho2).  When M has a degenerate eigenvalue
     the eigenbasis inside each eigenspace is an arbitrary orthonormal
     choice; any such refinement attains the bound.  The projectors are
-    copies of the ones the pair keeps, so changing them changes no later call.
+    read-only views of one stack the pair keeps: writing to one raises ValueError.
     """
-    return list(_pair(rho1, rho2).projectors.copy())
+    return list(_pair(rho1, rho2).projectors)
 
 
 def _axis_cosine(phi, polars) -> np.ndarray:

@@ -95,21 +95,27 @@ def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray
 
 
 def random_probability_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Flat-Dirichlet point of the (n-1)-simplex."""
+    """Flat-Dirichlet point of the (n-1)-simplex; ``n`` >= 1."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     return rng.dirichlet(np.ones(n))
 
 
 def random_stochastic_matrix(
     n_out: int, n_in: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Column-stochastic matrix with each column flat-Dirichlet."""
+    """Column-stochastic matrix with each column flat-Dirichlet; sizes >= 1."""
+    if min(n_out, n_in) < 1:
+        raise ValidationError(f"sizes must be >= 1, got {n_out} x {n_in}")
     return rng.dirichlet(np.ones(n_out), size=n_in).T
 
 
 def _haar_isometry(
     dim_in: int, dim_out: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Haar-random isometry C^dim_in -> C^dim_out (dim_out >= dim_in)."""
+    """Haar-random isometry C^dim_in -> C^dim_out (dim_out >= dim_in >= 1)."""
+    if min(dim_in, dim_out) < 1:
+        raise ValidationError(f"dims must be >= 1, got C^{dim_in} -> C^{dim_out}")
     g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal(
         (dim_out, dim_in)
     )

@@ -6,12 +6,13 @@ qubit_povm_search) validate a pair once and keep F, M, sqrt(rho1), the
 geodesic, eig(M) and the projectors of the optimal measurement for the next
 call on the same pair; povm_classical_angle reads the validated states from
 it, and takes those projectors without validating them again when it is
-given them.
+given those very (read-only) arrays.
 What is kept must never show: results are the bits a fresh pair gives,
 whatever callers do to the arrays they get back.
 """
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -48,16 +49,22 @@ def _views(rho1, rho2, spoil=False):
     """Every public view of the pair, in call order, as arrays of their bits.
 
     With ``spoil``, each array a view returns is overwritten with NaN as soon
-    as it is recorded, before the next view is called.
+    as it is recorded, before the next view is called; the projectors of the
+    optimal measurement are read-only, and writing to them must raise.
     """
     out = []
 
-    def keep(value):
+    def keep(value, read_only=False):
         arrays = value if isinstance(value, list) else [value]
         out.append([np.array(a, copy=True) for a in arrays])
         if spoil:
             for a in arrays:
-                if isinstance(a, np.ndarray):
+                if not isinstance(a, np.ndarray):
+                    continue
+                if read_only:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = np.nan
+                else:
                     a[...] = np.nan
         return value
 
@@ -67,7 +74,7 @@ def _views(rho1, rho2, spoil=False):
     keep(horizontal_lift(rho1, rho2))
     path = geodesic(rho1, rho2)
     keep([path.e1, path.e2, path.t_star, path.state(path.t_star / 2)])
-    keep(optimal_measurement(rho1, rho2))
+    keep(optimal_measurement(rho1, rho2), read_only=True)
     keep(povm_classical_angle(out[-1], rho1, rho2))  # the recorded projectors
     report = verify_billiard_theorem(rho1, rho2)
     keep([report["m_eigenvalues"], *report["kernel_states"], report["max_infidelity"]])
@@ -286,31 +293,91 @@ def test_the_pairs_own_projectors_are_not_validated_again(lapack_calls):
     assert calls == {"eigvalsh": 3}
 
 
-def _change_an_entry(elements, other):
-    elements[1][0, 0] *= 1.0 + 2.0**-40  # still a POVM to 1e-10
-    return elements
+def _entered(call):
+    """(the names of the functions ``call()`` enters, Python and C, its result)."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+        elif event == "c_call":
+            names.append(getattr(arg, "__name__", ""))
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return names, result
 
 
-def _flip_a_zero(elements, other):
-    parts = elements[0].view(float)
+def test_the_pairs_own_projectors_are_matched_by_identity_alone():
+    # the kept path compares no bytes: tobytes() makes only the states' key
+    rho1, rho2 = _states(2, 32, 25)
+    elements = optimal_measurement(rho1, rho2)
+    assert not any(e.flags.writeable for e in elements)
+    assert optimal_measurement(rho1, rho2)[3] is elements[3]  # one list of views
+    keyed, _ = _entered(lambda: bures._recall(rho1, rho2))
+    entered, angle = _entered(lambda: povm_classical_angle(elements, rho1, rho2))
+    assert "_resolving_identity" in entered and "_povm_stack" not in entered
+    assert entered.count("tobytes") == keyed.count("tobytes") == 2
+    assert not {"array_equal", "array_equiv", "allclose"} & set(entered)
+    assert angle == pytest.approx(bures_angle(rho1, rho2), abs=1e-9)
+
+
+def test_the_optimal_measurement_allocates_one_projector_stack():
+    # on a fresh d = 32 pair with eig(M) made: the (32, 32, 32) stack of 512 KB
+    # and temporaries of a 64 KB block; a second whole stack (a Hermitian part
+    # made whole, or a copy handed out) would pass the bound
+    rho1, rho2 = _states(2, 32, 26)
+    bures._pair(rho1, rho2).eig_m
+    tracemalloc.start()
+    try:
+        elements = optimal_measurement(rho1, rho2)
+        povm_classical_angle(elements, rho1, rho2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 32**3 * 16
+
+
+def _on_a_copy(k, write):
+    """A fallback case applying ``write`` to a copy of element k, in its place:
+    the pair's own element is read-only, and writing to it raises."""
+
+    def fallback(elements, other):
+        with pytest.raises(ValueError, match="read-only"):
+            write(elements[k])
+        elements[k] = elements[k].copy()
+        write(elements[k])
+        return elements
+
+    return fallback
+
+
+def _scale_entry(e):
+    e[0, 0] *= 1.0 + 2.0**-40  # still a POVM to 1e-10
+
+
+def _negate_a_zero(e):
+    parts = e.view(float)
     k = np.flatnonzero(parts == 0.0)[0]
     parts[k] = -parts[k]  # +0.0 becomes -0.0: equal values, other bytes
-    return elements
 
 
-def _spoil_with_nan(elements, other):
-    elements[1][...] = np.nan
-    return elements
+def _fill_with_nan(e):
+    e[...] = np.nan
 
 
 _FALLBACKS = {
-    "entry changed in place": _change_an_entry,
-    "signed zero flipped": _flip_a_zero,
+    "entry changed in place": _on_a_copy(1, _scale_entry),
+    "signed zero flipped": _on_a_copy(0, _negate_a_zero),
     "reordered": lambda elements, other: elements[::-1],
     "element dropped": lambda elements, other: elements[:-1],
     "nested lists": lambda elements, other: [e.tolist() for e in elements],
     "another pair's projectors": lambda elements, other: other,
-    "element overwritten with NaN": _spoil_with_nan,
+    "element overwritten with NaN": _on_a_copy(1, _fill_with_nan),
+    "byte-equal copies": lambda elements, other: [e.copy() for e in elements],
 }
 
 
@@ -333,6 +400,13 @@ def test_other_elements_are_validated_as_any_povm(monkeypatch, case):
     monkeypatch.setattr(measurement, "_povm_stack", povm_stack)
     outcome = _classical(elements, rho1, rho2)
     assert validated
+    if case == "byte-equal copies":
+        # hermitian_part is idempotent: validated, they give the kept path's
+        # bits, so a thread whose views lost a race to be kept (cached_property
+        # has no lock from Python 3.12 on) pays only the validation
+        count = len(validated)
+        assert _classical(optimal_measurement(rho1, rho2), rho1, rho2) == outcome
+        assert len(validated) == count  # that call took the kept path
     _forget()
     assert _classical(elements, rho1, rho2) == outcome  # as with no pair kept
     if case == "element overwritten with NaN":

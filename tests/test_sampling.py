@@ -117,6 +117,48 @@ def test_random_kraus_channel_preserves_states(rng):
     assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
 
+def _rejects_before_drawing(draw):
+    """``draw(rng)`` raises ValidationError and leaves the generator as it was."""
+    rng = substream(7, "sizes")
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match=">= 1"):
+        draw(rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_probability_vector_rejects_sizes_below_one(n):
+    # [] is no probability vector: probability_vector rejects it
+    _rejects_before_drawing(lambda rng: random_probability_vector(n, rng))
+    rng, raw = substream(7, "sizes"), substream(7, "sizes")
+    assert np.array_equal(random_probability_vector(1, rng), raw.dirichlet(np.ones(1)))
+
+
+@pytest.mark.parametrize("n_out, n_in", [(0, 2), (2, 0), (-1, 3)])
+def test_random_stochastic_matrix_rejects_sizes_below_one(n_out, n_in):
+    # n_out = 0 gave columns summing to 0
+    _rejects_before_drawing(lambda rng: random_stochastic_matrix(n_out, n_in, rng))
+    rng, raw = substream(7, "sizes"), substream(7, "sizes")
+    t = random_stochastic_matrix(1, 2, rng)
+    assert np.array_equal(t, raw.dirichlet(np.ones(1), size=2).T)
+
+
+@pytest.mark.parametrize("dim, n_outcomes", [(2, 0), (0, 2), (3, -1)])
+def test_random_povm_rejects_sizes_below_one(dim, n_outcomes):
+    # (2, 0) gave a (0, 2, 2) stack, (0, 2) a (2, 0, 0) one: neither is a POVM
+    _rejects_before_drawing(lambda rng: random_povm(dim, n_outcomes, rng))
+    rng, raw = substream(7, "sizes"), substream(7, "sizes")
+    assert np.array_equal(random_povm(1, 1, rng), _random_povm_loop(1, 1, raw))
+
+
+@pytest.mark.parametrize("dim, env_dim", [(2, 0), (0, None), (0, 2), (2, -1)])
+def test_random_kraus_channel_rejects_sizes_below_one(dim, env_dim):
+    # env_dim = 0 gave no Kraus operators
+    _rejects_before_drawing(lambda rng: random_kraus_channel(dim, rng, env_dim=env_dim))
+    rng, raw = substream(7, "sizes"), substream(7, "sizes")
+    assert np.array_equal(random_kraus_channel(1, rng), _haar_isometry(1, 1, raw)[None])
+
+
 def _random_povm_loop(dim, n_outcomes, rng):
     """random_povm as one hermitian_part per block, the reference it batches."""
     v = _haar_isometry(dim, dim * n_outcomes, rng)
