@@ -15,11 +15,12 @@ so det C(t) = det(e1) prod_i (cos t + kappa_i sin t), a trigonometric
 polynomial of degree N whose zeros in [0, pi) are t_i = atan2(1, -kappa_i)
 for the real eigenvalues kappa_i of K.  On a geodesic() path K = (M - c)/s
 with c = sqrt(F), s = sqrt(1 - F), giving t_i = atan2(s, c - mu_i) for the
-eigenvalues mu_i of M.  Each contact is then verified on rho(t_i) itself,
-whose eigendecomposition also supplies the kernel state, and the same
-formula names the eigenvector of M each contact must match.  The signed
-diagnostic is the determinant of the chord C(t), which is real (up to
-roundoff) on horizontal circles and flips sign at each simple contact.
+eigenvalues mu_i of M.  All contacts are verified at once, on one stacked
+eigendecomposition of the states rho(t_i) that also supplies the kernel
+states, and the same formula names the eigenvector of M each must match:
+verify_billiard_theorem pairs them as arrays, with no BouncePoint and no
+warning.  The signed diagnostic is the determinant of the chord C(t), real
+(up to roundoff) on horizontal circles; it flips sign at each simple contact.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _contact_groups(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cluster roots on the circle [0, pi): each cluster's first root and size."""
     ts = np.sort(ts)
     # gap from each root to the next, the last one wrapping round to ts[0] + pi
-    apart = np.diff(ts, append=ts[:1] + np.pi) > _MERGE_TOL
+    apart = np.concatenate((ts[1:], ts[:1] + np.pi)) - ts > _MERGE_TOL
     if apart.all():  # the generic case: every root is a cluster of its own
         return ts, np.ones(ts.size, dtype=np.intp)
     ends = np.flatnonzero(apart)
@@ -77,6 +78,26 @@ def _contact_groups(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sizes = (ends - starts) % ts.size + 1
     order = np.argsort(ts[starts])
     return ts[starts][order], sizes[order]
+
+
+def _contacts(path: GeodesicPath) -> tuple:
+    """The contacts of :func:`bounce_points` as arrays (ts, multiplicities,
+    states, eigenvalues, kernels).  det C(t) has at most N zeros, so N
+    verified vanishing eigenvalues leave none unverified; fewer raise."""
+    kappa = np.linalg.eigvals(np.linalg.solve(path.e1, path.e2))
+    real = np.abs(kappa.imag) <= _MERGE_TOL * (1.0 + np.abs(kappa) ** 2)
+    ts, sizes = _contact_groups(np.arctan2(1.0, -kappa.real[real]) % np.pi)
+    states = path.state(ts)
+    ws, vs = np.linalg.eigh(states)  # hermitian_part results: eig_hermitian would change no bit
+    kernels = fix_phases(vs[..., :1])[..., 0]  # only column 0 is read
+    verified = ~(ws[np.arange(ts.size), sizes - 1] > _CONTACT_TOL)  # NaN passes
+    total = int(sizes[verified].sum())
+    if total < path.dim:
+        raise ScanFailureError(
+            f"verified {total} vanishing eigenvalues, expected {path.dim}; "
+            "not every root of det C(t) is a real boundary contact"
+        )
+    return ts, sizes, states, ws, kernels
 
 
 def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
@@ -88,19 +109,14 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
     rho(t_i), and returns the contacts sorted by parameter.  Generic
     input yields exactly N simple contacts.  Roots closer than 1e-6 in
     parameter are merged into one contact of raised multiplicity with a
-    DegenerateRootWarning.  A contact of multiplicity m is kept only if
+    DegenerateRootWarning.  A contact of multiplicity m is verified if
     the m smallest eigenvalues of rho(t) are at most 1e-10; since det C(t)
     has at most N zeros, N verified vanishing eigenvalues prove the list
     complete, and fewer raise ScanFailureError.
     """
-    kappa = np.linalg.eigvals(np.linalg.solve(path.e1, path.e2))
-    real = np.abs(kappa.imag) <= _MERGE_TOL * (1.0 + np.abs(kappa) ** 2)
-    ts, sizes = _contact_groups(np.arctan2(1.0, -kappa.real[real]) % np.pi)
-    states = path.state(ts)
-    ws, vs = np.linalg.eigh(states)  # hermitian_part results: eig_hermitian would change no bit
-    kernels = fix_phases(vs[..., :1])[..., 0]  # only column 0 is read
-    points: list[BouncePoint] = []
-    for t, size, rho_b, w, kernel in zip(ts.tolist(), sizes.tolist(), states, ws, kernels):
+    ts, sizes, states, ws, kernels = _contacts(path)
+    ts, sizes = ts.tolist(), sizes.tolist()
+    for t, size in zip(ts, sizes):
         if size > 1:
             warnings.warn(
                 f"{size} contacts within {_MERGE_TOL:g} of t = {t:.9f} "
@@ -108,24 +124,10 @@ def bounce_points(path: GeodesicPath) -> list[BouncePoint]:
                 DegenerateRootWarning,
                 stacklevel=2,
             )
-        if w[size - 1] > _CONTACT_TOL:
-            continue
-        points.append(
-            BouncePoint(
-                t=t,
-                rho_b=rho_b,
-                kernel_state=kernel,
-                multiplicity=size,
-                min_eigenvalue=float(w[0]),
-            )
-        )
-    total = sum(p.multiplicity for p in points)
-    if total < path.dim:
-        raise ScanFailureError(
-            f"verified {total} vanishing eigenvalues, expected {path.dim}; "
-            "not every root of det C(t) is a real boundary contact"
-        )
-    return points
+    return [
+        BouncePoint(t=t, rho_b=rho_b, kernel_state=kernel, multiplicity=size, min_eigenvalue=low)
+        for t, size, rho_b, kernel, low in zip(ts, sizes, states, kernels, ws[:, 0].tolist())
+    ]
 
 
 def _pair_contacts(ts, t_star: float, mu: np.ndarray) -> np.ndarray:
@@ -139,47 +141,33 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
     """Match the bounce kernel states against the eigenstates of M.
 
     Finds the boundary contacts of the geodesic through the (distinct,
-    invertible) pair.  Eigenvalue mu_j of fuchs_caves_operator(rho1, rho2)
-    predicts a contact at atan2(sin t*, cos t* - mu_j); each contact is
-    paired with the eigenvector predicted nearest on the pi-periodic circle.
-    ``matched`` is true when that pairing is one-to-one with squared
-    overlaps at least 1 - 1e-6; ``flagged`` reports degenerate contacts.
+    invertible) pair, as :func:`bounce_points` does, but warns of none.
+    Eigenvalue mu_j of fuchs_caves_operator(rho1, rho2) predicts a contact
+    at atan2(sin t*, cos t* - mu_j); each contact is paired with the
+    eigenvector predicted nearest on the pi-periodic circle.  ``matched`` is
+    true when that pairing is one-to-one with squared overlaps at least
+    1 - 1e-6; ``flagged`` reports degenerate (merged) contacts.
     """
     pair = _pair(rho1, rho2)
     path = pair.path
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateRootWarning)
-        points = bounce_points(path)
-    # a merged contact that fails verification ends in ScanFailureError, so
-    # the contacts returned carry every multiple root bounce_points warned of
-    flagged = any(p.multiplicity > 1 for p in points)
+    ts, sizes, _, _, kernels = _contacts(path)
     m_eigenvalues, m_vectors = pair.eig_m  # fuchs_caves_operator's eigenbasis
-    cols = _pair_contacts([p.t for p in points], path.t_star, m_eigenvalues)
-    kernels = np.stack([p.kernel_state for p in points])
+    cols = _pair_contacts(ts, path.t_star, m_eigenvalues)
     overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2
-    pairings = [
-        {
-            "bounce": i,
-            "t": float(points[i].t),
-            "eigenvector": int(j),
-            "overlap2": float(overlap2[i, j]),
-        }
-        for i, j in enumerate(cols)
-    ]
-    max_infidelity = float(max(1.0 - p["overlap2"] for p in pairings))
-    matched = (
-        len(set(cols.tolist())) == path.dim
-        and all(p["overlap2"] >= 1.0 - 1e-6 for p in pairings)
-    )
+    bounce_ts, eigenvectors = ts.tolist(), cols.tolist()
+    paired = overlap2[np.arange(ts.size), cols].tolist()
     return {
         "dim": path.dim,
-        "matched": bool(matched),
-        "flagged": bool(flagged),
-        "pairings": pairings,
-        "max_infidelity": max_infidelity,
-        "bounce_ts": [float(p.t) for p in points],
-        "multiplicities": [int(p.multiplicity) for p in points],
-        "kernel_states": [p.kernel_state for p in points],
+        "matched": len(set(eigenvectors)) == path.dim and all(o >= 1.0 - 1e-6 for o in paired),
+        "flagged": bool((sizes > 1).any()),
+        "pairings": [
+            {"bounce": i, "t": t, "eigenvector": j, "overlap2": o}
+            for i, (t, j, o) in enumerate(zip(bounce_ts, eigenvectors, paired))
+        ],
+        "max_infidelity": max(1.0 - o for o in paired),
+        "bounce_ts": bounce_ts,
+        "multiplicities": sizes.tolist(),
+        "kernel_states": list(kernels),
         "m_eigenvalues": m_eigenvalues.copy(),
     }
 

@@ -24,8 +24,9 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _half_sum, _roots
-from .linalg import eig_hermitian, hermitian_part, hs_inner, min_eigenvalue
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _as_square, _floored, _half_sum
+from .linalg import _hermitian_checked, _roots, eig_hermitian, fix_phases, hermitian_part
+from .linalg import hs_inner, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
@@ -56,30 +57,35 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class _Pair:
     """A validated pair of states of one shape, and what the paper derives from it.
 
-    Holds rho1, rho2, their eigendecompositions ``spectra`` (one stacked
-    eig_hermitian, with the bits of one call per state) and smallest
-    eigenvalues ``lows``.  F, the lift (M unsymmetrized, sqrt(rho1)), the
-    geodesic, eig(M) and the optimal measurement are each computed on first
-    use, by one route per quantity; one that raises is not kept.  Public views
-    copy what is kept, bar the read-only projectors, matched later by identity.
+    Holds rho1, rho2, their eigendecompositions ``spectra`` (one eigh of
+    the stack that validated them, with the bits of one eig_hermitian call
+    per state) and smallest eigenvalues ``lows``.  F, the lift (M
+    unsymmetrized, sqrt(rho1)), the geodesic, eig(M) and the optimal
+    measurement are each computed on first use, by one route per quantity; one
+    that raises is not kept.  Public views copy what is kept, bar the
+    read-only projectors, matched later by identity.
     """
 
     def __init__(self, rho1, rho2):
-        """Validate two states as density_matrix does, then their shapes."""
+        """Validate two states of one shape.  An invalid state raises what
+        density_matrix raises on it, rho1 first; two valid states of two
+        shapes raise DimensionMismatchError."""
         try:
-            self.rho1 = _unit_trace_hermitian(rho1)
-            self.rho2 = _unit_trace_hermitian(rho2)
-            if self.rho1.shape != self.rho2.shape:
-                raise DimensionMismatchError(
-                    f"states have shapes {self.rho1.shape} and {self.rho2.shape}"
-                )
-            stacked = eig_hermitian(np.stack([self.rho1, self.rho2]))
-            self.spectra = tuple(map(EigenSystem, *stacked))
-            self.lows = tuple(float(w[0]) for w, _ in self.spectra)
+            a, b = _as_square(rho1), np.asarray(rho2, dtype=complex)
+            if a.shape != b.shape:
+                raise DimensionMismatchError(f"states have shapes {a.shape} and {b.shape}")
+            # one A† checks both, and gives their hermitian_part for eigh as it is
+            states, hermitian = _hermitian_checked(np.array((a, b)))
+            traces = states.trace(axis1=1, axis2=2).real
+            if not hermitian.all() or (abs(traces - 1.0) > 1e-12).any():
+                raise ValidationError("not a pair of states")  # named below
+            w, v = np.linalg.eigh(states)
+            self.rho1, self.rho2 = states
+            self.spectra = tuple(map(EigenSystem, w, fix_phases(v)))
+            self.lows = tuple(w[:, 0].tolist())
             _check_positive(min(self.lows))
         except (ValidationError, ValueError, TypeError):  # or unconvertible input
-            # positivity comes after both states here: checked in full one
-            # state at a time, they raise the error they raised before
+            # each state checked in full, in order; two valid states re-raise
             density_matrix(rho1)
             density_matrix(rho2)
             raise

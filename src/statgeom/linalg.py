@@ -116,18 +116,20 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     Makes eigenvector output deterministic for a fixed input; ties between
     equal moduli resolve to the lowest row index.
     """
-    out = np.array(vectors, dtype=complex, copy=True)
-    flat = out.reshape(-1, *out.shape[-2:])  # a view of out, one matrix per slice
-    rows = np.argmax(np.abs(flat), axis=1)
-    pivot = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[-1])]
+    v = np.asarray(vectors, dtype=complex)
+    if v.ndim == 2:  # one matrix, the usual case
+        pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    else:
+        flat = v.reshape(math.prod(v.shape[:-2]), *v.shape[-2:])  # one matrix per slice
+        rows = np.abs(flat).argmax(axis=1)
+        pivot = flat[np.arange(len(flat))[:, None], rows, np.arange(v.shape[-1])]
+        pivot = pivot.reshape(*v.shape[:-2], 1, v.shape[-1])
     size = np.abs(pivot)
     keep = size > 0  # False for an all-zero column, and for a NaN pivot
     if keep.all():  # the usual case, which needs no mask
-        flat *= (size / pivot)[:, None, :]
-        return out
+        return v * (size / pivot)  # a new array: the input is left as it is
     pivot[~keep] = 1.0  # no 0/0 for an all-zero column, which stays as it is
-    np.multiply(flat, (size / pivot)[:, None, :], out=flat, where=keep[:, None, :])
-    return out
+    return np.multiply(v, size / pivot, out=v.copy(order="K"), where=keep)
 
 
 def eig_hermitian(h: np.ndarray) -> EigenSystem:
@@ -196,9 +198,9 @@ def _roots(spectrum: EigenSystem) -> tuple:
         raise SingularError(
             f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
         )
-    root, vh = np.sqrt(w), v.conj().T  # a complex root repeats matrix_sqrt bit for bit
-    return (hermitian_part((v * root.astype(complex)) @ vh),
-            hermitian_part((v * (1.0 / root)) @ vh))
+    root = np.sqrt(w)  # as complex, it repeats matrix_sqrt bit for bit
+    scaled = v * np.array((root, 1.0 / root), dtype=complex)[:, None, :]
+    return tuple(hermitian_part(scaled @ v.conj().T))  # the bits of one call each
 
 
 def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
@@ -207,7 +209,7 @@ def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
     Raises :class:`SingularError` when the smallest eigenvalue is at most
     1e-12 times the largest eigenvalue magnitude.
     """
-    return _roots(eig_hermitian(_as_square(h)))[1]
+    return _roots(eig_hermitian(_as_square(h)))[1].copy()  # not a view that holds sqrt(H)
 
 
 def min_eigenvalue(h: np.ndarray):

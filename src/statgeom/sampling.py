@@ -39,6 +39,8 @@ def substream(seed: int, label: str) -> np.random.Generator:
 
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
@@ -48,7 +50,9 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector in C^dim."""
+    """Haar-random unit vector in C^dim; ``dim`` >= 1."""
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 

@@ -22,7 +22,7 @@ from statgeom import (
     substream,
     verify_billiard_theorem,
 )
-from statgeom import billiard
+from statgeom import billiard, bures
 
 
 def _diag_pair(p, q):
@@ -234,8 +234,9 @@ def test_matched_needs_a_one_to_one_pairing(monkeypatch):
     # overlap, but covers only one eigenvector of M
     rho1, rho2 = _diag_pair([0.7, 0.3], [0.4, 0.6])
     assert verify_billiard_theorem(rho1, rho2)["matched"]
-    first = bounce_points(geodesic(rho1, rho2))[0]
-    monkeypatch.setattr(billiard, "bounce_points", lambda path: [first, first])
+    contacts = billiard._contacts(geodesic(rho1, rho2))
+    first_twice = tuple(array[[0, 0]] for array in contacts)
+    monkeypatch.setattr(billiard, "_contacts", lambda path: first_twice)
     report = verify_billiard_theorem(rho1, rho2)
     assert [p["eigenvector"] for p in report["pairings"]] == [0, 0]
     assert report["max_infidelity"] <= 1e-12
@@ -276,7 +277,7 @@ def test_degenerate_contact_is_flagged_and_merged():
         points = bounce_points(path)
     assert len(points) == 2
     assert sorted(pt.multiplicity for pt in points) == [1, 2]
-    # verify_billiard_theorem records the warning instead of re-raising it
+    # verify_billiard_theorem reports it as flagged, with no warning
     report = verify_billiard_theorem(rho1, rho2)
     assert report["flagged"]
     assert not report["matched"]  # two contacts cannot cover three eigenvectors
@@ -311,19 +312,108 @@ def test_flagged_means_a_merged_contact():
 
 
 def test_verify_theorem_passes_other_warnings_through(monkeypatch):
-    # only DegenerateRootWarning is silenced; any other warning still shows
-    original = billiard.bounce_points
+    # verify_billiard_theorem raises no DegenerateRootWarning of its own,
+    # and any other warning still shows
+    original = billiard._contacts
 
     def noisy(path):
         warnings.warn("unrelated", RuntimeWarning)
         return original(path)
 
-    monkeypatch.setattr(billiard, "bounce_points", noisy)
+    monkeypatch.setattr(billiard, "_contacts", noisy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = verify_billiard_theorem(*_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]))
     assert report["flagged"]
     assert [w.category for w in caught] == [RuntimeWarning]
+
+
+def _report_from_bounce_points(rho1, rho2):
+    """verify_billiard_theorem's report assembled from the BouncePoint list
+    and the pair's eig(M), one contact at a time."""
+    pair = bures._pair(rho1, rho2)
+    path = pair.path
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateRootWarning)
+        points = bounce_points(path)
+    m_eigenvalues, m_vectors = pair.eig_m
+    cols = billiard._pair_contacts([p.t for p in points], path.t_star, m_eigenvalues)
+    kernels = np.stack([p.kernel_state for p in points])
+    overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2
+    pairings = [
+        {
+            "bounce": i,
+            "t": float(points[i].t),
+            "eigenvector": int(j),
+            "overlap2": float(overlap2[i, j]),
+        }
+        for i, j in enumerate(cols)
+    ]
+    return {
+        "dim": path.dim,
+        "matched": bool(
+            len(set(cols.tolist())) == path.dim
+            and all(p["overlap2"] >= 1.0 - 1e-6 for p in pairings)
+        ),
+        "flagged": any(p.multiplicity > 1 for p in points),
+        "pairings": pairings,
+        "max_infidelity": float(max(1.0 - p["overlap2"] for p in pairings)),
+        "bounce_ts": [float(p.t) for p in points],
+        "multiplicities": [int(p.multiplicity) for p in points],
+        "kernel_states": [p.kernel_state for p in points],
+        "m_eigenvalues": m_eigenvalues.copy(),
+    }
+
+
+def _bits(value):
+    """A value with every float and array replaced by its type and bytes."""
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_bits(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return float, value.hex()
+    return type(value), value
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_report_has_the_bits_of_the_bounce_point_route(dim):
+    rng = substream(dim, "billiard-report")
+    pairs = [
+        (random_invertible_density_matrix(dim, rng), random_invertible_density_matrix(dim, rng))
+        for _ in range(8)
+    ]
+    pairs.append(_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]))  # flagged
+    for rho1, rho2 in pairs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the report warns of nothing
+            report = verify_billiard_theorem(rho1, rho2)
+        assert _bits(report) == _bits(_report_from_bounce_points(rho1, rho2))
+    assert report["flagged"] and not report["matched"]
+
+
+def test_bounce_points_warns_once_per_merged_contact():
+    # two pairs of equal likelihood ratios give two contacts of multiplicity 2
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    q = p * np.array([0.5, 0.5, 2.0, 2.0])
+    for path, multiplicities in (
+        (geodesic(*_diag_pair(p, q / q.sum())), [2, 2]),
+        (geodesic(*_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6])), [1, 2]),
+        (_straddling_path(), [1, 2]),
+        (geodesic(*_near_coincident_pair()), [1, 1, 1]),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = bounce_points(path)
+        assert sorted(pt.multiplicity for pt in points) == multiplicities
+        assert [str(w.message) for w in caught] == [
+            f"{pt.multiplicity} contacts within 1e-06 of t = {pt.t:.9f} merged as a multiple root"
+            for pt in points
+            if pt.multiplicity > 1
+        ]
+        assert {w.category for w in caught} <= {DegenerateRootWarning}
 
 
 def test_scan_failure_when_circle_avoids_boundary():

@@ -27,7 +27,7 @@ from statgeom import (
     psd_order_geq,
     random_density_matrix,
 )
-from statgeom.linalg import _hermitian_checked
+from statgeom.linalg import _hermitian_checked, _roots
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -241,6 +241,51 @@ def test_fix_phases_of_leading_columns_is_a_slice(rng, n):
         fixed = fix_phases(v)
         for k in range(1, n + 1):
             assert fix_phases(v[..., :k]).tobytes() == fixed[..., :k].tobytes()
+
+
+def _assert_same_phases(got, expected, single):
+    """Equal bytes; on a 1 x 1 matrix, equal to 4 ulps of the entry, the
+    roundoff that differs between numpy's loop shapes there."""
+    if not single:
+        assert got.tobytes() == expected.tobytes()
+        return
+    ulps = 4.0 * np.finfo(float).eps * np.abs(expected)
+    assert np.all((np.abs(got - expected) <= ulps) | (np.isnan(got) & np.isnan(expected)))
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_fix_phases_bits_in_every_layout(rng, n):
+    """fix_phases gives the column loop's bits on a matrix and the matrix
+    call's bits on each slice of a stack, in every layout, with all-zero
+    columns and NaN pivots, in a new array that leaves its input as it was."""
+    for k in (0, 1, 2, n):
+        for stack in _layouts(rng, (2, 3, n, k)).values():
+            if k:
+                stack[0, 1, :, 0] = 0.0
+                stack[1, 2, 0, k - 1] = np.nan  # the column's pivot
+            before = stack.copy()
+            fixed = fix_phases(stack)
+            assert fixed.shape == stack.shape and not np.shares_memory(fixed, stack)
+            assert stack.tobytes() == before.tobytes()
+            for index in np.ndindex(stack.shape[:-2]):
+                matrix = stack[index]
+                one = fix_phases(matrix)
+                _assert_same_phases(one, _fix_phases_reference(matrix), (n, k) == (1, 1))
+                _assert_same_phases(fixed[index], one, (n, k) == (1, 1))
+            three = fix_phases(stack[1])  # a (3, n, k) stack
+            for index in range(3):
+                _assert_same_phases(three[index], fixed[1, index], (n, k) == (1, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_roots_have_the_bits_of_one_matrix_function_each(rng, n):
+    """sqrt(H) and H^(-1/2), formed together, have the bits of one
+    matrix_function call each on H."""
+    states = [hermitian_part(g @ g.conj().T) for g in _layouts(rng, (6, n, n))["C"]]
+    for h in [*states, *_positive_definite(rng, n)]:
+        root, inv_root = _roots(eig_hermitian(h))
+        assert root.tobytes() == matrix_function(h, np.sqrt, domain_floor=0.0).tobytes()
+        assert inv_root.tobytes() == matrix_function(h, lambda w: 1.0 / np.sqrt(w)).tobytes()
 
 
 @pytest.mark.parametrize(

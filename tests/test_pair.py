@@ -35,7 +35,7 @@ from statgeom import (
     verify_billiard_theorem,
 )
 from statgeom import bures, measurement
-from statgeom.linalg import hermitian_part, matrix_inv_sqrt, matrix_sqrt
+from statgeom.linalg import eig_hermitian, hermitian_part, matrix_inv_sqrt, matrix_sqrt
 from statgeom.means import _congruence, _core_spectrum
 from statgeom.monotone import density_matrix
 
@@ -189,6 +189,61 @@ def test_the_first_states_negative_eigenvalue_is_reported_first(call, second):
         call(_NEGATIVE, _SECONDS[second])
     assert type(info.value) is ValidationError
     assert str(info.value) == "density matrix has a negative eigenvalue"
+
+
+_STATES = {
+    "valid": np.eye(2) / 2,
+    "another shape": np.eye(3) / 3,
+    "non-square": np.ones((2, 3)) / 2,
+    "non-Hermitian": _SECONDS["non-Hermitian"],
+    "trace off": _SECONDS["trace 2"],
+    "negative eigenvalue": _NEGATIVE,
+    "NaN": np.diag([np.nan, 0.5]),
+    "ragged": _SECONDS["ragged"],
+}
+
+
+def _first_error(*calls):
+    """The type and message of the first call that raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except Exception as error:  # any error is a result here
+            return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("second", list(_STATES))
+@pytest.mark.parametrize("first", list(_STATES))
+def test_the_pair_raises_what_density_matrix_raises(first, second):
+    """Either state invalid, the pair raises density_matrix's error on the
+    first invalid one; two valid states of two shapes raise a shape error."""
+    rho1, rho2 = _STATES[first], _STATES[second]
+    expected = _first_error(lambda: density_matrix(rho1), lambda: density_matrix(rho2))
+    if expected is None and np.shape(rho1) != np.shape(rho2):
+        expected = (
+            DimensionMismatchError,
+            f"states have shapes {np.shape(rho1)} and {np.shape(rho2)}",
+        )
+    assert _first_error(lambda: bures._Pair(rho1, rho2)) == expected
+
+
+@pytest.mark.parametrize("dim", range(1, 34))
+def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
+    """rho1, rho2 and their spectra equal density_matrix and eig_hermitian
+    of each state alone, byte for byte."""
+    rng = np.random.default_rng(dim)
+    for _ in range(4):
+        states = []
+        for _ in range(2):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            states.append(rho + 1e-14 * rng.standard_normal((dim, dim)))  # off-Hermitian noise
+        pair = bures._Pair(*states)
+        expected = [density_matrix(rho) for rho in states]
+        _assert_same_bits([[pair.rho1, pair.rho2]], [expected])
+        _assert_same_bits(pair.spectra, [eig_hermitian(rho) for rho in expected])
+        assert pair.lows == tuple(float(w[0]) for w, _ in pair.spectra)
 
 
 def test_spoiled_results_do_not_reach_later_calls():

@@ -159,6 +159,27 @@ def test_random_kraus_channel_rejects_sizes_below_one(dim, env_dim):
     assert np.array_equal(random_kraus_channel(1, rng), _haar_isometry(1, 1, raw)[None])
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize(
+    "generator",
+    [random_pure_state, random_psd, random_density_matrix, random_invertible_density_matrix],
+)
+def test_state_generators_reject_sizes_below_one(generator, dim):
+    # dim 0 gave [], a (0, 0) array, a divide-by-zero RuntimeWarning, and an
+    # IndexError; -1 a numpy ValueError
+    _rejects_before_drawing(lambda rng: generator(dim, rng))
+
+
+def test_state_generators_keep_their_draws_at_valid_sizes():
+    rng, raw = substream(7, "sizes"), substream(7, "sizes")
+    v = raw.standard_normal(2) + 1j * raw.standard_normal(2)
+    assert np.array_equal(random_pure_state(2, rng), v / np.linalg.norm(v))
+    g = raw.standard_normal((2, 2)) + 1j * raw.standard_normal((2, 2))
+    m = g @ g.conj().T
+    assert np.array_equal(random_density_matrix(2, rng), hermitian_part(m / np.trace(m).real))
+    assert rng.bit_generator.state == raw.bit_generator.state
+
+
 def _random_povm_loop(dim, n_outcomes, rng):
     """random_povm as one hermitian_part per block, the reference it batches."""
     v = _haar_isometry(dim, dim * n_outcomes, rng)
