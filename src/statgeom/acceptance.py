@@ -39,7 +39,7 @@ from .classical import (
     sphere_embed,
 )
 from .errors import NumericalError
-from .linalg import hs_norm, matrix_sqrt, min_eigenvalue
+from .linalg import hermitian_part, hs_norm, matrix_sqrt, min_eigenvalue
 from .means import (
     arithmetic_mean,
     geometric_mean,
@@ -53,7 +53,7 @@ from .measurement import (
     pure_state_qubit_angle,
     qubit_povm_search,
 )
-from .monotone import density_matrix, monotone_ds2
+from .monotone import monotone_ds2
 from .sampling import (
     random_density_matrix,
     random_povm,
@@ -86,9 +86,9 @@ _OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, "==": operator.e
 
 
 def _mixed_state(dim: int, rng: np.random.Generator, mix: float = 0.1) -> np.ndarray:
-    """Random full-rank state, blended toward the maximally mixed one."""
+    """Random full-rank state, blended toward the maximally mixed one; validated where used."""
     rho = random_density_matrix(dim, rng)
-    return density_matrix((1.0 - mix) * rho + mix * np.eye(dim) / dim)
+    return hermitian_part((1.0 - mix) * rho + mix * np.eye(dim) / dim)
 
 
 def criterion_1_sphere(seed: int) -> tuple[list[Gate], dict]:
@@ -189,7 +189,7 @@ def criterion_5_monotone_consistency(seed: int) -> tuple[list[Gate], dict]:
         ds2 = monotone_ds2(rho, drho, "arithmetic")
         errs = []
         for t in steps:
-            angle = bures_angle(rho, density_matrix(rho + t * drho))
+            angle = bures_angle(rho, rho + t * drho)
             errs.append(abs(angle * angle - ds2 * t * t))
         errs = np.maximum(np.asarray(errs), 1e-300)
         order = float(np.polyfit(np.log2(steps), np.log2(errs), 1)[0])

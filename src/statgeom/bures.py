@@ -24,8 +24,8 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _as_square, _floored, _half_sum
-from .linalg import _hermitian_checked, _roots, eig_hermitian, fix_phases, hermitian_part
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _half_sum
+from .linalg import _hermitian_pair, _roots, eig_hermitian, fix_phases, hermitian_part
 from .linalg import hs_inner, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
@@ -59,11 +59,12 @@ class _Pair:
 
     Holds rho1, rho2, their eigendecompositions ``spectra`` (one eigh of
     the stack that validated them, with the bits of one eig_hermitian call
-    per state) and smallest eigenvalues ``lows``.  F, the lift (M
-    unsymmetrized, sqrt(rho1)), the geodesic, eig(M) and the optimal
-    measurement are each computed on first use, by one route per quantity; one
-    that raises is not kept.  Public views copy what is kept, bar the
-    read-only projectors, matched later by identity.
+    per state) and smallest eigenvalues ``lows``; the stack is checked as
+    the operands of a mean are.  F, the lift (M unsymmetrized, sqrt(rho1)),
+    the geodesic, eig(M) and the optimal measurement are each computed on
+    first use, by one route per quantity; one that raises is not kept.
+    Public views copy what is kept, bar the read-only projectors, matched
+    later by identity; povm_classical_angle reads the states as they are.
     """
 
     def __init__(self, rho1, rho2):
@@ -71,11 +72,8 @@ class _Pair:
         density_matrix raises on it, rho1 first; two valid states of two
         shapes raise DimensionMismatchError."""
         try:
-            a, b = _as_square(rho1), np.asarray(rho2, dtype=complex)
-            if a.shape != b.shape:
-                raise DimensionMismatchError(f"states have shapes {a.shape} and {b.shape}")
             # one A† checks both, and gives their hermitian_part for eigh as it is
-            states, hermitian = _hermitian_checked(np.array((a, b)))
+            _, states, hermitian = _hermitian_pair(rho1, rho2, "states")
             traces = states.trace(axis1=1, axis2=2).real
             if not hermitian.all() or (abs(traces - 1.0) > 1e-12).any():
                 raise ValidationError("not a pair of states")  # named below
@@ -162,10 +160,9 @@ class _Pair:
 
 
 # The most recent valid pair, so the public views called in a row on one
-# pair share it: _pair(rho1, rho2) gives it, validating a new pair, and
-# _recall(rho1, rho2) gives (key, the remembered pair or None).
+# pair share it: _pair(rho1, rho2) gives it, validating a new pair.
 _pairs = _PairSlot(_Pair)
-_pair, _recall = _pairs.get, _pairs.recall
+_pair = _pairs.get
 
 
 def fidelity(rho1, rho2) -> float:
@@ -228,6 +225,8 @@ def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
     pair = _pair(rho1, rho2)
     if a1 is not None:
         a1 = purification(a1)
+        if a1.shape != pair.rho1.shape:
+            raise DimensionMismatchError(f"a1 has shape {a1.shape}, rho1 {pair.rho1.shape}")
         resid = float(np.linalg.norm(a1 @ a1.conj().T - pair.rho1))
         if not resid <= 1e-8:
             raise ValidationError(f"a1 does not purify rho1 (residual {resid:.3e})")

@@ -70,6 +70,13 @@ def stochastic_matrix(t) -> np.ndarray:
     return t
 
 
+def _check_finite(what: str, *arrays) -> None:
+    """Raise ValidationError unless each array is nonempty and finite."""
+    for a in arrays:
+        if a.size == 0 or not np.isfinite(a).all():
+            raise ValidationError(f"{what} needs nonempty, finite input")
+
+
 def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
     """Squared Fisher-Rao line element (1/4) sum dp_i^2 / p_i.
 
@@ -80,6 +87,7 @@ def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
     dp = np.asarray(dp, dtype=float)
     if p.shape != dp.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, dp {dp.shape}")
+    _check_finite("Fisher-Rao line element", p, dp)
     if np.any(p <= 0.0):
         raise BoundaryError("metric diverges where a probability vanishes")
     return 0.25 * float(np.sum(dp * dp / p))
@@ -100,7 +108,8 @@ def fr_geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
-    cosine = float(np.sqrt(p * q).sum())
+    with np.errstate(invalid="ignore", over="ignore"):  # raised below instead
+        cosine = float(np.sqrt(p * q).sum())
     if not math.isfinite(cosine):  # a NaN, infinite or negative entry
         raise ValidationError(f"sum of sqrt(p_i q_i) is {cosine}, not finite")
     return math.acos(min(1.0, max(0.0, cosine)))
@@ -212,6 +221,7 @@ def jeffreys_density(p: np.ndarray) -> float:
     Raises :class:`NumericalError` when the density exceeds the float range.
     """
     p = np.asarray(p, dtype=float).ravel()
+    _check_finite("Jeffreys density", p)
     if np.any(p <= 0.0):
         raise BoundaryError("density diverges where a probability vanishes")
     try:

@@ -110,6 +110,17 @@ def _hermitian_checked(a: np.ndarray) -> tuple:
     return _half_sum(h, a), norms <= 1e-10 * scale
 
 
+def _hermitian_pair(x, y, noun: str) -> tuple:
+    """(an owned (2, n, n) stack of x and y, its hermitian_part, the verdict of
+    :func:`is_hermitian` on each); raises as x or y does not convert, then as
+    their shapes differ (naming the ``noun``), then as x is not square."""
+    a, b = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"{noun} have shapes {a.shape} and {b.shape}")
+    stack = np.array((_as_square(a), b))  # b has a's shape
+    return (stack, *_hermitian_checked(stack))
+
+
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column's phase so its largest-modulus entry is real > 0.
 
@@ -247,32 +258,26 @@ class _PairSlot:
 
     ``build(x, y)`` validates the pair and returns an object that owns its
     arrays, since callers may later change theirs in place.  The key is the
-    (shape, bytes) of both arguments as complex arrays, and None when one
-    does not convert (e.g. a ragged nested list): such a pair skips the slot,
-    so ``build`` raises as it would without it, and a pair ``build`` rejects
-    is never kept.  One tuple assignment replaces ``entry``, so a reader
-    always compares against the key stored with the value it gets.
+    (shape, bytes) of both arguments as complex arrays; a pair where one does
+    not convert (e.g. a ragged nested list) skips the slot, so ``build``
+    raises as it would without it, and a pair ``build`` rejects is never
+    kept.  One tuple assignment replaces ``entry``, so a reader always
+    compares against the key stored with the value it gets.
     """
 
     def __init__(self, build):
         self.build = build
         self.entry = (None, None)
 
-    def recall(self, x, y) -> tuple:
-        """(key, the value remembered for x and y, or None)."""
+    def get(self, x, y):
+        """The value for x and y: the remembered one, or a new one, kept."""
         try:
             a, b = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
         except (TypeError, ValueError):
-            return None, None
+            return self.build(x, y)
         key = (a.shape, a.tobytes(), b.shape, b.tobytes())
         last_key, value = self.entry
-        return key, (value if key == last_key else None)
-
-    def get(self, x, y):
-        """The value for x and y: the remembered one, or a new one, kept."""
-        key, value = self.recall(x, y)
-        if value is None:
+        if key != last_key:
             value = self.build(x, y)
-            if key is not None:
-                self.entry = (key, value)
+            self.entry = (key, value)
         return value

@@ -23,16 +23,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .linalg import (
     EigenSystem,
     _PairSlot,
     _apply_spectrum,
-    _as_square,
     _floored,
-    _hermitian_checked,
+    _hermitian_pair,
     _roots,
     eig_hermitian,
+    fix_phases,
     hermitian_part,
     hs_norm,
     matrix_function,
@@ -91,18 +91,6 @@ def _symmetry_defect(f) -> float:
     return float(np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid))))
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of a and b as complex arrays, checked to be Hermitian of one shape."""
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"operands have shapes {a.shape} and {b.shape}")
-    _as_square(a)  # b has a's shape
-    if not _hermitian_checked(np.stack([a, b]))[1].all():
-        raise ValidationError("operator means need Hermitian operands")
-    return a, b
-
-
 def _core_spectrum(inner, b) -> EigenSystem:
     """Clamped spectrum of inner b inner: the core A^(-1/2) B A^(-1/2) of
     every mean from inner = A^(-1/2), and that of the operator
@@ -119,22 +107,26 @@ def _congruence(outer, core: EigenSystem, f) -> np.ndarray:
 class _MeanPair:
     """A validated operand pair (A, B), and what every mean of it shares.
 
-    Holds copies of A and B.  (sqrt(A), A^(-1/2)), with B checked positive
-    semidefinite first, and the core spectrum are each computed on first
-    use; one that raises is not kept.  A mean applies its f to the kept core
+    Holds A and B, views of one owned stack checked as a Bures state pair
+    is, and the stack's Hermitian part.  (sqrt(A), A^(-1/2)), with B checked
+    positive semidefinite first, and the core spectrum are each computed on
+    first use; one that raises is not kept.  A mean applies its f to the kept core
     and returns a new array, so the trio costs one stacked decomposition of
     (A, B) and one of the core between them.
     """
 
     def __init__(self, a, b):
-        self.a, self.b = _check_pair(a, b)
+        stack, self.hermitian_stack, hermitian = _hermitian_pair(a, b, "operands")
+        if not hermitian.all():
+            raise ValidationError("operator means need Hermitian operands")
+        self.a, self.b = stack
 
     @cached_property
     def roots(self) -> tuple:
-        w, v = eig_hermitian(np.stack([self.a, self.b]))  # the bits of one call each
+        w, v = np.linalg.eigh(self.hermitian_stack)  # the bits of one eig_hermitian each
         if w[1, 0] < -1e-12:
             raise ValidationError("second operand is not positive semidefinite")
-        return _roots(EigenSystem(w[0], v[0]))  # SingularError if a is singular
+        return _roots(EigenSystem(w[0], fix_phases(v)[0]))  # SingularError if a is singular
 
     @cached_property
     def core(self) -> EigenSystem:

@@ -24,7 +24,7 @@ from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import _as_square, _hermitian_checked, hermitian_part, min_eigenvalue
 from .monotone import density_matrix
-from .bures import _bloch_vector, _pair, _recall
+from .bures import _bloch_vector, _pair
 
 __all__ = [
     "povm",
@@ -115,23 +115,22 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
     """Fisher-Rao angle between the outcome distributions of one POVM.
 
     Bounded above by the Bures angle of the two states for every POVM.
-    The states come validated from the last pair the Bures views were given,
-    when that is this pair.  The very read-only arrays :func:`optimal_measurement`
+    The states come validated from the pair the Bures views share, checked
+    before the POVM.  The very read-only arrays :func:`optimal_measurement`
     returned for that pair, in order, are not validated again as an arbitrary
     POVM: each is the Hermitian part of fl(v v†) with |v| = 1 + O(N u), so its
     own Hermitian part, with least eigenvalue -O(u), far inside the -1e-12 of
     that check.  Only their sum, whose error rests on the accuracy of eigh, is
     checked.  Other elements, byte-equal copies too, are validated as any POVM.
     """
-    pair = _recall(rho1, rho2)[1]
+    pair = _pair(rho1, rho2)
     # only projectors already made: another POVM must not pay for eig(M)
-    kept = vars(pair).get("projectors") if pair else None
+    kept = vars(pair).get("projectors")
     if kept and len(elements) == len(kept) and all(map(is_, elements, kept)):
         stack = _resolving_identity(kept[0].base)  # the stack they are views of
     else:
         stack = _povm_stack(elements)
-    p = _distribution(stack, pair.rho1 if pair else density_matrix(rho1))
-    q = _distribution(stack, pair.rho2 if pair else density_matrix(rho2))
+    p, q = _distribution(stack, pair.rho1), _distribution(stack, pair.rho2)
     return fr_geodesic_distance(p, q)
 
 

@@ -162,6 +162,15 @@ def test_horizontal_lift_rejects_wrong_purification(rng):
         horizontal_lift(rho1, rho2, purify(rho2))
 
 
+def test_horizontal_lift_rejects_a_purification_of_another_size(rng):
+    # checked before the residual a1 a1* - rho1, which would not broadcast
+    rho1 = random_invertible_density_matrix(2, rng)
+    rho2 = random_invertible_density_matrix(2, rng)
+    a1 = purify(random_invertible_density_matrix(3, rng))
+    with pytest.raises(DimensionMismatchError, match=r"a1 has shape \(3, 3\), rho1 \(2, 2\)"):
+        horizontal_lift(rho1, rho2, a1)
+
+
 def test_geodesic_endpoints_and_angle(rng):
     rho1 = random_invertible_density_matrix(4, rng)
     rho2 = random_invertible_density_matrix(4, rng)

@@ -115,6 +115,17 @@ def test_fisher_rao_ds2_hand_value():
     assert fisher_rao_ds2(p, dp) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "p, dp",
+    [([], []), ([math.nan, 0.5], [0.1, -0.1]), ([0.5, 0.5], [math.inf, 0.0])],
+    ids=["empty", "nan-probability", "infinite-tangent"],
+)
+def test_fisher_rao_ds2_rejects_empty_or_non_finite_input(p, dp):
+    # these returned 0.0, nan and inf
+    with pytest.raises(ValidationError, match="nonempty, finite"):
+        fisher_rao_ds2(np.array(p), np.array(dp))
+
+
 def test_fisher_rao_ds2_needs_interior_point():
     with pytest.raises(BoundaryError):
         fisher_rao_ds2(np.array([1.0, 0.0]), np.array([0.1, -0.1]))
@@ -139,11 +150,15 @@ def test_distance_coincident_and_orthogonal():
     [
         ([math.nan, 0.5, 0.5], [0.2, 0.3, 0.5]),
         ([0.5, 0.5], [math.inf, 0.0]),
+        # these warned first, and RuntimeWarning is an error in this suite
+        ([0.5, 0.5], [-0.1, 1.1]),  # sqrt of a negative product
+        ([math.inf, 0.0], [0.0, 1.0]),  # inf * 0
+        ([1e200, 0.0], [1e200, 1.0]),  # a product that overflows
     ],
 )
 def test_distance_rejects_a_non_finite_cosine(p, q):
     # a NaN cosine used to clamp to 0, reporting orthogonality (pi/2)
-    with pytest.raises(ValidationError, match="not finite"):
+    with pytest.raises(ValidationError, match=r"sum of sqrt\(p_i q_i\) is (nan|inf), not finite"):
         fr_geodesic_distance(np.array(p), np.array(q))
 
 
@@ -231,6 +246,16 @@ def test_multinomial_experiment_validation():
 def test_jeffreys_density_diverges_on_the_boundary():
     with pytest.raises(BoundaryError):
         jeffreys_density(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "p", [[], [math.nan, 0.5], [math.inf, 0.5], [-math.inf, 0.5]],
+    ids=["empty", "nan", "inf", "minus-inf"],
+)
+def test_jeffreys_density_rejects_empty_or_non_finite_input(p):
+    # the first three returned 1.0, nan and 0.0
+    with pytest.raises(ValidationError, match="nonempty, finite"):
+        jeffreys_density(np.array(p))
 
 
 def test_jeffreys_density_frozen_values():

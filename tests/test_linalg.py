@@ -27,7 +27,7 @@ from statgeom import (
     psd_order_geq,
     random_density_matrix,
 )
-from statgeom.linalg import _hermitian_checked, _roots
+from statgeom.linalg import _hermitian_checked, _hermitian_pair, _roots
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -388,3 +388,38 @@ def test_matrix_sqrt_of_density_matrix(rng):
 def test_matrix_function_domain_floor_rejects_real_negatives():
     with pytest.raises(DomainError):
         matrix_function(np.diag([1.0, -0.5]), np.sqrt, domain_floor=0.0)
+
+
+_RAGGED = [[1.0, 0.0], [0.0]]
+
+
+@pytest.mark.parametrize("noun", ["states", "operands"])
+@pytest.mark.parametrize(
+    "x, y, error, message",
+    [
+        (_RAGGED, np.eye(3), ValueError, "inhomogeneous"),
+        (np.ones((2, 3)), _RAGGED, ValueError, "inhomogeneous"),
+        (np.ones((2, 3)), np.eye(3), DimensionMismatchError, "{} have shapes (2, 3) and (3, 3)"),
+        (np.ones(3), np.eye(3), DimensionMismatchError, "{} have shapes (3,) and (3, 3)"),
+        (np.ones((2, 3)), np.ones((2, 3)), DimensionMismatchError, "square, got shape (2, 3)"),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2)), DimensionMismatchError, "square, got shape (2, 2,"),
+    ],
+    ids=["ragged-first", "ragged-second", "shape", "vector-shape", "square", "not-a-stack"],
+)
+def test_the_pair_check_raises_ragged_then_shape_then_square(noun, x, y, error, message):
+    # one routine checks the Bures state pair and the operands of a mean
+    with pytest.raises(error) as caught:
+        _hermitian_pair(x, y, noun)
+    assert message.format(noun) in str(caught.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_the_pair_check_owns_one_stack_and_checks_each_slice(rng, n):
+    x = rng.normal(size=(n, n))
+    y = hermitian_part(x + 1j * rng.normal(size=(n, n)))
+    stack, part, verdict = _hermitian_pair(x, y, "operands")
+    assert stack.shape == (2, n, n) and stack.dtype == complex and stack.flags.owndata
+    assert stack[0].tobytes() == x.astype(complex).tobytes()
+    assert stack[1].tobytes() == y.tobytes() and not np.shares_memory(stack, y)
+    assert part.tobytes() == hermitian_part(stack).tobytes()
+    assert verdict.tolist() == [is_hermitian(x), True]

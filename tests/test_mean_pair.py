@@ -23,6 +23,8 @@ from statgeom import (
     operator_mean,
     random_psd,
 )
+from statgeom.linalg import EigenSystem, _roots, eig_hermitian, hermitian_part
+from statgeom.means import _congruence, _core_spectrum
 
 
 def _operands(count, dim, seed):
@@ -61,6 +63,39 @@ def _assert_same_bits(got, expected):
     for a, b in zip(got, expected):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
+
+
+def _reference_means(a, b):
+    """:func:`_means` by the route each pair once took on its own: copies of
+    A and B, one eig_hermitian of their stack, the roots of A, then the core."""
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    w, v = eig_hermitian(np.stack([a, b]))
+    root, inv_root = _roots(EigenSystem(w[0], v[0]))
+    core = _core_spectrum(inv_root, b)
+    fs = (lambda t: 2.0 * t / (1.0 + t), np.sqrt, lambda t: 0.5 * (1.0 + t))
+    harmonic, geometric, arithmetic = (hermitian_part(_congruence(root, core, f)) for f in fs)
+    power = hermitian_part(_congruence(root, core, lambda t: t ** 0.3))
+    return [harmonic, geometric, 0.5 * (a + b), arithmetic, power]
+
+
+def _layouts(a):
+    """a as given, real-typed (its real part), as a strided view, with a
+    negative zero in every zero part, and off-Hermitian within the check."""
+    strided = np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)[::2, ::2]
+    signed = np.array(a, dtype=complex)
+    signed.imag[np.eye(len(a), dtype=bool)] = -0.0
+    signed.real[signed.real == 0.0] = -0.0
+    skewed = a + 1e-13j * np.triu(np.ones_like(a), 1)
+    return [a, a.real.copy(), strided, signed, skewed]
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_the_means_keep_the_bits_of_the_route_they_replace(dim):
+    a, b = _operands(2, dim, 40 + dim)
+    diagonal = np.diag(np.linspace(1.0, 2.0, dim))  # every off-diagonal part is zero
+    for x, y in [*zip(_layouts(a), _layouts(b)), *zip(_layouts(diagonal), _layouts(b))]:
+        _forget()
+        _assert_same_bits(_means(x, y), _reference_means(x, y))
 
 
 def test_the_trio_on_one_pair_makes_two_lapack_calls(lapack_calls):

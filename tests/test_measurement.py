@@ -557,25 +557,28 @@ def test_povm_state_dimension_mismatch():
     for call in (
         lambda: induced_distribution(elements, rho),
         lambda: _induced_reference(elements, rho),
-        lambda: povm_classical_angle(elements, np.eye(2) / 2, rho),
     ):
         with pytest.raises(DimensionMismatchError) as caught:
             call()
         assert str(caught.value) == "POVM acts on dim 2, state has dim 3"
+    # the states come from the Bures pair, which checks them before the POVM
+    with pytest.raises(DimensionMismatchError) as caught:
+        povm_classical_angle(elements, np.eye(2) / 2, rho)
+    assert str(caught.value) == "states have shapes (2, 2) and (3, 3)"
 
 
 @pytest.mark.parametrize("outcomes", [3, 8, 32])
 def test_classical_angle_runs_one_stacked_eigvalsh(lapack_calls, outcomes):
-    # one eigvalsh checks each state and one batched eigvalsh every element;
-    # a shifted Cholesky once took the elements' place, and checking element
-    # by element took 2K + 2 eigvalsh
+    # one stacked eigh checks the pair of states and one batched eigvalsh
+    # every element; it was one eigvalsh per state, a shifted Cholesky once
+    # took the elements' place, and checking element by element took 2K + 2
     rng = np.random.default_rng(outcomes)
     elements = random_povm(3, outcomes, rng)
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
     calls = lapack_calls("eigh", "eigvalsh", "cholesky")
     povm_classical_angle(elements, rho1, rho2)
-    assert calls == {"eigvalsh": 3}
+    assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize(

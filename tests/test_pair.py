@@ -4,8 +4,8 @@ The Bures views (fidelity, bures_angle, fuchs_caves_operator,
 horizontal_lift, geodesic, optimal_measurement, verify_billiard_theorem and
 qubit_povm_search) validate a pair once and keep F, M, sqrt(rho1), the
 geodesic, eig(M) and the projectors of the optimal measurement for the next
-call on the same pair; povm_classical_angle reads the validated states from
-it, and takes those projectors without validating them again when it is
+call on the same pair; povm_classical_angle takes its states from it too,
+and takes those projectors without validating them again when it is
 given those very (read-only) arrays.
 What is kept must never show: results are the bits a fresh pair gives,
 whatever callers do to the arrays they get back.
@@ -32,6 +32,7 @@ from statgeom import (
     povm_classical_angle,
     qubit_povm_search,
     random_invertible_density_matrix,
+    random_povm,
     verify_billiard_theorem,
 )
 from statgeom import bures, measurement
@@ -120,11 +121,23 @@ def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
     rho1, rho2 = _states(2, 2, 23)
     calls = lapack_calls("eigvalsh", "eigh")
     qubit_povm_search(rho1, rho2, grid_resolution=20)
-    pair = bures._recall(rho1, rho2)[1]
+    pair = bures._pairs.entry[1]
     bures_angle(rho1, rho2)
     fuchs_caves_operator(rho1, rho2)
-    assert bures._recall(rho1, rho2)[1] is pair is not None
+    assert bures._pair(rho1, rho2) is pair is bures._pairs.entry[1] is not None
     assert dict(calls) == {"eigh": 2, "eigvalsh": 1}
+
+
+def test_a_classical_angle_leaves_its_pair_to_the_bures_angle(lapack_calls):
+    # povm_classical_angle validates the states through the pair (1 stacked
+    # eigh) and the POVM (1 eigvalsh); bures_angle adds F (1 eigvalsh).  It
+    # was 4 eigvalsh, with one per state before the pair was made
+    rho1, rho2 = _states(2, 3, 27)
+    elements = random_povm(3, 5, np.random.default_rng(27))
+    calls = lapack_calls("eigvalsh", "eigh")
+    excess = povm_classical_angle(elements, rho1, rho2) - bures_angle(rho1, rho2)
+    assert dict(calls) == {"eigh": 1, "eigvalsh": 2}
+    assert excess <= 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
@@ -343,9 +356,11 @@ def test_the_pairs_own_projectors_are_not_validated_again(lapack_calls):
     assert not calls  # no Cholesky or eigvalsh for the POVM, the states are kept
     _forget()
     calls.clear()
-    # validated as any POVM: one eigvalsh per state, one for the stack
+    # validated as any POVM, with a fresh pair: one stacked eigh for the
+    # states (one eigvalsh each before they came from the pair), one
+    # eigvalsh for the elements
     assert _classical(elements, rho1, rho2) == angle
-    assert calls == {"eigvalsh": 3}
+    assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 def _entered(call):
@@ -372,7 +387,7 @@ def test_the_pairs_own_projectors_are_matched_by_identity_alone():
     elements = optimal_measurement(rho1, rho2)
     assert not any(e.flags.writeable for e in elements)
     assert optimal_measurement(rho1, rho2)[3] is elements[3]  # one list of views
-    keyed, _ = _entered(lambda: bures._recall(rho1, rho2))
+    keyed, _ = _entered(lambda: bures._pair(rho1, rho2))
     entered, angle = _entered(lambda: povm_classical_angle(elements, rho1, rho2))
     assert "_resolving_identity" in entered and "_povm_stack" not in entered
     assert entered.count("tobytes") == keyed.count("tobytes") == 2
