@@ -24,9 +24,9 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _floored, _half_sum
-from .linalg import _hermitian_pair, _roots, eig_hermitian, fix_phases, hermitian_part
-from .linalg import hs_inner, min_eigenvalue
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum
+from .linalg import _hermitian, _hermitian_pair, _roots, eig_hermitian, fix_phases
+from .linalg import hermitian_part, min_eigenvalue
 from .means import _congruence, _core_spectrum
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
@@ -102,8 +102,8 @@ class _Pair:
     @cached_property
     def fidelity(self) -> float:
         r2 = self.root2
-        w = np.linalg.eigvalsh(hermitian_part(r2 @ self.rho1 @ r2))
-        root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+        w = np.linalg.eigvalsh(_hermitian(r2 @ self.rho1 @ r2))
+        root_sum = float(np.sqrt(np.maximum(w, 0.0)).sum())
         return min(1.0, root_sum * root_sum)
 
     @property
@@ -118,7 +118,7 @@ class _Pair:
 
     @cached_property
     def eig_m(self) -> EigenSystem:
-        return eig_hermitian(self.lift[0])  # symmetrizes M first
+        return _eig(_hermitian(self.lift[0]))  # symmetrizes M first
 
     @cached_property
     def projectors(self) -> list[np.ndarray]:
@@ -146,11 +146,11 @@ class _Pair:
                     f"geodesic endpoint has eigenvalue {low:.3e}; "
                     "both endpoints must be strictly positive"
                 )
-        if np.array_equal(self.rho1, self.rho2):
+        if (self.rho1 == self.rho2).all():
             raise DegenerateError("states coincide; the geodesic is not unique")
         m, a1 = self.lift
         a2 = m @ a1
-        overlap = hs_inner(a1, a2).real  # = sqrt(fidelity), real by alignment
+        overlap = float((a1.conj() * a2).sum().real)  # hs_inner(a1, a2) = sqrt(fidelity), real
         overlap = min(1.0, max(-1.0, overlap))
         sine = np.sqrt(max(0.0, 1.0 - overlap * overlap))
         if sine < 1e-8:
@@ -267,7 +267,7 @@ class GeodesicPath:
     def state(self, t) -> np.ndarray:
         """Density matrix rho(t) = C(t) C(t)*; batched over an array of t."""
         c = self.chord(t)
-        return hermitian_part(c @ np.conj(np.swapaxes(c, -1, -2)))
+        return _hermitian(c @ np.conj(np.swapaxes(c, -1, -2)))
 
     def min_eigenvalue(self, t):
         """Smallest eigenvalue of rho(t); zero exactly at boundary contact."""

@@ -39,9 +39,11 @@ def probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0:
         raise ValidationError("probability vector must be nonempty")
-    if (p < -1e-12).any():
-        raise ValidationError(f"negative probability {p.min():.3e}")
-    p = np.maximum(p, 0.0)
+    low = p.min()
+    if not low > 0.0:  # a zero of either sign, a negative entry or a NaN
+        if (p < -1e-12).any():
+            raise ValidationError(f"negative probability {low:.3e}")
+        p = np.maximum(p, 0.0)
     total = p.sum()
     if not 0.0 < total < math.inf:  # zero, NaN, or an infinite entry or sum
         raise ValidationError(f"probability vector sums to {'zero' if total == 0 else total}")
@@ -62,7 +64,9 @@ def stochastic_matrix(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValidationError("stochastic matrix must be 2-d")
-    if (t < -1e-12).any():
+    # one min() clears the usual matrix; an empty one, or one with a NaN or
+    # an entry below -1e-12, takes the full test
+    if not (t.size and t.min() >= -1e-12) and (t < -1e-12).any():
         raise ValidationError("stochastic matrix has negative entries")
     col_sums = t.sum(axis=0)
     if not (np.abs(col_sums - 1.0) <= 1e-12).all():  # NaN fails
@@ -218,10 +222,15 @@ def jeffreys_density(p: np.ndarray) -> float:
     normalizer with respect to Lebesgue measure on the simplex.
 
     For two outcomes this is the arcsine law: 1 / (pi sqrt(p (1 - p))).
-    Raises :class:`NumericalError` when the density exceeds the float range.
+    Raises :class:`ValidationError` unless p is nonempty, finite and sums to
+    1 within 1e-12, and :class:`NumericalError` when the density exceeds the
+    float range.
     """
     p = np.asarray(p, dtype=float).ravel()
     _check_finite("Jeffreys density", p)
+    total = float(p.sum())
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValidationError(f"Jeffreys density needs p on the simplex, got sum {total!r}")
     if np.any(p <= 0.0):
         raise BoundaryError("density diverges where a probability vanishes")
     try:

@@ -13,6 +13,12 @@ time but never changes an output.
 :func:`hermitian_part`, :func:`fix_phases`, :func:`eig_hermitian` and
 :func:`min_eigenvalue` also map over a ``(..., n, n)`` stack, with the bits of
 the 2-D call on each slice (bar an ulp in :func:`fix_phases` on 1 x 1 slices).
+
+The public functions convert and check their input; the private cores
+:func:`_hermitian` and :func:`_eig` take arrays the library made, already
+complex and square, and skip that.  A fast path may skip only a pass whose
+output would equal its input bit for bit, and only behind a guard that
+sends an empty array, a NaN and a signed zero on to the full expression.
 """
 
 from __future__ import annotations
@@ -69,10 +75,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
     For finite input the result is its own Hermitian part, bit for bit.
     """
-    a = _as_square(a, stack=True)
-    # A† in one new C-ordered buffer: a plain copy of the transposed view,
-    # conjugated in place, is faster than a ufunc reading that view
-    h = a.swapaxes(-1, -2).copy()
+    return _hermitian(_as_square(a, stack=True))
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_part` of a square matrix or stack, not checked."""
+    # A† in one new complex C-ordered buffer: a plain copy of the transposed
+    # view, conjugated in place, is faster than a ufunc reading that view
+    h = a.swapaxes(-1, -2).astype(complex, order="C")
     return _half_sum(np.conjugate(h, out=h), a)
 
 
@@ -96,10 +106,10 @@ def _hermitian_checked(a: np.ndarray) -> tuple:
     """(hermitian_part(a), the verdict of :func:`is_hermitian` on each slice)
     for a square matrix or a ``(..., n, n)`` stack, from one A†.
 
-    A slice passes if |A - A†| <= 1e-10 max(|A|, 1); NaN fails.
+    A slice passes if |A - A†| <= 1e-10 max(|A|, 1); NaN fails.  Every
+    caller has made ``a`` complex and square.
     """
-    a = _as_square(a, stack=True)
-    h = a.swapaxes(-1, -2).copy()  # A†, C-ordered, as in hermitian_part
+    h = a.swapaxes(-1, -2).astype(complex, order="C")  # A†, as in hermitian_part
     np.conjugate(h, out=h)
     # HS norms over the real and imaginary parts side by side, of C-ordered
     # arrays; |A†| = |A|
@@ -149,7 +159,11 @@ def eig_hermitian(h: np.ndarray) -> EigenSystem:
     The input is symmetrized first, eigenvalues come back ascending, and
     eigenvector phases are fixed per :func:`fix_phases`.
     """
-    h = hermitian_part(h)
+    return _eig(hermitian_part(h))
+
+
+def _eig(h: np.ndarray) -> EigenSystem:
+    """:func:`eig_hermitian` of a matrix or stack that is its own Hermitian part."""
     w, v = np.linalg.eigh(h)
     return EigenSystem(eigenvalues=w, eigenvectors=fix_phases(v))
 
@@ -166,7 +180,7 @@ def matrix_function(
     :class:`DomainError`; values within that band are clamped to the floor
     so that e.g. a square root never sees -1e-15.
     """
-    return _apply_spectrum(_floored(eig_hermitian(_as_square(h)), domain_floor), fn)
+    return _apply_spectrum(_floored(_eig(_hermitian(_as_square(h))), domain_floor), fn)
 
 
 def _floored(spectrum: EigenSystem, domain_floor: float) -> EigenSystem:
@@ -174,6 +188,8 @@ def _floored(spectrum: EigenSystem, domain_floor: float) -> EigenSystem:
     checked against and clamped to ``domain_floor``.  Keep it to apply
     several f to one h."""
     w, v = spectrum
+    if w.size and w.min() > domain_floor:  # nothing to reject or clamp
+        return spectrum
     if np.any(w < domain_floor - 1e-12):
         raise DomainError(
             f"eigenvalue {w.min():.3e} below domain floor {domain_floor:.3e}"
@@ -191,7 +207,7 @@ def _apply_spectrum(spectrum: EigenSystem, fn) -> np.ndarray:
     """
     w, v = spectrum
     fw = np.asarray(fn(w.copy()), dtype=complex)
-    return hermitian_part((v * fw) @ v.conj().T)
+    return _hermitian((v * fw) @ v.conj().T)
 
 
 def matrix_sqrt(h: np.ndarray) -> np.ndarray:
@@ -199,19 +215,28 @@ def matrix_sqrt(h: np.ndarray) -> np.ndarray:
     return matrix_function(h, np.sqrt, domain_floor=0.0)
 
 
+def _invertible_root(w: np.ndarray) -> np.ndarray:
+    """sqrt(w) of an ascending spectrum, as eigh gives it; raises as
+    :func:`matrix_inv_sqrt` does."""
+    # ascending w > 0 has scale w[-1] and minimum w[0]; an empty, a NaN or a
+    # nonpositive spectrum takes the full test
+    if not (w.size and w[0] > 0.0 and w[0] > 1e-12 * w[-1]):
+        scale = float(np.max(np.abs(w))) if w.size else 0.0
+        if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
+            raise SingularError(
+                f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
+            )
+    return np.sqrt(w)  # as complex, it repeats matrix_sqrt bit for bit
+
+
 def _roots(spectrum: EigenSystem) -> tuple:
     """(sqrt(H), H^(-1/2)) of the matrix H that :func:`eig_hermitian` gave
     ``spectrum``, with the bits of :func:`matrix_sqrt` and
     :func:`matrix_inv_sqrt`; raises as :func:`matrix_inv_sqrt` does."""
     w, v = spectrum
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
-        raise SingularError(
-            f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
-        )
-    root = np.sqrt(w)  # as complex, it repeats matrix_sqrt bit for bit
+    root = _invertible_root(w)
     scaled = v * np.array((root, 1.0 / root), dtype=complex)[:, None, :]
-    return tuple(hermitian_part(scaled @ v.conj().T))  # the bits of one call each
+    return tuple(_hermitian(scaled @ v.conj().T))  # the bits of one call each
 
 
 def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
@@ -220,7 +245,7 @@ def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:
     Raises :class:`SingularError` when the smallest eigenvalue is at most
     1e-12 times the largest eigenvalue magnitude.
     """
-    return _roots(eig_hermitian(_as_square(h)))[1].copy()  # not a view that holds sqrt(H)
+    return matrix_function(h, lambda w: 1.0 / _invertible_root(w))
 
 
 def min_eigenvalue(h: np.ndarray):

@@ -28,12 +28,12 @@ from .linalg import (
     EigenSystem,
     _PairSlot,
     _apply_spectrum,
+    _eig,
     _floored,
+    _hermitian,
     _hermitian_pair,
     _roots,
-    eig_hermitian,
     fix_phases,
-    hermitian_part,
     hs_norm,
     matrix_function,
     min_eigenvalue,
@@ -95,7 +95,7 @@ def _core_spectrum(inner, b) -> EigenSystem:
     """Clamped spectrum of inner b inner: the core A^(-1/2) B A^(-1/2) of
     every mean from inner = A^(-1/2), and that of the operator
     M = rho1^(-1) # rho2 from inner = sqrt(rho1)."""
-    return _floored(eig_hermitian(inner @ b @ inner), 0.0)
+    return _floored(_eig(_hermitian(inner @ b @ inner)), 0.0)
 
 
 def _congruence(outer, core: EigenSystem, f) -> np.ndarray:
@@ -126,7 +126,7 @@ class _MeanPair:
         w, v = np.linalg.eigh(self.hermitian_stack)  # the bits of one eig_hermitian each
         if w[1, 0] < -1e-12:
             raise ValidationError("second operand is not positive semidefinite")
-        return _roots(EigenSystem(w[0], fix_phases(v)[0]))  # SingularError if a is singular
+        return _roots(EigenSystem(w[0], fix_phases(v[0])))  # SingularError if a is singular
 
     @cached_property
     def core(self) -> EigenSystem:
@@ -138,7 +138,7 @@ class _MeanPair:
             if not np.isfinite(fw).all():
                 raise DomainError("f is not finite on the spectrum of A^(-1/2) B A^(-1/2)")
             return fw
-        return hermitian_part(_congruence(self.roots[0], self.core, finite))
+        return _hermitian(_congruence(self.roots[0], self.core, finite))
 
 
 # The most recent valid operand pair, so the means called in a row on one

@@ -84,8 +84,10 @@ def _povm_stack(elements) -> np.ndarray:
 
 def _resolving_identity(stack: np.ndarray) -> np.ndarray:
     """``stack``, once its elements are checked to sum to I (to 1e-10)."""
-    total = np.sum(stack, axis=0)
-    if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
+    total = stack.sum(axis=0)  # a new array: I is taken off its diagonal in place
+    diagonal = total.reshape(-1)[:: len(total) + 1]
+    diagonal -= 1.0
+    if np.max(np.abs(total)) > 1e-10:
         raise ValidationError("POVM elements must sum to the identity")
     return stack
 

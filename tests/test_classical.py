@@ -258,6 +258,25 @@ def test_jeffreys_density_rejects_empty_or_non_finite_input(p):
         jeffreys_density(np.array(p))
 
 
+@pytest.mark.parametrize(
+    "p, total",
+    [([2.0, 2.0], "4.0"), ([0.25, 0.25], "0.5"), ([0.0, 2.0], "2.0"), ([0.5, 0.5 + 2e-12], None)],
+    ids=["above", "below", "above-with-a-zero", "just-off"],
+)
+def test_jeffreys_density_rejects_a_point_off_the_simplex(p, total):
+    # [2, 2] returned 0.159 and [1/4, 1/4] 1.273, where the density at
+    # (1/2, 1/2) is 2/pi; the sum is checked before the boundary
+    with pytest.raises(ValidationError, match="on the simplex") as caught:
+        jeffreys_density(np.array(p))
+    if total is not None:
+        assert str(caught.value).endswith(f"got sum {total}")
+
+
+def test_jeffreys_density_checks_finiteness_before_the_sum():
+    with pytest.raises(ValidationError, match="nonempty, finite"):
+        jeffreys_density(np.array([math.nan, 2.0]))
+
+
 def test_jeffreys_density_frozen_values():
     # N = 2 uniform: Gamma(1)/pi * (1/2 * 1/2)^(-1/2) = 2/pi
     assert jeffreys_density(np.array([0.5, 0.5])) == pytest.approx(
@@ -345,3 +364,122 @@ def test_jeffreys_density_integrates_to_one():
 def test_trials_below_one_are_rejected(run, trials):
     with pytest.raises(ValidationError, match="trials must be >= 1"):
         run(trials)
+
+
+# The validators as they were written before their one-min() fast paths:
+# each must give these bits, or the same exception and message.
+
+
+def _probability_vector_reference(p):
+    p = np.asarray(p, dtype=float).ravel()
+    if p.size == 0:
+        raise ValidationError("probability vector must be nonempty")
+    if (p < -1e-12).any():
+        raise ValidationError(f"negative probability {p.min():.3e}")
+    p = np.maximum(p, 0.0)
+    total = p.sum()
+    if not 0.0 < total < math.inf:
+        raise ValidationError(f"probability vector sums to {'zero' if total == 0 else total}")
+    return p / total
+
+
+def _stochastic_matrix_reference(t):
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2:
+        raise ValidationError("stochastic matrix must be 2-d")
+    if (t < -1e-12).any():
+        raise ValidationError("stochastic matrix has negative entries")
+    col_sums = t.sum(axis=0)
+    if not (np.abs(col_sums - 1.0) <= 1e-12).all():
+        raise ValidationError("columns must sum to 1")
+    return t
+
+
+def _outcome(call, arg):
+    """The dtype, shape and bytes of what ``call`` returns, or its exception's
+    type and message."""
+    try:
+        out = call(arg)
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_probability_vector_has_the_bits_of_the_full_clamp(n):
+    rng = np.random.default_rng(n)
+    draws = [
+        rng.uniform(0.0, 1.0, n),
+        rng.dirichlet(np.ones(n)),
+        rng.uniform(-1e-12, 1.0, n),
+        rng.normal(size=n),
+        np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(size=n)),
+        np.where(rng.uniform(size=n) < 0.3, -0.0, rng.uniform(size=n)),
+        rng.uniform(size=(n, 2)),  # raveled
+    ]
+    for p in draws:
+        assert _outcome(probability_vector, p) == _outcome(_probability_vector_reference, p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [-0.0, 0.5, 0.5],
+        [0.5, -0.0],
+        [-0.0],
+        [-1e-13, 0.5, 0.5],
+        [0.5, -1e-300],
+        [-2e-12, 1.0],
+        [math.nan, 0.5],
+        [0.5, math.nan, -5.0],
+        [math.nan, -5.0],
+        [0.0, 0.0],
+        [-0.0, -0.0],
+        [math.inf, 0.5],
+        [],
+    ],
+    ids=[
+        "negative-zero", "negative-zero-last", "only-negative-zero", "within-the-band",
+        "subnormal-negative", "below-the-band", "nan", "nan-beside-minus-five",
+        "nan-then-minus-five", "zeros", "negative-zeros", "infinite", "empty",
+    ],
+)
+def test_probability_vector_edge_cases_reach_the_full_clamp(p):
+    p = np.array(p, dtype=float)
+    assert _outcome(probability_vector, p) == _outcome(_probability_vector_reference, p)
+
+
+def test_probability_vector_turns_negative_zero_into_zero():
+    assert np.signbit(probability_vector([-0.0, 1.0])).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_stochastic_matrix_has_the_verdict_of_the_full_test(n):
+    rng = np.random.default_rng(100 + n)
+    good = rng.dirichlet(np.ones(n), size=3).T
+    bad = good.copy()
+    bad[0, 0] -= 1.0
+    noisy = good.copy()
+    noisy[-1, -1] = -1e-13
+    for t in (good, bad, noisy, rng.uniform(size=(n, n)), -good, np.where(good < 0.2, -0.0, good)):
+        assert _outcome(stochastic_matrix, t) == _outcome(_stochastic_matrix_reference, t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+        [[math.nan, 0.5], [-5.0, 0.5]],
+        [[math.nan, 0.5], [0.5, 0.5]],
+        [[-0.0, 1.0], [1.0, -0.0]],
+        [[-1e-13, 1.0], [1.0 + 1e-13, 0.0]],
+        [[math.inf, 0.5], [0.5, 0.5]],
+    ],
+    ids=["rows-empty", "columns-empty", "empty", "nan-beside-minus-five", "nan",
+         "negative-zeros", "within-the-band", "infinite"],
+)
+def test_stochastic_matrix_edge_cases_reach_the_full_test(t):
+    t = np.array(t, dtype=float)
+    assert _outcome(stochastic_matrix, t) == _outcome(_stochastic_matrix_reference, t)

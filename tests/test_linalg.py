@@ -27,7 +27,15 @@ from statgeom import (
     psd_order_geq,
     random_density_matrix,
 )
-from statgeom.linalg import _hermitian_checked, _hermitian_pair, _roots
+from statgeom.linalg import (
+    EigenSystem,
+    _eig,
+    _floored,
+    _hermitian,
+    _hermitian_checked,
+    _hermitian_pair,
+    _roots,
+)
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -423,3 +431,170 @@ def test_the_pair_check_owns_one_stack_and_checks_each_slice(rng, n):
     assert stack[1].tobytes() == y.tobytes() and not np.shares_memory(stack, y)
     assert part.tobytes() == hermitian_part(stack).tobytes()
     assert verdict.tolist() == [is_hermitian(x), True]
+
+
+# The spectral passes as they were written before their fast paths: each
+# fast path must give these bits, or the same exception and message.
+
+
+def _hermitian_part_reference(a):
+    a = np.asarray(a, dtype=complex)
+    h = a.swapaxes(-1, -2).copy()
+    np.conjugate(h, out=h)
+    h += a
+    halves = h.view(float)
+    halves *= 0.5
+    return h
+
+
+def _floored_reference(spectrum, domain_floor):
+    w, v = spectrum
+    if np.any(w < domain_floor - 1e-12):
+        raise DomainError(f"eigenvalue {w.min():.3e} below domain floor {domain_floor:.3e}")
+    if domain_floor > -math.inf:
+        w = np.maximum(w, domain_floor)
+    return EigenSystem(eigenvalues=w, eigenvectors=v)
+
+
+def _roots_reference(spectrum):
+    w, v = spectrum
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    if scale == 0.0 or float(w.min()) <= 1e-12 * scale:
+        raise SingularError(
+            f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
+        )
+    root = np.sqrt(w)
+    scaled = v * np.array((root, 1.0 / root), dtype=complex)[:, None, :]
+    return tuple(_hermitian_part_reference(scaled @ v.conj().T))
+
+
+def _outcome(call, *args):
+    """The bytes of what ``call`` returns, or its exception's type and message."""
+    try:
+        return "returned", _bytes(tuple(call(*args)))
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        return type(exc), str(exc)
+
+
+def _spectra(rng, n):
+    """Ascending spectra of length n, as eigh gives them: positive, mixed,
+    negative definite, ill-conditioned and scaled toward the subnormals."""
+    base = np.sort(rng.normal(size=n))
+    return [
+        np.sort(rng.uniform(0.1, 2.0, size=n)),
+        base,
+        -np.sort(rng.uniform(0.1, 2.0, size=n))[::-1],
+        np.sort(np.abs(base)) * np.logspace(-14, 0, n),
+        1e-300 * np.sort(rng.uniform(0.1, 2.0, size=n)),
+    ]
+
+
+_EDGE_SPECTRA = {
+    "negative-zero": [-0.0, 0.5, 1.0],
+    "zeros-of-both-signs": [-0.0, 0.0, 1.0],
+    "within-the-band": [-5e-13, -1e-300, 0.25, 1.0],
+    "below-the-band": [-2e-12, 0.5, 1.0],
+    "nan-first": [math.nan, 0.5, 1.0],
+    "nan-inside": [0.25, math.nan, 1.0],
+    "nan-last": [0.25, 0.5, math.nan],
+    "all-zero": [0.0, 0.0, 0.0],
+    "negative-definite": [-3.0, -2.0, -1.0],
+    "tiny-against-scale": [1e-13, 0.5, 1.0],
+    "infinite": [0.5, 1.0, math.inf],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_floored_has_the_bits_of_the_full_clamp(rng, n):
+    vectors = eig_hermitian(_positive_definite(rng, n)[0]).eigenvectors
+    for w in _spectra(rng, n):
+        for floor in (0.0, -math.inf, float(w[0]), float(w[-1])):
+            spectrum = EigenSystem(w, vectors)
+            expected = _outcome(_floored_reference, spectrum, floor)
+            assert _outcome(_floored, spectrum, floor) == expected
+            if expected[0] == "returned":
+                assert _floored(spectrum, floor).eigenvectors is vectors
+
+
+@pytest.mark.parametrize("name", _EDGE_SPECTRA)
+@pytest.mark.parametrize("floor", [0.0, -math.inf])
+def test_floored_edge_spectra_reach_the_full_clamp(name, floor):
+    w = np.array(_EDGE_SPECTRA[name])
+    spectrum = EigenSystem(w, np.eye(len(w), dtype=complex))
+    expected = _outcome(_floored_reference, spectrum, floor)
+    assert _outcome(_floored, spectrum, floor) == expected
+    if name in ("negative-zero", "zeros-of-both-signs") and floor == 0.0:
+        # the clamp turns -0.0 into +0.0 here: the fast path must not skip it
+        assert np.signbit(_floored(spectrum, floor).eigenvalues).tolist() == [False] * 3
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_roots_have_the_bits_of_the_full_test(rng, n):
+    for a in _positive_definite(rng, n):
+        spectrum = eig_hermitian(a)
+        assert _bytes(_roots(spectrum)) == _bytes(_roots_reference(spectrum))
+    vectors = spectrum.eigenvectors
+    for w in _spectra(rng, n):
+        spectrum = EigenSystem(w, vectors)
+        assert _outcome(_roots, spectrum) == _outcome(_roots_reference, spectrum)
+
+
+@pytest.mark.parametrize("name", _EDGE_SPECTRA)
+def test_roots_edge_spectra_reach_the_full_test(name):
+    w = np.array(_EDGE_SPECTRA[name])
+    spectrum = EigenSystem(w, np.eye(len(w), dtype=complex))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert _outcome(_roots, spectrum) == _outcome(_roots_reference, spectrum)
+
+
+def test_a_negative_definite_spectrum_is_singular_with_its_old_message():
+    spectrum = EigenSystem(np.array([-3.0, -1.0]), np.eye(2, dtype=complex))
+    with pytest.raises(SingularError) as caught:
+        _roots(spectrum)
+    assert str(caught.value) == "matrix not invertible: min eigenvalue -3.000e+00 vs scale 3.000e+00"
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_matrix_inv_sqrt_alone_has_the_bits_of_the_root_pair(rng, n):
+    """H^(-1/2), formed without sqrt(H), has the bits it had as the second
+    of the pair, on a matrix and on a slice of a stack."""
+    stack = _positive_definite(rng, n)
+    for h in (*stack, stack[1], stack[:, ::-1, ::-1][2], stack.swapaxes(-1, -2)[0]):
+        expected = _roots_reference(eig_hermitian(h))[1]
+        got = matrix_inv_sqrt(h)
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous and got.flags.owndata
+
+
+def test_matrix_inv_sqrt_of_a_singular_matrix_keeps_its_message():
+    with pytest.raises(SingularError, match="min eigenvalue 0.000e.00 vs scale 1.000e.00"):
+        matrix_inv_sqrt(np.diag([0.0, 1.0]))
+
+
+def test_an_empty_matrix_function_raises_as_before():
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError) as old:
+        _floored_reference(eig_hermitian(empty), 0.0)
+    with pytest.raises(ValueError) as new:
+        matrix_function(empty, np.sqrt, domain_floor=0.0)
+    assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_private_cores_have_the_bits_of_the_public_kernels(rng, n):
+    for stack in _symmetrization_inputs(rng, n):
+        h = _hermitian(stack)
+        assert h.tobytes() == _hermitian_part_reference(stack).tobytes()
+        assert h.tobytes() == hermitian_part(stack).tobytes()
+        assert _bytes(_eig(h)) == _bytes(eig_hermitian(stack))
+    real = rng.normal(size=(n, n))
+    assert _hermitian(real).dtype == complex
+    assert _hermitian(real).tobytes() == hermitian_part(real).tobytes()
+
+
+def test_the_fidelity_sum_has_the_bits_of_the_clipped_sum(rng):
+    for w in [*_spectra(rng, 9), np.array([-0.0, 0.0, -1e-17, 0.5]), np.array([math.nan, 1.0])]:
+        expected = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+        got = float(np.sqrt(np.maximum(w, 0.0)).sum())
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()

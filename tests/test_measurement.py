@@ -35,6 +35,7 @@ from statgeom import (
     substream,
 )
 from statgeom.acceptance import _mixed_state  # criterion 8's draw
+from statgeom.measurement import _resolving_identity
 
 
 def _trine_povm():
@@ -631,3 +632,31 @@ def test_positivity_floor_matches_the_element_loop():
         "POVM element 0 is not positive semidefinite",
         "POVM elements must sum to the identity",
     }
+
+
+def _resolves_identity_reference(stack):
+    """The sum test as it was written before I was taken off in place."""
+    total = np.sum(stack, axis=0)
+    return not np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_the_identity_test_keeps_its_verdict(n):
+    rng = np.random.default_rng(n)
+    projectors = optimal_measurement(_mixed_state(n, rng), _mixed_state(n, rng))
+    exact = np.stack(projectors)
+    off = [exact.copy() for _ in range(5)]
+    off[0][0, 0, 0] += 2e-10
+    off[1][-1, -1, 0] += 5e-11j
+    off[2][0, 0, 0] = math.nan
+    off[3][0] = -0.0
+    off[4][:] = np.eye(n) / len(exact) * (1.0 + 1e-9)
+    for stack in (exact, *off):
+        before = stack.copy()
+        verdict = _resolves_identity_reference(stack)
+        if verdict:
+            assert _resolving_identity(stack) is stack
+        else:
+            with pytest.raises(ValidationError, match="must sum to the identity"):
+                _resolving_identity(stack)
+        assert stack.tobytes() == before.tobytes()  # the sum is a new array
