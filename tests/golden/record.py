@@ -193,6 +193,10 @@ def cases() -> list[list[str]]:
         for fmt in ("json", "csv"):
             out.append(["billiard", "--dim", dim, "--seed", "5", "--samples", "6",
                         "--format", fmt])
+    # the contact report's bits above d = 3
+    for dim in ("8", "12"):
+        out.append(["billiard", "--dim", dim, "--seed", "5", "--samples", "6",
+                    "--format", "json"])
     out += [
         ["verify-all", "--seed", "x"],
         ["verify-all", "--format", "csv"],
