@@ -112,6 +112,8 @@ def fr_geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
+    if p.size == 0:
+        raise ValidationError("Fisher-Rao distance needs nonempty, finite input")
     with np.errstate(invalid="ignore", over="ignore"):  # raised below instead
         cosine = float(np.sqrt(p * q).sum())
     if not math.isfinite(cosine):  # a NaN, infinite or negative entry
@@ -125,7 +127,10 @@ def euclidean_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
-    return float(np.linalg.norm(p - q))
+    distance = float(np.linalg.norm(p - q)) if p.size else math.nan
+    if not math.isfinite(distance):
+        raise ValidationError("Euclidean distance needs nonempty, finite input")
+    return distance
 
 
 def apply_stochastic(t: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ __all__ = [
     "SingularError",
     "DegenerateError",
     "ScanFailureError",
-    "DegenerateRootWarning",
 ]
 
 
@@ -58,7 +57,3 @@ class ScanFailureError(NumericalError):
 
 class ParseError(ValidationError):
     """An input file does not parse as the expected JSON format."""
-
-
-class DegenerateRootWarning(UserWarning):
-    """Two boundary roots are too close to separate reliably."""

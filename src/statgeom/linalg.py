@@ -111,9 +111,12 @@ def _hermitian_checked(a: np.ndarray) -> tuple:
     """
     h = a.swapaxes(-1, -2).astype(complex, order="C")  # A†, as in hermitian_part
     np.conjugate(h, out=h)
+    diff = np.subtract(a, h, order="C")
+    if not diff.any():  # A = A† exactly; a NaN or an infinity leaves a nonzero
+        return _half_sum(h, a), np.ones(a.shape[:-2], dtype=bool)
     # HS norms over the real and imaginary parts side by side, of C-ordered
     # arrays; |A†| = |A|
-    diff = np.subtract(a, h, order="C").view(float)
+    diff = diff.view(float)
     parts = h.view(float)
     norms = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
     scale = np.maximum(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), 1.0)

@@ -8,8 +8,6 @@ streams.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .errors import ValidationError
@@ -33,6 +31,7 @@ __all__ = [
 
 def substream(seed: int, label: str) -> np.random.Generator:
     """Generator for the sub-stream identified by (seed, label)."""
+    import hashlib  # here, not at the top: a plain import of statgeom skips it
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))

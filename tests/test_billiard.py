@@ -8,17 +8,14 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from statgeom import (
-    DegenerateRootWarning,
     GeodesicPath,
     ScanFailureError,
-    bounce_points,
     eig_hermitian,
     fidelity,
     fuchs_caves_operator,
     geodesic,
     random_invertible_density_matrix,
     random_unitary,
-    real_roots_check,
     substream,
     verify_billiard_theorem,
 )
@@ -42,15 +39,14 @@ def _predicted_diagonal_bounces(p, q):
 
 def test_commuting_qubit_bounces_match_trigonometry():
     p, q = [0.7, 0.3], [0.4, 0.6]
-    path = geodesic(*_diag_pair(p, q))
-    points = bounce_points(path)
+    report = verify_billiard_theorem(*_diag_pair(p, q))
     predicted = _predicted_diagonal_bounces(p, q)
-    assert len(points) == 2
-    assert [pt.multiplicity for pt in points] == [1, 1]
-    assert np.allclose([pt.t for pt in points], predicted, atol=1e-9)
+    assert len(report["bounce_ts"]) == 2
+    assert report["multiplicities"] == [1, 1]
+    assert np.allclose(report["bounce_ts"], predicted, atol=1e-9)
     # kernels of a diagonal chord are the basis vectors
-    for pt in points:
-        weights = np.abs(pt.kernel_state)
+    for kernel in report["kernel_states"]:
+        weights = np.abs(kernel)
         assert weights.max() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -60,10 +56,10 @@ def test_commuting_bounces_match_trigonometry_to_roundoff():
         ([0.5, 0.3, 0.2], [0.3, 0.2, 0.5]),
         ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
     ):
-        points = bounce_points(geodesic(*_diag_pair(p, q)))
-        assert [pt.multiplicity for pt in points] == [1] * len(p)
+        report = verify_billiard_theorem(*_diag_pair(p, q))
+        assert report["multiplicities"] == [1] * len(p)
         predicted = _predicted_diagonal_bounces(p, q)
-        assert np.allclose([pt.t for pt in points], predicted, rtol=0.0, atol=1e-12)
+        assert np.allclose(report["bounce_ts"], predicted, rtol=0.0, atol=1e-12)
 
 
 def test_bounce_ts_match_the_spectrum_of_m():
@@ -73,7 +69,7 @@ def test_bounce_ts_match_the_spectrum_of_m():
         for _ in range(3):
             rho1 = random_invertible_density_matrix(dim, rng)
             rho2 = random_invertible_density_matrix(dim, rng)
-            ts = [pt.t for pt in bounce_points(geodesic(rho1, rho2))]
+            ts = verify_billiard_theorem(rho1, rho2)["bounce_ts"]
             mu = np.linalg.eigvalsh(fuchs_caves_operator(rho1, rho2))
             f = fidelity(rho1, rho2)
             predicted = np.sort(
@@ -112,15 +108,15 @@ def test_bounce_points_lie_on_the_boundary(rng):
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
     path = geodesic(rho1, rho2)
-    points = bounce_points(path)
-    assert len(points) == 3
-    for pt in points:
-        assert 0.0 < pt.t < math.pi
-        assert abs(pt.min_eigenvalue) <= 1e-10
+    report = verify_billiard_theorem(rho1, rho2)
+    ts = report["bounce_ts"]
+    assert len(ts) == 3
+    for t, low, kernel in zip(ts, path.min_eigenvalue(np.array(ts)), report["kernel_states"]):
+        assert 0.0 < t < math.pi
+        assert abs(low) <= 1e-10
         # the kernel state is annihilated by the state at the contact
-        assert np.linalg.norm(path.state(pt.t) @ pt.kernel_state) < 1e-8
-        assert np.linalg.norm(pt.kernel_state) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(pt.rho_b, path.state(pt.t), atol=1e-12)
+        assert np.linalg.norm(path.state(t) @ kernel) < 1e-8
+        assert np.linalg.norm(kernel) == pytest.approx(1.0, abs=1e-12)
 
 
 def _contact_groups_reference(ts):
@@ -153,23 +149,25 @@ def test_contact_groups_fast_path_matches_the_general_path(rng):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 12])
 def test_kernel_states_are_eig_hermitian_column_zero(dim):
-    """bounce_points phase-fixes only the column it reads, with the bits of
+    """The contacts phase-fix only the column they read, with the bits of
     eig_hermitian on the contact states."""
     rng = substream(dim, "billiard-kernels")
     for _ in range(5):
-        path = geodesic(random_invertible_density_matrix(dim, rng),
-                        random_invertible_density_matrix(dim, rng))
-        points = bounce_points(path)
-        _, vectors = eig_hermitian(np.stack([pt.rho_b for pt in points]))
-        for pt, v in zip(points, vectors):
-            assert type(pt.t) is float and type(pt.multiplicity) is int
-            assert pt.kernel_state.tobytes() == v[:, 0].tobytes()
+        rho1 = random_invertible_density_matrix(dim, rng)
+        rho2 = random_invertible_density_matrix(dim, rng)
+        report = verify_billiard_theorem(rho1, rho2)
+        ts = report["bounce_ts"]
+        _, vectors = eig_hermitian(geodesic(rho1, rho2).state(np.array(ts)))
+        for t, size, kernel, v in zip(ts, report["multiplicities"], report["kernel_states"],
+                                      vectors):
+            assert type(t) is float and type(size) is int
+            assert kernel.tobytes() == v[:, 0].tobytes()
 
 
 def test_bounce_ts_are_sorted_and_distinct(rng):
     rho1 = random_invertible_density_matrix(4, rng)
     rho2 = random_invertible_density_matrix(4, rng)
-    ts = [pt.t for pt in bounce_points(geodesic(rho1, rho2))]
+    ts = verify_billiard_theorem(rho1, rho2)["bounce_ts"]
     assert ts == sorted(ts)
     assert min(np.diff(ts)) > 1e-6
 
@@ -221,7 +219,7 @@ def test_pairing_is_circular_in_t():
     e1 = np.diag([1e-17, 1.0]).astype(complex)
     e2 = np.eye(2, dtype=complex)
     path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
-    ts = [pt.t for pt in bounce_points(path)]
+    ts = billiard._contacts(path)[0].tolist()
     assert ts == pytest.approx([0.0, 0.75 * math.pi], abs=1e-15)
     # on a geodesic() path M = cos(t*) I + sin(t*) e1^-1 e2
     kappa = np.array([1.0, 1e17])
@@ -272,48 +270,41 @@ def test_verify_theorem_commuting_case():
 def test_degenerate_contact_is_flagged_and_merged():
     # equal likelihood ratios in two channels make two contacts coincide
     rho1, rho2 = _diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6])
-    path = geodesic(rho1, rho2)
-    with pytest.warns(DegenerateRootWarning):
-        points = bounce_points(path)
-    assert len(points) == 2
-    assert sorted(pt.multiplicity for pt in points) == [1, 2]
-    # verify_billiard_theorem reports it as flagged, with no warning
-    report = verify_billiard_theorem(rho1, rho2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported as flagged, with no warning
+        report = verify_billiard_theorem(rho1, rho2)
+    assert len(report["bounce_ts"]) == 2
+    assert sorted(report["multiplicities"]) == [1, 2]
     assert report["flagged"]
     assert not report["matched"]  # two contacts cannot cover three eigenvectors
 
 
 def test_contacts_straddling_the_period_merge():
-    with pytest.warns(DegenerateRootWarning):
-        points = bounce_points(_straddling_path())
-    assert [pt.multiplicity for pt in points] == [1, 2]
-    assert [pt.t for pt in points] == pytest.approx([0.75 * math.pi, math.pi], abs=1e-7)
+    ts, sizes, _ = billiard._contacts(_straddling_path())
+    assert sizes.tolist() == [1, 2]
+    assert ts.tolist() == pytest.approx([0.75 * math.pi, math.pi], abs=1e-7)
 
 
-def _warned_and_merged(path):
-    """Whether bounce_points warns, and whether it returns a multiple contact."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        points = bounce_points(path)
-    warned = any(issubclass(w.category, DegenerateRootWarning) for w in caught)
-    return warned, any(pt.multiplicity > 1 for pt in points)
+def _merged(path):
+    """Whether the contacts of ``path`` include one of multiplicity above 1."""
+    return bool((billiard._contacts(path)[1] > 1).any())
 
 
 def test_flagged_means_a_merged_contact():
-    # bounce_points warns exactly when it returns a contact of multiplicity
-    # above 1, which is what verify_billiard_theorem reports as flagged
-    assert _warned_and_merged(_straddling_path()) == (True, True)
+    # verify_billiard_theorem flags a pair exactly when its geodesic has a
+    # contact of multiplicity above 1
+    assert _merged(_straddling_path())
     for pair, flagged in (
         (_near_coincident_pair(), False),
         (_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]), True),
     ):
-        assert _warned_and_merged(geodesic(*pair)) == (flagged, flagged)
+        assert _merged(geodesic(*pair)) is flagged
         assert verify_billiard_theorem(*pair)["flagged"] is flagged
 
 
 def test_verify_theorem_passes_other_warnings_through(monkeypatch):
-    # verify_billiard_theorem raises no DegenerateRootWarning of its own,
-    # and any other warning still shows
+    # verify_billiard_theorem raises no warning of its own on a flagged
+    # pair, and a warning raised inside it still shows
     original = billiard._contacts
 
     def noisy(path):
@@ -328,22 +319,22 @@ def test_verify_theorem_passes_other_warnings_through(monkeypatch):
     assert [w.category for w in caught] == [RuntimeWarning]
 
 
-def _report_from_bounce_points(rho1, rho2):
-    """verify_billiard_theorem's report assembled from the BouncePoint list
-    and the pair's eig(M), one contact at a time."""
+def _report_contact_by_contact(rho1, rho2):
+    """verify_billiard_theorem's report assembled one contact at a time: each
+    kernel state from eig_hermitian of the state at its contact, each
+    pairing from the pair's eig(M)."""
     pair = bures._pair(rho1, rho2)
     path = pair.path
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateRootWarning)
-        points = bounce_points(path)
+    ts, sizes, _ = billiard._contacts(path)
+    ts, sizes = [float(t) for t in ts], [int(size) for size in sizes]
+    kernels = [eig_hermitian(path.state(t)).eigenvectors[:, 0] for t in ts]
     m_eigenvalues, m_vectors = pair.eig_m
-    cols = billiard._pair_contacts([p.t for p in points], path.t_star, m_eigenvalues)
-    kernels = np.stack([p.kernel_state for p in points])
-    overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2
+    cols = billiard._pair_contacts(ts, path.t_star, m_eigenvalues)
+    overlap2 = np.abs(np.stack(kernels).conj() @ m_vectors) ** 2
     pairings = [
         {
             "bounce": i,
-            "t": float(points[i].t),
+            "t": ts[i],
             "eigenvector": int(j),
             "overlap2": float(overlap2[i, j]),
         }
@@ -355,12 +346,12 @@ def _report_from_bounce_points(rho1, rho2):
             len(set(cols.tolist())) == path.dim
             and all(p["overlap2"] >= 1.0 - 1e-6 for p in pairings)
         ),
-        "flagged": any(p.multiplicity > 1 for p in points),
+        "flagged": any(size > 1 for size in sizes),
         "pairings": pairings,
         "max_infidelity": float(max(1.0 - p["overlap2"] for p in pairings)),
-        "bounce_ts": [float(p.t) for p in points],
-        "multiplicities": [int(p.multiplicity) for p in points],
-        "kernel_states": [p.kernel_state for p in points],
+        "bounce_ts": ts,
+        "multiplicities": sizes,
+        "kernel_states": kernels,
         "m_eigenvalues": m_eigenvalues.copy(),
     }
 
@@ -390,11 +381,11 @@ def test_report_has_the_bits_of_the_bounce_point_route(dim):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the report warns of nothing
             report = verify_billiard_theorem(rho1, rho2)
-        assert _bits(report) == _bits(_report_from_bounce_points(rho1, rho2))
+        assert _bits(report) == _bits(_report_contact_by_contact(rho1, rho2))
     assert report["flagged"] and not report["matched"]
 
 
-def test_bounce_points_warns_once_per_merged_contact():
+def test_merged_contacts_carry_their_multiplicity():
     # two pairs of equal likelihood ratios give two contacts of multiplicity 2
     p = np.array([0.4, 0.3, 0.2, 0.1])
     q = p * np.array([0.5, 0.5, 2.0, 2.0])
@@ -404,16 +395,7 @@ def test_bounce_points_warns_once_per_merged_contact():
         (_straddling_path(), [1, 2]),
         (geodesic(*_near_coincident_pair()), [1, 1, 1]),
     ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            points = bounce_points(path)
-        assert sorted(pt.multiplicity for pt in points) == multiplicities
-        assert [str(w.message) for w in caught] == [
-            f"{pt.multiplicity} contacts within 1e-06 of t = {pt.t:.9f} merged as a multiple root"
-            for pt in points
-            if pt.multiplicity > 1
-        ]
-        assert {w.category for w in caught} <= {DegenerateRootWarning}
+        assert sorted(billiard._contacts(path)[1].tolist()) == multiplicities
 
 
 def test_scan_failure_when_circle_avoids_boundary():
@@ -422,18 +404,43 @@ def test_scan_failure_when_circle_avoids_boundary():
     e2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
     with pytest.raises(ScanFailureError):
-        bounce_points(path)
+        billiard._contacts(path)
 
 
-def test_real_roots_check(rng):
-    rho1 = random_invertible_density_matrix(4, rng)
-    rho2 = random_invertible_density_matrix(4, rng)
-    path = geodesic(rho1, rho2)
-    ts = [pt.t for pt in bounce_points(path)]
-    report = real_roots_check(path, bounce_ts=ts)
-    assert report["sign_changes"] == 4
-    assert report["complex_det_residual"] < 1e-9
-    assert report["bounce_det_residual"] < 1e-6
+def _grid_scan(path, bounce_ts):
+    """An oracle that shares no code with billiard._contacts: det C(t) on a
+    2048-point grid over [0, pi), as (its sign changes, its largest relative
+    imaginary part, its largest relative magnitude at ``bounce_ts``).
+
+    det C(t) = det(e1) prod_i (cos t + kappa_i sin t) is real (up to
+    roundoff) on a horizontal circle, and flips sign at each contact of odd
+    multiplicity, unless another lies within the same grid step.
+    """
+    dets = np.linalg.det(path.chord(np.linspace(0.0, math.pi, 2048, endpoint=False)))
+    scale = np.abs(dets).max()
+    real = dets.real[np.abs(dets.real) > 1e-9 * scale]
+    sign_changes = int(np.sum(np.sign(real[1:]) != np.sign(real[:-1])))
+    at_contacts = np.abs(np.linalg.det(path.chord(np.array(bounce_ts)))).max()
+    return sign_changes, np.abs(dets.imag).max() / scale, at_contacts / scale
+
+
+def test_real_roots_check():
+    # the grid sees as many sign changes as the report has contacts of odd
+    # multiplicity, on random pairs and on a pair with a double contact
+    rng = substream(8, "billiard-oracle")
+    pairs = [
+        (random_invertible_density_matrix(dim, rng), random_invertible_density_matrix(dim, rng))
+        for dim in range(2, 13)
+    ]
+    pairs.append(_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]))
+    for rho1, rho2 in pairs:
+        report = verify_billiard_theorem(rho1, rho2)
+        sign_changes, complex_residual, contact_residual = _grid_scan(
+            geodesic(rho1, rho2), report["bounce_ts"]
+        )
+        assert sign_changes == sum(size % 2 for size in report["multiplicities"])
+        assert complex_residual < 1e-9
+        assert contact_residual < 1e-6
 
 
 def test_bounce_count_statistics():
@@ -442,5 +449,4 @@ def test_bounce_count_statistics():
     for _ in range(10):
         rho1 = random_invertible_density_matrix(3, rng)
         rho2 = random_invertible_density_matrix(3, rng)
-        points = bounce_points(geodesic(rho1, rho2))
-        assert len(points) == 3
+        assert len(verify_billiard_theorem(rho1, rho2)["bounce_ts"]) == 3

@@ -162,6 +162,24 @@ def test_distance_rejects_a_non_finite_cosine(p, q):
         fr_geodesic_distance(np.array(p), np.array(q))
 
 
+@pytest.mark.parametrize("distance", [fr_geodesic_distance, euclidean_distance])
+def test_distances_reject_empty_input(distance):
+    # these returned pi/2 and 0.0
+    with pytest.raises(ValidationError, match="needs nonempty, finite input"):
+        distance(np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [([0.5, math.nan], [0.5, 0.5]), ([0.5, 0.5], [math.inf, 0.0])],
+    ids=["nan", "inf"],
+)
+def test_euclidean_distance_rejects_a_non_finite_result(p, q):
+    # these returned nan and inf
+    with pytest.raises(ValidationError, match="Euclidean distance needs nonempty, finite input"):
+        euclidean_distance(np.array(p), np.array(q))
+
+
 def test_distance_closed_form_on_binary_family():
     # p = (cos^2 a, sin^2 a) embeds at angle a; distance to uniform is |a - pi/4|
     a = 0.3

@@ -45,6 +45,17 @@ def test_jeffreys_loads_no_scipy(tmp_path):
     assert _run(code, cwd=tmp_path).endswith("\n[]\n")
 
 
+def test_import_loads_no_hashlib():
+    # substream imports it on its first call, and draws as before
+    code = (
+        "import sys, statgeom; print('hashlib' in sys.modules); "
+        "print(statgeom.substream(1729, 'x').random(3).tolist())"
+    )
+    assert _run(code) == (
+        "False\n[0.5912998359315678, 0.8230414977519405, 0.002397109357650473]\n"
+    )
+
+
 def test_package_exports_the_union_of_module_exports():
     modules = (
         errors, linalg, sampling, classical, means, monotone, bures,

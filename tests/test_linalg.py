@@ -210,6 +210,50 @@ def test_one_hermitian_test_for_a_matrix_or_a_stack(rng, n):
             assert np.array_equal(verdict, gap <= 1e-10 * scale)
 
 
+def _hermitian_verdict_reference(a):
+    """The verdict of _hermitian_checked as written before its fast path for
+    an exactly Hermitian input."""
+    h = a.swapaxes(-1, -2).astype(complex, order="C")
+    np.conjugate(h, out=h)
+    diff = np.subtract(a, h, order="C").view(float)
+    parts = h.view(float)
+    norms = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
+    scale = np.maximum(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), 1.0)
+    return norms <= 1e-10 * scale
+
+
+def _hermitian_check_cases(rng):
+    """(stack, exactly Hermitian) cases for the fast path of _hermitian_checked."""
+    exact = hermitian_part(rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3)))
+    signed = np.array([[0.6, complex(-0.0, 0.2)], [complex(0.0, -0.2), 0.4]])  # -0.0 vs +0.0
+    ulp, nan, inf = exact.copy(), exact.copy(), exact.copy()
+    ulp[1, 0, 1] = complex(np.nextafter(ulp[1, 0, 1].real, math.inf), ulp[1, 0, 1].imag)
+    nan[0, 1, 1] = math.nan
+    inf[1, 0, 0] = math.inf
+    return [
+        (exact, True), (exact[1], True), (signed, True), (np.zeros((0, 3, 3), complex), True),
+        (np.zeros((0, 0), complex), True), (ulp, False), (ulp[1], False), (nan, False),
+        (inf, False), (np.array([[0.0, 1.0], [0.0, 0.0]], complex), False),
+    ]
+
+
+def test_exactly_hermitian_input_skips_the_norms(rng, monkeypatch):
+    """The fast path gives the verdict of the full test, and takes no norm
+    exactly when A - A† is zero to the bit."""
+    einsums = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: einsums.append(1) or einsum(*args))
+    for a, exact in _hermitian_check_cases(rng):
+        with np.errstate(invalid="ignore"):  # inf - inf in the infinite case
+            expected = _hermitian_verdict_reference(a)
+            einsums.clear()
+            part, verdict = _hermitian_checked(a)
+        assert part.tobytes() == _hermitian_part_reference(a).tobytes()
+        assert verdict.dtype == bool and verdict.shape == expected.shape
+        assert np.array_equal(verdict, expected)
+        assert (not einsums) is exact
+
+
 def test_hermitian_part_keeps_negative_zeros():
     a = np.array([[1.0, complex(-0.0, 0.3)], [complex(-0.0, -0.3), 2.0]])
     h = hermitian_part(a)
