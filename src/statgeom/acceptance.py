@@ -239,16 +239,18 @@ def criterion_7_fidelity_lift(seed: int) -> tuple[list[Gate], dict]:
         dim = 2 + k % 4
         rho1 = _mixed_state(dim, rng)
         rho2 = _mixed_state(dim, rng)
+        # the views of one argument order in a row share one validated pair
         f12 = fidelity(rho1, rho2)
-        worst["symmetry"] = max(worst["symmetry"], abs(f12 - fidelity(rho2, rho1)))
         a1 = matrix_sqrt(rho1)
         a2 = horizontal_lift(rho1, rho2, a1)
+        m12 = fuchs_caves_operator(rho1, rho2)
+        f21 = fidelity(rho2, rho1)
+        m21 = fuchs_caves_operator(rho2, rho1)
+        worst["symmetry"] = max(worst["symmetry"], abs(f12 - f21))
         lift_trace = complex(np.trace(a1.conj().T @ a2))
         worst["lift_trace"] = max(
             worst["lift_trace"], abs(lift_trace - np.sqrt(f12))
         )
-        m12 = fuchs_caves_operator(rho1, rho2)
-        m21 = fuchs_caves_operator(rho2, rho1)
         worst["riccati"] = max(worst["riccati"], hs_norm(m12 @ rho1 @ m12 - rho2))
         worst["inverse"] = max(
             worst["inverse"], hs_norm(m12 @ m21 - np.eye(dim))

@@ -25,8 +25,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum
-from .linalg import _hermitian, _hermitian_pair, _roots, eig_hermitian, fix_phases
-from .linalg import hermitian_part, min_eigenvalue
+from .linalg import _hermitian, _hermitian_pair, _roots, eig_hermitian, hermitian_part
 from .means import _congruence, _core_spectrum
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
@@ -77,9 +76,9 @@ class _Pair:
             traces = states.trace(axis1=1, axis2=2).real
             if not hermitian.all() or (abs(traces - 1.0) > 1e-12).any():
                 raise ValidationError("not a pair of states")  # named below
-            w, v = np.linalg.eigh(states)
+            w, v = _eig(states)
             self.rho1, self.rho2 = states
-            self.spectra = tuple(map(EigenSystem, w, fix_phases(v)))
+            self.spectra = tuple(map(EigenSystem, w, v))
             self.lows = tuple(w[:, 0].tolist())
             _check_positive(min(self.lows))
         except (ValidationError, ValueError, TypeError):  # or unconvertible input
@@ -271,7 +270,8 @@ class GeodesicPath:
 
     def min_eigenvalue(self, t):
         """Smallest eigenvalue of rho(t); zero exactly at boundary contact."""
-        return min_eigenvalue(self.state(t))
+        low = np.linalg.eigvalsh(self.state(t))[..., 0]  # rho(t) is its own hermitian_part
+        return float(low) if low.ndim == 0 else low
 
 
 def geodesic(rho1, rho2) -> GeodesicPath:

@@ -127,7 +127,8 @@ def euclidean_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
-    distance = float(np.linalg.norm(p - q)) if p.size else math.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
+        distance = float(np.linalg.norm(p - q)) if p.size else math.nan
     if not math.isfinite(distance):
         raise ValidationError("Euclidean distance needs nonempty, finite input")
     return distance

@@ -27,7 +27,6 @@ from .classical import (
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
 from .measurement import optimal_measurement, povm_classical_angle, qubit_povm_search
-from .linalg import min_eigenvalue
 from .monotone import density_matrix, monotone_ds2
 from .sampling import random_density_matrix, substream
 from .serialize import _fill, dumps_canonical, read_matrix_file, read_vector_file
@@ -86,24 +85,13 @@ def _cmd_multinomial(args) -> dict:
     report = multinomial_ellipse_experiment(
         p, samples_per_trial=args.samples, trials=args.trials, seed=args.seed
     )
-    return {
-        "empirical_cov": report["empirical_cov"],
-        "predicted_cov": report["predicted_cov"],
-        "max_rel_err": report["max_rel_err"],
-        "samples_per_trial": args.samples,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
+    return {**report, "samples_per_trial": args.samples, "trials": args.trials,
+            "seed": args.seed}
 
 
 def _cmd_monotone_stress(args) -> dict:
     report = monotonicity_stress(args.seed, args.trials, tol=args.tol)
-    return {
-        "violations": report["violations"],
-        "max_excess": report["max_excess"],
-        "trials": args.trials,
-        "seed": args.seed,
-    }
+    return {**report, "trials": args.trials, "seed": args.seed}
 
 
 def _cmd_mean(args) -> dict:
@@ -143,7 +131,7 @@ def _cmd_geodesic(args):
     path = geodesic(*_read_states(args.a, args.b))
     ts = np.linspace(0.0, path.t_star, args.samples)
     states = path.state(ts)
-    lams = min_eigenvalue(states)
+    lams = np.linalg.eigvalsh(states)[..., 0]  # states are their own hermitian_part
     if args.format == "csv":
         n = range(path.dim)
         cells = [f"{part}_{i}_{j}" for i in n for j in n for part in ("re", "im")]
@@ -185,18 +173,8 @@ def _cmd_billiard(args):
         lams = path.min_eigenvalue(ts)
         return _csv_text(["t", "lambda_min"], np.column_stack([ts, lams]))
     report = verify_billiard_theorem(rho1, rho2)
-    return {
-        "dim": args.dim,
-        "seed": args.seed,
-        "bounce_ts": report["bounce_ts"],
-        "multiplicities": report["multiplicities"],
-        "kernel_states": report["kernel_states"],
-        "m_eigenvalues": report["m_eigenvalues"],
-        "pairings": report["pairings"],
-        "max_infidelity": report["max_infidelity"],
-        "matched": report["matched"],
-        "flags": ["degenerate-root"] if report["flagged"] else [],
-    }
+    flags = ["degenerate-root"] if report.pop("flagged") else []
+    return {**report, "seed": args.seed, "flags": flags}
 
 
 def _cmd_verify_all(args) -> dict:

@@ -13,6 +13,9 @@ time but never changes an output.
 :func:`hermitian_part`, :func:`fix_phases`, :func:`eig_hermitian` and
 :func:`min_eigenvalue` also map over a ``(..., n, n)`` stack, with the bits of
 the 2-D call on each slice (bar an ulp in :func:`fix_phases` on 1 x 1 slices).
+So does the private :func:`_apply_spectrum`, the one place V f(w) V† is
+formed; :func:`matrix_function`, :func:`matrix_sqrt` and
+:func:`matrix_inv_sqrt`, built on it, take one matrix.
 
 The public functions convert and check their input; the private cores
 :func:`_hermitian` and :func:`_eig` take arrays the library made, already
@@ -203,14 +206,18 @@ def _floored(spectrum: EigenSystem, domain_floor: float) -> EigenSystem:
 
 
 def _apply_spectrum(spectrum: EigenSystem, fn) -> np.ndarray:
-    """The second step of :func:`matrix_function`: V f(w) V†, Hermitian.
+    """The second step of :func:`matrix_function`: V f(w) V†, Hermitian, for
+    one matrix or each of a stack, with the bits of the 2-D call on each slice.
 
     ``fn`` gets a copy of w, so a kept spectrum survives an f that writes
-    to its argument.
+    to its argument.  An f(w) with one more leading axis than w gives one
+    V f_k(w) V† per row k, as :func:`_roots` uses.
     """
     w, v = spectrum
     fw = np.asarray(fn(w.copy()), dtype=complex)
-    return _hermitian((v * fw) @ v.conj().T)
+    if fw.ndim:  # a constant f may give a 0-d f(w), which scales every column
+        fw = fw[..., None, :]
+    return _hermitian((v * fw) @ v.conj().swapaxes(-1, -2))
 
 
 def matrix_sqrt(h: np.ndarray) -> np.ndarray:
@@ -236,10 +243,8 @@ def _roots(spectrum: EigenSystem) -> tuple:
     """(sqrt(H), H^(-1/2)) of the matrix H that :func:`eig_hermitian` gave
     ``spectrum``, with the bits of :func:`matrix_sqrt` and
     :func:`matrix_inv_sqrt`; raises as :func:`matrix_inv_sqrt` does."""
-    w, v = spectrum
-    root = _invertible_root(w)
-    scaled = v * np.array((root, 1.0 / root), dtype=complex)[:, None, :]
-    return tuple(_hermitian(scaled @ v.conj().T))  # the bits of one call each
+    root = _invertible_root(spectrum.eigenvalues)
+    return tuple(_apply_spectrum(spectrum, lambda w: np.array((root, 1.0 / root))))
 
 
 def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import _as_square, _hermitian_checked, hermitian_part, min_eigenvalue
+from .linalg import _as_square, _hermitian_checked, hermitian_part
 from .monotone import density_matrix
 from .bures import _bloch_vector, _pair
 
@@ -74,7 +74,8 @@ def _povm_stack(elements) -> np.ndarray:
         k = int(np.argmin(hermitian))
         error = ValidationError(f"POVM element {k} is not Hermitian")
         stack = stack[:k]
-    negative = np.flatnonzero(min_eigenvalue(stack) < -_PSD_FLOOR)
+    # the stack is its own hermitian_part, as in density_matrix
+    negative = np.flatnonzero(np.linalg.eigvalsh(stack)[..., 0] < -_PSD_FLOOR)
     if negative.size:
         raise ValidationError(f"POVM element {negative[0]} is not positive semidefinite")
     if error is not None:

@@ -1,6 +1,7 @@
 """Fisher-Rao geometry on the probability simplex."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -178,6 +179,20 @@ def test_euclidean_distance_rejects_a_non_finite_result(p, q):
     # these returned nan and inf
     with pytest.raises(ValidationError, match="Euclidean distance needs nonempty, finite input"):
         euclidean_distance(np.array(p), np.array(q))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [([1e200, 0.0], [-1e200, 0.0]), ([1e308, 0.0], [-1e308, 0.0]),
+     ([math.inf, 0.0], [math.inf, 0.0])],
+    ids=["overflow-in-norm", "overflow-in-subtract", "inf-minus-inf"],
+)
+def test_euclidean_distance_raises_on_overflow_without_a_warning(p, q):
+    # these warned first, which a RuntimeWarning filter turns into the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="needs nonempty, finite input"):
+            euclidean_distance(np.array(p), np.array(q))
 
 
 def test_distance_closed_form_on_binary_family():

@@ -29,6 +29,7 @@ from statgeom import (
 )
 from statgeom.linalg import (
     EigenSystem,
+    _apply_spectrum,
     _eig,
     _floored,
     _hermitian,
@@ -338,6 +339,32 @@ def test_roots_have_the_bits_of_one_matrix_function_each(rng, n):
         root, inv_root = _roots(eig_hermitian(h))
         assert root.tobytes() == matrix_function(h, np.sqrt, domain_floor=0.0).tobytes()
         assert inv_root.tobytes() == matrix_function(h, lambda w: 1.0 / np.sqrt(w)).tobytes()
+
+
+def _clipped_square(w):
+    return np.square(np.clip(w, 0.0, None))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "f", [np.sqrt, lambda w: 1.0 / np.sqrt(w), _clipped_square],
+    ids=["sqrt", "inv-sqrt", "clipped-square"],
+)
+def test_a_stacked_spectrum_has_the_bits_of_each_slice(rng, n, f):
+    """V f(w) V† of a stack, in one call, is that of each slice bit for bit."""
+    stack = _positive_definite(rng, n)
+    if f is _clipped_square:  # indefinite, zero and degenerate spectra too
+        stack = np.concatenate([stack, hermitian_part(_kernel_stack(rng, n))])
+    w, v = _eig(_hermitian(stack))
+    applied = _apply_spectrum(EigenSystem(w, v), f)
+    assert applied.shape == stack.shape and applied.flags.c_contiguous
+    for k in range(len(stack)):
+        assert applied[k].tobytes() == _apply_spectrum(EigenSystem(w[k], v[k]), f).tobytes()
+
+
+def test_a_constant_f_scales_every_column():
+    # an f that ignores its argument gives a 0-d f(w), and V 2 V† = 2 I
+    assert np.allclose(matrix_function(A2, lambda w: 2.0), 2.0 * np.eye(2), atol=1e-15)
 
 
 @pytest.mark.parametrize(

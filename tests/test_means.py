@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from statgeom import (
     arithmetic_mean,
     geometric_mean,
     harmonic_mean,
+    matrix_function,
     mean_axioms_check,
     mean_function,
+    min_eigenvalue,
     operator_mean,
     operator_monotone_test,
     psd_order_geq,
@@ -23,6 +26,7 @@ from statgeom import (
     substream,
     validate_mean_function,
 )
+from statgeom.means import _MONOTONE_BLOCK
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -189,6 +193,86 @@ def test_operator_monotone_search_rejects_square():
     # the witness pair really is ordered, and really violates after squaring
     assert np.linalg.eigvalsh(a - b)[0] >= -1e-9
     assert np.linalg.eigvalsh(a @ a - b @ b)[0] < -1e-6
+
+
+def _operator_monotone_reference(f, dim, seed, trials):
+    """operator_monotone_test as it was written before its blocks: one trial
+    at a time, each side through the public matrix_function."""
+    def clipped(w):
+        fw = np.asarray(f(np.clip(w, 0.0, None)), dtype=float)
+        if not np.all(np.isfinite(fw)):
+            raise DomainError("f is undefined on part of the sampled spectrum")
+        return fw
+
+    rng = substream(seed, "operator-monotone")
+    worst = np.inf
+    counterexample = None
+    for _ in range(trials):
+        b = random_psd(dim, rng)
+        a = b + random_psd(dim, rng)
+        gap = min_eigenvalue(matrix_function(a, clipped) - matrix_function(b, clipped))
+        worst = min(worst, gap)
+        if gap < -1e-9 and counterexample is None:
+            counterexample = {"a": a, "b": b, "min_eigenvalue": gap}
+    return {"counterexample": counterexample, "min_gap": float(worst), "trials": trials}
+
+
+@pytest.mark.parametrize("seed", [1729, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("f", [lambda t: t * t, np.sqrt], ids=["square", "sqrt"])
+def test_the_blocked_search_has_the_bits_of_the_trial_loop(f, dim, seed):
+    trials = _MONOTONE_BLOCK + 1  # a full block and a block of one
+    got = operator_monotone_test(f, dim, seed, trials)
+    expected = _operator_monotone_reference(f, dim, seed, trials)
+    assert got["trials"] == trials
+    assert type(got["min_gap"]) is float
+    assert np.float64(got["min_gap"]).tobytes() == np.float64(expected["min_gap"]).tobytes()
+    if expected["counterexample"] is None:
+        assert got["counterexample"] is None
+        return
+    found, oracle = got["counterexample"], expected["counterexample"]
+    assert type(found["min_eigenvalue"]) is float
+    assert found["min_eigenvalue"] == oracle["min_eigenvalue"]
+    for key in ("a", "b"):
+        assert found[key].shape == (dim, dim) and found[key].flags.owndata
+        assert found[key].tobytes() == oracle[key].tobytes()
+
+
+def test_a_counterexample_in_a_later_block_is_the_first_one():
+    # t^1.002 first fails at seed 6 in trial 724, in the third block
+    def f(t):
+        return t**1.002
+
+    trials = 3 * _MONOTONE_BLOCK
+    got = operator_monotone_test(f, 2, 6, trials)["counterexample"]
+    expected = _operator_monotone_reference(f, 2, 6, trials)["counterexample"]
+    assert got["a"].tobytes() == expected["a"].tobytes()
+    assert got["b"].tobytes() == expected["b"].tobytes()
+    assert got["min_eigenvalue"] == pytest.approx(expected["min_eigenvalue"], rel=1e-9)
+
+
+def test_a_non_finite_f_raises_with_its_message_in_a_later_block():
+    def f(t):  # at seed 1729, no eigenvalue of the first block passes 1.99
+        return np.where(t > 1.99, np.inf, t)
+
+    for search in (operator_monotone_test, _operator_monotone_reference):
+        with pytest.raises(DomainError) as caught:
+            search(f, 2, 1729, 4 * _MONOTONE_BLOCK)
+        assert str(caught.value) == "f is undefined on part of the sampled spectrum"
+    assert operator_monotone_test(f, 2, 1729, _MONOTONE_BLOCK)["counterexample"] is None
+
+
+def test_the_search_memory_does_not_grow_with_trials():
+    operator_monotone_test(np.sqrt, 3, 1, 1)  # first-call imports and caches
+    peaks = []
+    for trials in (2 * _MONOTONE_BLOCK, 8 * _MONOTONE_BLOCK):
+        tracemalloc.start()
+        try:
+            operator_monotone_test(np.sqrt, 3, 1, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks  # kept pairs would add 0.5 KB a trial
 
 
 def test_square_counterexample_frozen():
