@@ -1,6 +1,7 @@
 """Boundary contacts of geodesic great circles and the bounce theorem."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -88,11 +89,26 @@ def _near_coincident_pair():
     return u @ np.diag(p) @ u.conj().T, u @ np.diag(q) @ u.conj().T
 
 
-def _straddling_path():
+def _frame_contacts(e1, e2, kappa, t_star=math.pi / 4):
+    """billiard._contacts of a hand-built frame whose e1^-1 e2 has the real
+    eigenvalues ``kappa``.  On a geodesic() path e1^-1 e2 is similar to
+    (M - cos t*) / sin t*, so the frame's M has mu = cos t* + sin t* kappa,
+    passed in ascending order as eig(M) gives it."""
+    path = GeodesicPath(e1=np.asarray(e1, complex), e2=np.asarray(e2, complex), t_star=t_star)
+    mu = math.cos(t_star) + math.sin(t_star) * np.sort(np.asarray(kappa, dtype=float))
+    return billiard._contacts(path, mu)
+
+
+def _straddling_contacts():
     # roots at pi - 1e-8 and 1e-8 are 2e-8 apart on the pi-periodic circle
-    e1 = np.diag([1e-8, 1e-8, 1.0]).astype(complex)
-    e2 = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    return GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
+    return _frame_contacts(np.diag([1e-8, 1e-8, 1.0]), np.diag([1.0, -1.0, 1.0]),
+                           [1e8, -1e8, 1.0])
+
+
+def _geodesic_contacts(rho1, rho2):
+    """billiard._contacts of the geodesic through a pair, from the pair's M."""
+    pair = bures._pair(rho1, rho2)
+    return billiard._contacts(pair.path, pair.eig_m.eigenvalues)
 
 
 def test_near_coincident_contacts_are_resolved():
@@ -121,17 +137,23 @@ def test_bounce_points_lie_on_the_boundary(rng):
 
 def _contact_groups_reference(ts):
     """The general clustering of billiard._contact_groups, without its fast
-    path for well-separated roots."""
-    ts = np.sort(ts)
+    path for well-separated roots, carrying each root's index in ``ts``."""
+    index = np.argsort(ts, kind="stable")
+    ts = ts[index]
     ends = np.flatnonzero(np.diff(ts, append=ts[:1] + np.pi) > billiard._MERGE_TOL)
     starts = np.roll(ends + 1, 1) % ts.size
     sizes = (ends - starts) % ts.size + 1
     order = np.argsort(ts[starts])
-    return ts[starts][order], sizes[order]
+    return ts[starts][order], sizes[order], index[starts][order]
 
 
 def test_contact_groups_fast_path_matches_the_general_path(rng):
-    cases = [np.array([]), np.array([1.0]), np.array([0.0, math.pi - 1e-7])]
+    cases = [
+        np.array([]),
+        np.array([1.0]),
+        np.array([0.0, math.pi - 1e-7]),
+        np.array([2.0, 1.0, 2.0, 0.5]),  # equal roots: the lower index comes first
+    ]
     for size in range(1, 13):
         for _ in range(20):
             cases.append(rng.uniform(0.0, math.pi, size))
@@ -143,8 +165,12 @@ def test_contact_groups_fast_path_matches_the_general_path(rng):
         got, want = billiard._contact_groups(ts), _contact_groups_reference(ts)
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        # each cluster's index names its first root
+        assert ts[got[2]].tobytes() == got[0].tobytes()
         fast += bool(np.all(got[1] == 1))
     assert 0 < fast < len(cases)  # both paths ran
+    _, sizes, index = billiard._contact_groups(np.array([2.0, 1.0, 2.0, 0.5]))
+    assert sizes.tolist() == [1, 1, 2] and index.tolist() == [3, 1, 0]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 12])
@@ -214,17 +240,12 @@ def test_closed_form_pairing_matches_best_assignment():
 
 def test_pairing_is_circular_in_t():
     # kappa = 1e17 puts a contact at pi - 1e-17, which rounds to pi and is
-    # reported at t = 0, while its eigenvector's prediction stays near pi:
-    # rank order or plain |t_i - t_j| would give it the 3pi/4 eigenvector
-    e1 = np.diag([1e-17, 1.0]).astype(complex)
-    e2 = np.eye(2, dtype=complex)
-    path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
-    ts = billiard._contacts(path)[0].tolist()
-    assert ts == pytest.approx([0.0, 0.75 * math.pi], abs=1e-15)
-    # on a geodesic() path M = cos(t*) I + sin(t*) e1^-1 e2
-    kappa = np.array([1.0, 1e17])
-    mu = math.cos(path.t_star) + math.sin(path.t_star) * kappa
-    assert billiard._pair_contacts(ts, path.t_star, mu).tolist() == [1, 0]
+    # reported at t = 0, first, yet keeps the eigenvector of the largest mu:
+    # rank order would give it the 3pi/4 eigenvector
+    ts, sizes, _, columns = _frame_contacts(np.diag([1e-17, 1.0]), np.eye(2), [1.0, 1e17])
+    assert ts.tolist() == pytest.approx([0.0, 0.75 * math.pi], abs=1e-15)
+    assert ts[0] == 0.0 and sizes.tolist() == [1, 1]
+    assert columns.tolist() == [1, 0]
 
 
 def test_matched_needs_a_one_to_one_pairing(monkeypatch):
@@ -232,9 +253,9 @@ def test_matched_needs_a_one_to_one_pairing(monkeypatch):
     # overlap, but covers only one eigenvector of M
     rho1, rho2 = _diag_pair([0.7, 0.3], [0.4, 0.6])
     assert verify_billiard_theorem(rho1, rho2)["matched"]
-    contacts = billiard._contacts(geodesic(rho1, rho2))
+    contacts = _geodesic_contacts(rho1, rho2)
     first_twice = tuple(array[[0, 0]] for array in contacts)
-    monkeypatch.setattr(billiard, "_contacts", lambda path: first_twice)
+    monkeypatch.setattr(billiard, "_contacts", lambda path, mu: first_twice)
     report = verify_billiard_theorem(rho1, rho2)
     assert [p["eigenvector"] for p in report["pairings"]] == [0, 0]
     assert report["max_infidelity"] <= 1e-12
@@ -247,15 +268,63 @@ def test_verify_theorem_builds_m_once(lapack_calls):
     # the endpoint spectra were computed twice (6 eigh, 6 eigvalsh before).
     # One stacked eigh validates the pair and gives sqrt(rho1); the 2
     # validating eigvalsh and the eigh of rho1 were 3 calls (4 eigh and 2
-    # eigvalsh before)
+    # eigvalsh before).  The contacts come from eig(M), with no solve and no
+    # general eigvals of e1^-1 e2 (one of each before)
     rng = np.random.default_rng(4)
     rho1 = random_invertible_density_matrix(4, rng)
     rho2 = random_invertible_density_matrix(4, rng)
-    calls = lapack_calls("eigh", "eigvalsh")
+    calls = lapack_calls("eigh", "eigvalsh", "eigvals", "solve")
     report = verify_billiard_theorem(rho1, rho2)
     assert calls == {"eigh": 4}
     m_eigenvalues = eig_hermitian(fuchs_caves_operator(rho1, rho2)).eigenvalues
     assert np.array_equal(report["m_eigenvalues"], m_eigenvalues)
+
+
+def _swap_two_eigenvalues(pair, rng):
+    w, v = pair.eig_m
+    return pair.path, (w[[1, 0, *range(2, w.size)]], v)
+
+
+def _rotate_eigenvectors(pair, rng):
+    # a fixed unitary of angle 1e-2: a rotation in the plane of columns 0, 1
+    w, v = pair.eig_m
+    rotation = np.eye(w.size, dtype=complex)
+    c, s = math.cos(1e-2), math.sin(1e-2)
+    rotation[:2, :2] = [[c, -s], [s, c]]
+    return pair.path, (w, v @ rotation)
+
+
+def _perturb_e2(pair, rng):
+    # e2 moved off the geodesic frame by 1e-2 in Hilbert-Schmidt norm
+    path = pair.path
+    x = rng.standard_normal(path.e2.shape) + 1j * rng.standard_normal(path.e2.shape)
+    e2 = path.e2 + 1e-2 * x / np.linalg.norm(x)
+    return GeodesicPath(e1=path.e1, e2=e2, t_star=path.t_star), pair.eig_m
+
+
+@pytest.mark.parametrize("mutate", [_swap_two_eigenvalues, _rotate_eigenvectors, _perturb_e2])
+def test_a_mutated_pair_is_rejected(monkeypatch, mutate):
+    # the contacts are read off eig(M), so the overlap check and the contact
+    # check must still catch an eig(M) or a path that break the theorem
+    rng = substream(9, "billiard-mutants")
+    original = billiard._pair
+
+    def mutant(rho1, rho2):
+        path, eig_m = mutate(original(rho1, rho2), rng)
+        return types.SimpleNamespace(path=path, eig_m=eig_m)
+
+    monkeypatch.setattr(billiard, "_pair", mutant)
+    for dim in range(2, 13):
+        for _ in range(3):
+            rho1 = random_invertible_density_matrix(dim, rng)
+            rho2 = random_invertible_density_matrix(dim, rng)
+            if mutate is _perturb_e2:
+                try:
+                    assert not verify_billiard_theorem(rho1, rho2)["matched"]
+                except ScanFailureError:
+                    pass
+            else:
+                assert not verify_billiard_theorem(rho1, rho2)["matched"]
 
 
 def test_verify_theorem_commuting_case():
@@ -280,25 +349,27 @@ def test_degenerate_contact_is_flagged_and_merged():
 
 
 def test_contacts_straddling_the_period_merge():
-    ts, sizes, _ = billiard._contacts(_straddling_path())
+    ts, sizes, _, columns = _straddling_contacts()
     assert sizes.tolist() == [1, 2]
     assert ts.tolist() == pytest.approx([0.75 * math.pi, math.pi], abs=1e-7)
+    # the merged contact keeps the column of its first root, pi - 1e-8
+    assert columns.tolist() == [1, 2]
 
 
-def _merged(path):
-    """Whether the contacts of ``path`` include one of multiplicity above 1."""
-    return bool((billiard._contacts(path)[1] > 1).any())
+def _merged(contacts):
+    """Whether ``contacts`` include one of multiplicity above 1."""
+    return bool((contacts[1] > 1).any())
 
 
 def test_flagged_means_a_merged_contact():
     # verify_billiard_theorem flags a pair exactly when its geodesic has a
     # contact of multiplicity above 1
-    assert _merged(_straddling_path())
+    assert _merged(_straddling_contacts())
     for pair, flagged in (
         (_near_coincident_pair(), False),
         (_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6]), True),
     ):
-        assert _merged(geodesic(*pair)) is flagged
+        assert _merged(_geodesic_contacts(*pair)) is flagged
         assert verify_billiard_theorem(*pair)["flagged"] is flagged
 
 
@@ -307,9 +378,9 @@ def test_verify_theorem_passes_other_warnings_through(monkeypatch):
     # pair, and a warning raised inside it still shows
     original = billiard._contacts
 
-    def noisy(path):
+    def noisy(path, mu):
         warnings.warn("unrelated", RuntimeWarning)
-        return original(path)
+        return original(path, mu)
 
     monkeypatch.setattr(billiard, "_contacts", noisy)
     with warnings.catch_warnings(record=True) as caught:
@@ -319,17 +390,24 @@ def test_verify_theorem_passes_other_warnings_through(monkeypatch):
     assert [w.category for w in caught] == [RuntimeWarning]
 
 
+def _nearest_eigenvector(ts, t_star, mu):
+    """For each t_i, the j whose atan2(sin t*, cos t* - mu_j) is nearest mod pi."""
+    predicted = np.arctan2(np.sin(t_star), np.cos(t_star) - mu)
+    gaps = np.abs(np.subtract.outer(ts, predicted))
+    return np.argmin(np.minimum(gaps, np.pi - gaps), axis=1)
+
+
 def _report_contact_by_contact(rho1, rho2):
     """verify_billiard_theorem's report assembled one contact at a time: each
     kernel state from eig_hermitian of the state at its contact, each
-    pairing from the pair's eig(M)."""
+    pairing the eigenvector of M whose predicted contact is nearest."""
     pair = bures._pair(rho1, rho2)
     path = pair.path
-    ts, sizes, _ = billiard._contacts(path)
+    m_eigenvalues, m_vectors = pair.eig_m
+    ts, sizes = billiard._contacts(path, m_eigenvalues)[:2]
     ts, sizes = [float(t) for t in ts], [int(size) for size in sizes]
     kernels = [eig_hermitian(path.state(t)).eigenvectors[:, 0] for t in ts]
-    m_eigenvalues, m_vectors = pair.eig_m
-    cols = billiard._pair_contacts(ts, path.t_star, m_eigenvalues)
+    cols = _nearest_eigenvector(ts, path.t_star, m_eigenvalues)
     overlap2 = np.abs(np.stack(kernels).conj() @ m_vectors) ** 2
     pairings = [
         {
@@ -389,22 +467,23 @@ def test_merged_contacts_carry_their_multiplicity():
     # two pairs of equal likelihood ratios give two contacts of multiplicity 2
     p = np.array([0.4, 0.3, 0.2, 0.1])
     q = p * np.array([0.5, 0.5, 2.0, 2.0])
-    for path, multiplicities in (
-        (geodesic(*_diag_pair(p, q / q.sum())), [2, 2]),
-        (geodesic(*_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6])), [1, 2]),
-        (_straddling_path(), [1, 2]),
-        (geodesic(*_near_coincident_pair()), [1, 1, 1]),
+    for contacts, multiplicities in (
+        (_geodesic_contacts(*_diag_pair(p, q / q.sum())), [2, 2]),
+        (_geodesic_contacts(*_diag_pair([0.5, 0.3, 0.2], [0.25, 0.15, 0.6])), [1, 2]),
+        (_straddling_contacts(), [1, 2]),
+        (_geodesic_contacts(*_near_coincident_pair()), [1, 1, 1]),
     ):
-        assert sorted(billiard._contacts(path)[1].tolist()) == multiplicities
+        assert sorted(contacts[1].tolist()) == multiplicities
 
 
 def test_scan_failure_when_circle_avoids_boundary():
-    # a hand-built frame whose chord is unitary for every t: no contacts
-    e1 = np.eye(2, dtype=complex)
-    e2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    path = GeodesicPath(e1=e1, e2=e2, t_star=math.pi / 4)
-    with pytest.raises(ScanFailureError):
-        billiard._contacts(path)
+    # a hand-built frame whose chord is unitary for every t: e1^-1 e2 has
+    # eigenvalues +-i, and no real spectrum (their real parts 0, 0 first)
+    # predicts a contact the frame makes
+    e2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for kappa in ([0.0, 0.0], [-1.0, 1.0], [0.3, 20.0]):
+        with pytest.raises(ScanFailureError, match="verified 0 vanishing eigenvalues"):
+            _frame_contacts(np.eye(2), e2, kappa)
 
 
 def _grid_scan(path, bounce_ts):
