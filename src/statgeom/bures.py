@@ -24,9 +24,9 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum
-from .linalg import _hermitian, _hermitian_pair, _roots, eig_hermitian, hermitian_part
-from .means import _congruence, _core_spectrum
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum, _hermitian
+from .linalg import _hermitian_pair, _invertible_root, eig_hermitian, fix_phases, hermitian_part
+from .means import _congruence
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
 __all__ = [
@@ -53,15 +53,21 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+# F counts core eigenvalues <= this * lambda_max(rho1) lambda_max(rho2) as rounding, worth
+# sqrt(u) = 1e-8 each.  On exact rank deficiency (pure vs mixed both ways, pure vs pure; 300
+# pairs each, d = 2..32) they reached 3.6u, u = 2^-53; real ones of HS pairs were >= 6.2e-12.
+_CORE_NOISE = 8 * 2.0**-53
+
+
 class _Pair:
     """A validated pair of states of one shape, and what the paper derives from it.
 
-    Holds rho1, rho2, their eigendecompositions ``spectra`` (one eigh of
-    the stack that validated them, with the bits of one eig_hermitian call
-    per state) and smallest eigenvalues ``lows``; the stack is checked as
-    the operands of a mean are.  F, the lift (M unsymmetrized, sqrt(rho1)),
-    the geodesic, eig(M) and the optimal measurement are each computed on
-    first use, by one route per quantity; one that raises is not kept.
+    Holds rho1, rho2, the smallest eigenvalues ``lows`` of both and rho1's
+    eigendecomposition ``spectrum``, from one eigh of the stack that validated
+    them, checked as the operands of a mean are (the bits of one eig_hermitian
+    call per state).  One eigh of the core sqrt(rho1) rho2 sqrt(rho1) serves F
+    and M.  sqrt(rho1), the core, F, M, the geodesic, eig(M) and the optimal
+    measurement are each computed on first use; one that raises is not kept.
     Public views copy what is kept, bar the read-only projectors, matched
     later by identity; povm_classical_angle reads the states as they are.
     """
@@ -76,9 +82,8 @@ class _Pair:
             traces = states.trace(axis1=1, axis2=2).real
             if not hermitian.all() or (abs(traces - 1.0) > 1e-12).any():
                 raise ValidationError("not a pair of states")  # named below
-            w, v = _eig(states)
+            w, v = np.linalg.eigh(states)
             self.rho1, self.rho2 = states
-            self.spectra = tuple(map(EigenSystem, w, v))
             self.lows = tuple(w[:, 0].tolist())
             _check_positive(min(self.lows))
         except (ValidationError, ValueError, TypeError):  # or unconvertible input
@@ -86,38 +91,36 @@ class _Pair:
             density_matrix(rho1)
             density_matrix(rho2)
             raise
+        self.spectrum = EigenSystem(w[0], fix_phases(v[0]))
+        self.noise = _CORE_NOISE * float(w[0, -1] * w[1, -1])
 
-    @property
-    def roots1(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sqrt(rho1), rho1^(-1/2)) from its spectrum, with the bits of
-        matrix_sqrt and matrix_inv_sqrt; rho1 invertible."""
-        return _roots(self.spectra[0])
+    @cached_property
+    def root1(self) -> np.ndarray:
+        """sqrt(rho1), with the bits of matrix_sqrt; rho1 may be singular."""
+        return _apply_spectrum(_floored(self.spectrum, 0.0), np.sqrt)
 
-    @property
-    def root2(self) -> np.ndarray:
-        """sqrt(rho2) from its spectrum, with the bits of matrix_sqrt."""
-        return _apply_spectrum(_floored(self.spectra[1], 0.0), np.sqrt)
+    @cached_property
+    def core(self) -> EigenSystem:
+        """eig(sqrt(rho1) rho2 sqrt(rho1)), unclamped, so that F never raises."""
+        return _eig(_hermitian(self.root1 @ self.rho2 @ self.root1))
 
     @cached_property
     def fidelity(self) -> float:
-        r2 = self.root2
-        w = np.linalg.eigvalsh(_hermitian(r2 @ self.rho1 @ r2))
-        root_sum = float(np.sqrt(np.maximum(w, 0.0)).sum())
+        if (self.rho1 == self.rho2).all():
+            return 1.0  # F(rho, rho) = 1, which the rounded root sum only comes near
+        w = self.core.eigenvalues
+        root_sum = float(np.sqrt(w[w > self.noise]).sum())
         return min(1.0, root_sum * root_sum)
 
-    @property
-    def angle(self) -> float:
-        return float(np.arccos(np.clip(np.sqrt(self.fidelity), 0.0, 1.0)))
-
     @cached_property
-    def lift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(M unsymmetrized, sqrt(rho1)); rho1 invertible."""
-        root, inv_root = self.roots1
-        return _congruence(inv_root, _core_spectrum(root, self.rho2), np.sqrt), root
+    def m(self) -> np.ndarray:
+        """M unsymmetrized; rho1 invertible, rho1^(-1/2) as matrix_inv_sqrt forms it."""
+        inv_root = _apply_spectrum(self.spectrum, lambda w: 1.0 / _invertible_root(w))
+        return _congruence(inv_root, _floored(self.core, 0.0), np.sqrt)
 
     @cached_property
     def eig_m(self) -> EigenSystem:
-        return _eig(_hermitian(self.lift[0]))  # symmetrizes M first
+        return _eig(_hermitian(self.m))  # symmetrizes M first
 
     @cached_property
     def projectors(self) -> list[np.ndarray]:
@@ -147,8 +150,8 @@ class _Pair:
                 )
         if (self.rho1 == self.rho2).all():
             raise DegenerateError("states coincide; the geodesic is not unique")
-        m, a1 = self.lift
-        a2 = m @ a1
+        a1 = self.root1
+        a2 = self.m @ a1
         overlap = float((a1.conj() * a2).sum().real)  # hs_inner(a1, a2) = sqrt(fidelity), real
         overlap = min(1.0, max(-1.0, overlap))
         sine = np.sqrt(max(0.0, 1.0 - overlap * overlap))
@@ -165,19 +168,19 @@ _pair = _pairs.get
 
 
 def fidelity(rho1, rho2) -> float:
-    """Fidelity (Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)))^2, in [0, 1].
+    """Fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 = (Tr M rho1)^2, in [0, 1].
 
-    Equals 1 exactly when the states coincide, the squared overlap
-    |<psi|phi>|^2 on pure states, and (sum_i sqrt(p_i q_i))^2 on
-    commuting (classical) states.  Symmetric in its arguments, although
-    the formula hides it.
+    Summed from the spectrum of the core M is formed from, counting eigenvalues
+    up to 8u lambda_max(rho1) lambda_max(rho2), u = 2^-53, as rounding.  Equals
+    1 exactly when the states coincide, |<psi|phi>|^2 on pure states and
+    (sum_i sqrt(p_i q_i))^2 on commuting ones; symmetric, though the formula hides it.
     """
     return _pair(rho1, rho2).fidelity
 
 
 def bures_angle(rho1, rho2) -> float:
     """Bures-Uhlmann angle arccos(sqrt(fidelity)), in [0, pi/2]."""
-    return _pair(rho1, rho2).angle
+    return float(np.arccos(np.clip(np.sqrt(_pair(rho1, rho2).fidelity), 0.0, 1.0)))
 
 
 def purification(a) -> np.ndarray:
@@ -229,8 +232,7 @@ def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
         resid = float(np.linalg.norm(a1 @ a1.conj().T - pair.rho1))
         if not resid <= 1e-8:
             raise ValidationError(f"a1 does not purify rho1 (residual {resid:.3e})")
-    m, root = pair.lift
-    return m @ (root if a1 is None else a1)
+    return pair.m @ (pair.root1 if a1 is None else a1)
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,7 @@ def _symmetry_defect(f) -> float:
 
 def _core_spectrum(inner, b) -> EigenSystem:
     """Clamped spectrum of inner b inner: the core A^(-1/2) B A^(-1/2) of
-    every mean from inner = A^(-1/2), and that of the operator
-    M = rho1^(-1) # rho2 from inner = sqrt(rho1)."""
+    every mean from inner = A^(-1/2)."""
     return _floored(_eig(_hermitian(inner @ b @ inner)), 0.0)
 
 

@@ -147,7 +147,7 @@ def fuchs_caves_operator(rho1, rho2) -> np.ndarray:
     the same projective measurement.
     ``rho1`` must be invertible (SingularError otherwise).
     """
-    return hermitian_part(_pair(rho1, rho2).lift[0])
+    return hermitian_part(_pair(rho1, rho2).m)
 
 
 def optimal_measurement(rho1, rho2) -> list[np.ndarray]:

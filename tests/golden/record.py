@@ -13,7 +13,14 @@ seed 1729 through the reports it computes, and
     PYTHONPATH=src python tests/golden/record.py --compare SEED FILE
 
 compares a saved ``verify-all --seed SEED`` stdout with its golden file
-(exit 1 if it differs), as CI does for every seed.  The tests reach this
+(exit 1 if it differs), as CI does for every seed.  After recording,
+
+    PYTHONPATH=src python tests/golden/record.py --diff OLD/cli.json
+
+prints, for each command, how many cases moved against a copy of the corpus
+as it was, and the largest change of each numeric field (a JSON key path,
+or ``(text)`` for CSV and other stdout), and likewise for each
+``verify-all-S.txt`` found next to OLD/cli.json.  The tests reach this
 module through the ``golden`` fixture of ``tests/conftest.py``.
 
 Exact bytes are compared only where numpy, its BLAS and the machine match
@@ -231,9 +238,74 @@ def compare(seed: str, path: str) -> int:
     return 0 if same else 1
 
 
+def numbers(text: str) -> dict:
+    """{field: its numbers, in order} of one stdout: JSON numbers by key
+    path (``[]`` marks a list), else every number literal under ``(text)``."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return {"(text)": [float(x) for x in _NUMBER.findall(text)]}
+    fields = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, path + "[]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            fields.setdefault(path, []).append(float(node))
+
+    walk(data, "")
+    return fields
+
+
+def moves(pairs) -> str:
+    """'m of n moved' for pairs of (exit code, stdout), old and new, with the
+    largest change per numeric field."""
+    pairs = list(pairs)
+    moved = [(a, b) for a, b in pairs if a != b]
+    largest, reshaped = {}, 0
+    for (exit_a, a), (exit_b, b) in moved:
+        if exit_a != exit_b or masked(a) != masked(b):
+            reshaped += 1  # not a change of numbers alone
+            continue
+        new = numbers(b)
+        for field, values in numbers(a).items():
+            change = max(abs(x - y) for x, y in zip(values, new[field]))
+            largest[field] = max(largest.get(field, 0.0), change)
+    text = f"{len(moved)} of {len(pairs)} moved"
+    if reshaped:
+        text += f", {reshaped} in more than numbers"
+    changes = [f"{field} {v:.2g}" for field, v in sorted(largest.items()) if v]
+    return text + ("; largest change: " + ", ".join(changes) if changes else "")
+
+
+def diff(old_path: str) -> None:
+    """Print what moved from the corpus at ``old_path`` to the recorded one."""
+    old_cases = json.loads(Path(old_path).read_text())["cases"]
+    old = {tuple(case["argv"]): case for case in old_cases}
+    by_command = {}
+    for case in corpus()["cases"]:
+        before = old.get(tuple(case["argv"]))
+        if before is not None:
+            pair = ((before["exit"], before["stdout"]), (case["exit"], case["stdout"]))
+            by_command.setdefault(case["argv"][0] if case["argv"] else "(none)", []).append(pair)
+    for command, pairs in by_command.items():
+        print(f"{command}: {moves(pairs)}")
+    for seed in VERIFY_ALL_SEEDS:
+        before = Path(old_path).parent / f"verify-all-{seed}.txt"
+        if before.exists():
+            after = (HERE / f"verify-all-{seed}.txt").read_text()
+            print(f"verify-all --seed {seed}: {moves([((0, before.read_text()), (0, after))])}")
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--compare"]:
         raise SystemExit(compare(*sys.argv[2:4]))
+    if sys.argv[1:2] == ["--diff"]:
+        return diff(sys.argv[2])
     write_inputs()
     os.chdir(HERE)
     recorded = []

@@ -579,14 +579,16 @@ def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
         # one stacked eigh validates both files, then what each command
         # computes; each command used to validate the files again inside the
         # library, then validated them with 2 eigvalsh and decomposed them
-        # again for sqrt(rho1) and sqrt(rho2)
-        (["fidelity"], {"eigh": 1, "eigvalsh": 1}),  # 5 eigvalsh, then 3 and 1 eigh
-        (["bures-distance"], {"eigh": 1, "eigvalsh": 1}),  # as fidelity
+        # again for sqrt(rho1) and sqrt(rho2); F is summed from the eigh of
+        # the core that M is formed from, where it took an eigvalsh of its own
+        (["fidelity"], {"eigh": 2}),  # 5 eigvalsh, then 3 and 1 eigh, then 1 and 1
+        (["bures-distance"], {"eigh": 2}),  # as fidelity
         # 7 eigvalsh, then 3 and 2 eigh
         (["geodesic", "--samples", "5"], {"eigh": 2, "eigvalsh": 1}),
-        # 13 eigvalsh, then 4 before the Cholesky, then 3 and 4 eigh
-        (["optimal-measurement"], {"eigh": 3, "eigvalsh": 1}),
-        (["povm-search", "--grid", "20"], {"eigh": 1, "eigvalsh": 1}),  # 7, then 3 and 1
+        # 13 eigvalsh, then 4 before the Cholesky, then 3 and 4 eigh, then 1 and 3
+        (["optimal-measurement"], {"eigh": 3}),
+        # 7, then 3 and 1, then 1 and 1
+        (["povm-search", "--grid", "20"], {"eigh": 2}),
     ],
     ids=["fidelity", "bures-distance", "geodesic", "optimal-measurement", "povm-search"],
 )

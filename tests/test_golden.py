@@ -43,3 +43,16 @@ def test_masking_keeps_everything_but_numbers(golden):
     assert golden.masked('{"t": -1.5e-07, "n": [0, 12]}') == '{"t": #, "n": [#, #]}'
     assert golden.masked("t,re_0_0\n0,0.25\n") == "t,re_#_#\n#,#\n"
     assert golden.masked('{"a": true}') != golden.masked('{"b": true}')
+
+
+def test_diff_counts_moved_cases_and_the_largest_change_per_field(golden):
+    pairs = [
+        ((0, '{"a": 1.0, "b": [2.0, 3.0]}\n'), (0, '{"a": 1.0, "b": [2.0, 3.5]}\n')),
+        ((0, "same\n"), (0, "same\n")),
+        ((1, "t,v\n0,0.25\n"), (1, "t,v\n0,0.5\n")),  # no JSON: every number, in order
+        ((0, '{"a": 1}\n'), (1, '{"a": 1}\n')),  # another exit code
+    ]
+    assert golden.moves(pairs) == (
+        "3 of 4 moved, 1 in more than numbers; largest change: (text) 0.25, b[] 0.5"
+    )
+    assert golden.moves(pairs[1:2]) == "0 of 1 moved"

@@ -96,12 +96,13 @@ def _assert_same_bits(got, expected):
             assert a.tobytes() == b.tobytes()
 
 
-def test_state_pairs_request_makes_four_lapack_calls(lapack_calls):
-    # 1 stacked eigh validates the pair and gives sqrt(rho1), rho1^(-1/2) and
-    # sqrt(rho2), 1 eigvalsh gives F, 1 eigh gives M's core and 1 eig(M); the
-    # pair's own projectors need no Cholesky to certify them as a POVM, as
-    # they once did.  It was 7 calls: 2 validating eigvalsh, and one eigh
-    # each of rho1 and rho2 where the stacked eigh serves now
+def test_state_pairs_request_makes_three_lapack_calls(lapack_calls):
+    # 1 stacked eigh validates the pair and gives sqrt(rho1) and rho1^(-1/2),
+    # 1 eigh of the core gives both F and M, and 1 eig(M); the pair's own
+    # projectors need no Cholesky to certify them as a POVM, as they once
+    # did.  It was 7 calls: 2 validating eigvalsh, and one eigh each of rho1
+    # and rho2 where the stacked eigh serves now; then 4, with an eigvalsh
+    # of sqrt(rho2) rho1 sqrt(rho2) for F
     rho1, rho2 = _states(2, 4, 11)
     calls = lapack_calls("eigvalsh", "eigh", "cholesky")
     fidelity(rho1, rho2)
@@ -110,14 +111,15 @@ def test_state_pairs_request_makes_four_lapack_calls(lapack_calls):
     classical = povm_classical_angle(elements, rho1, rho2)
     path = geodesic(rho1, rho2)
     path.state(path.t_star / 2)
-    assert dict(calls) == {"eigh": 3, "eigvalsh": 1}
+    assert dict(calls) == {"eigh": 3}
     assert classical == pytest.approx(angle, abs=1e-9)
     assert path.t_star == pytest.approx(angle, abs=1e-9)
 
 
 def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
     # the search validates through the pair (1 stacked eigh), bures_angle
-    # adds F (1 eigvalsh) and fuchs_caves_operator M's core (1 eigh)
+    # adds the core that gives F and M (1 eigh), and fuchs_caves_operator
+    # forms M from it (none; it was 1 eigvalsh for F and 1 eigh for M)
     rho1, rho2 = _states(2, 2, 23)
     calls = lapack_calls("eigvalsh", "eigh")
     qubit_povm_search(rho1, rho2, grid_resolution=20)
@@ -125,39 +127,42 @@ def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
     bures_angle(rho1, rho2)
     fuchs_caves_operator(rho1, rho2)
     assert bures._pair(rho1, rho2) is pair is bures._pairs.entry[1] is not None
-    assert dict(calls) == {"eigh": 2, "eigvalsh": 1}
+    assert dict(calls) == {"eigh": 2}
 
 
 def test_a_classical_angle_leaves_its_pair_to_the_bures_angle(lapack_calls):
     # povm_classical_angle validates the states through the pair (1 stacked
-    # eigh) and the POVM (1 eigvalsh); bures_angle adds F (1 eigvalsh).  It
-    # was 4 eigvalsh, with one per state before the pair was made
+    # eigh) and the POVM (1 eigvalsh); bures_angle adds the core (1 eigh,
+    # where F took 1 eigvalsh).  It was 4 eigvalsh, with one per state
+    # before the pair was made
     rho1, rho2 = _states(2, 3, 27)
     elements = random_povm(3, 5, np.random.default_rng(27))
     calls = lapack_calls("eigvalsh", "eigh")
     excess = povm_classical_angle(elements, rho1, rho2) - bures_angle(rho1, rho2)
-    assert dict(calls) == {"eigh": 1, "eigvalsh": 2}
+    assert dict(calls) == {"eigh": 2, "eigvalsh": 1}
     assert excess <= 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
 def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
-    """sqrt(rho1), rho1^(-1/2), sqrt(rho2), F and M from the pair's stacked
-    eigh have the bytes of one decomposition per state, formed as the pair
-    formed them with one eigvalsh and one eigh each.  Its smallest
-    eigenvalues, from eigh, are within the N u |rho| <= N u that a backward
-    stable eigvalsh is of the exact ones."""
+    """sqrt(rho1), the core, M and F from the pair's stacked eigh have the
+    bytes of one decomposition per state: matrix_sqrt and matrix_inv_sqrt of
+    rho1, eig_hermitian of sqrt(rho1) rho2 sqrt(rho1), M formed from its
+    clamped spectrum, and F summed from it above the pair's noise floor.
+    Its smallest eigenvalues, from eigh, are within the N u |rho| <= N u
+    that a backward stable eigvalsh is of the exact ones."""
     for rho1, rho2 in zip(*[iter(_states(20, dim, 60 + dim))] * 2):
         pair = bures._Pair(rho1, rho2)
         a, b = density_matrix(rho1), density_matrix(rho2)
         root1, inv_root1 = matrix_sqrt(a), matrix_inv_sqrt(a)
-        root2 = matrix_sqrt(b)
-        w = np.linalg.eigvalsh(hermitian_part(root2 @ a @ root2))
-        root_sum = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+        core = eig_hermitian(root1 @ b @ root1)
+        noise = bures._CORE_NOISE * np.linalg.eigvalsh(a)[-1] * np.linalg.eigvalsh(b)[-1]
+        w = core.eigenvalues
+        root_sum = float(np.sum(np.sqrt(w[w > noise])))
         m = _congruence(inv_root1, _core_spectrum(root1, b), np.sqrt)
         fid = min(1.0, root_sum * root_sum)
-        expected = [root1, inv_root1, root2, m, np.array(fid)]
-        got = [*pair.roots1, pair.root2, pair.lift[0], np.array(pair.fidelity)]
+        expected = [root1, *core, m, np.array(fid)]
+        got = [pair.root1, *pair.core, pair.m, np.array(pair.fidelity)]
         _assert_same_bits([got], [expected])
         for low, state in zip(pair.lows, (a, b)):
             assert abs(low - np.linalg.eigvalsh(state)[0]) <= dim * np.finfo(float).eps
@@ -243,8 +248,8 @@ def test_the_pair_raises_what_density_matrix_raises(first, second):
 
 @pytest.mark.parametrize("dim", range(1, 34))
 def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
-    """rho1, rho2 and their spectra equal density_matrix and eig_hermitian
-    of each state alone, byte for byte."""
+    """rho1, rho2, rho1's spectrum and the smallest eigenvalue of each equal
+    density_matrix and eig_hermitian of each state alone, byte for byte."""
     rng = np.random.default_rng(dim)
     for _ in range(4):
         states = []
@@ -255,8 +260,9 @@ def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
         pair = bures._Pair(*states)
         expected = [density_matrix(rho) for rho in states]
         _assert_same_bits([[pair.rho1, pair.rho2]], [expected])
-        _assert_same_bits(pair.spectra, [eig_hermitian(rho) for rho in expected])
-        assert pair.lows == tuple(float(w[0]) for w, _ in pair.spectra)
+        spectra = [eig_hermitian(rho) for rho in expected]
+        _assert_same_bits([pair.spectrum], [spectra[0]])
+        assert pair.lows == tuple(float(w[0]) for w, _ in spectra)
 
 
 def test_spoiled_results_do_not_reach_later_calls():
@@ -323,13 +329,14 @@ def test_threads_on_distinct_pairs_match_serial_results():
 def test_root_fidelity_is_the_trace_of_rho1_m(dim):
     """sqrt(F) = tr(rho1 M), since tr(rho1 M) = tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
 
-    F is computed through sqrt(rho2) and M through rho1^(+-1/2), so the two
-    sides share no rounding.  Each is a sum of d square roots of eigenvalues
-    that a backward-stable eigh gives to about u = 2.2e-16, and the
-    rho1^(-1/2) factors of M magnify that error by at most
-    kappa(rho1) <= 1 / lambda_min(rho1).  The tolerance d u / lambda_min(rho1)
-    is at most 8 * 2.2e-16 * 50 = 9e-14 for these states (lambda_min >= 0.02);
-    the largest defect seen over 200 pairs at each d = 2..8 was 4.3e-15.
+    Both sides are sums over the spectrum of one core: sqrt(F) of d square
+    roots of eigenvalues that a backward-stable eigh gives to about
+    u = 2.2e-16, and tr(rho1 M) through the rho1^(-1/2) factors of M, which
+    magnify that error by at most kappa(rho1) <= 1 / lambda_min(rho1).  The
+    tolerance d u / lambda_min(rho1) is at most 8 * 2.2e-16 * 50 = 9e-14 for
+    these states (lambda_min >= 0.02); the largest defect seen over 200 pairs
+    at each d = 2..8 was 2.4e-15 (4.3e-15 when F was summed from the
+    spectrum of sqrt(rho2) rho1 sqrt(rho2)).
     """
     rng = np.random.default_rng(100 + dim)
     for _ in range(20):
