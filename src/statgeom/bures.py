@@ -25,8 +25,8 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum, _hermitian
-from .linalg import _hermitian_pair, _invertible_root, eig_hermitian, fix_phases, hermitian_part
-from .means import _congruence
+from .linalg import eig_hermitian, hermitian_part
+from .means import _Pair
 from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
 
 __all__ = [
@@ -59,14 +59,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _CORE_NOISE = 8 * 2.0**-53
 
 
-class _Pair:
+class _StatePair(_Pair):
     """A validated pair of states of one shape, and what the paper derives from it.
 
-    Holds rho1, rho2, the smallest eigenvalues ``lows`` of both and rho1's
-    eigendecomposition ``spectrum``, from one eigh of the stack that validated
-    them, checked as the operands of a mean are (the bits of one eig_hermitian
-    call per state).  One eigh of the core sqrt(rho1) rho2 sqrt(rho1) serves F
-    and M.  sqrt(rho1), the core, F, M, the geodesic, eig(M) and the optimal
+    The pair of :mod:`means` switched to states: rho1 and rho2 are its X and Y,
+    ``spectrum`` rho1's eigendecomposition, ``root`` sqrt(rho1), ``inv_root``
+    rho1^(-1/2) and ``core`` the unclamped spectrum of sqrt(rho1) rho2 sqrt(rho1),
+    which serves F and M.  F, M, the geodesic, eig(M) and the optimal
     measurement are each computed on first use; one that raises is not kept.
     Public views copy what is kept, bar the read-only projectors, matched
     later by identity; povm_classical_angle reads the states as they are.
@@ -77,46 +76,27 @@ class _Pair:
         density_matrix raises on it, rho1 first; two valid states of two
         shapes raise DimensionMismatchError."""
         try:
-            # one A† checks both, and gives their hermitian_part for eigh as it is
-            _, states, hermitian = _hermitian_pair(rho1, rho2, "states")
-            traces = states.trace(axis1=1, axis2=2).real
-            if not hermitian.all() or (abs(traces - 1.0) > 1e-12).any():
-                raise ValidationError("not a pair of states")  # named below
-            w, v = np.linalg.eigh(states)
-            self.rho1, self.rho2 = states
-            self.lows = tuple(w[:, 0].tolist())
-            _check_positive(min(self.lows))
+            super().__init__(rho1, rho2, states=True)
         except (ValidationError, ValueError, TypeError):  # or unconvertible input
             # each state checked in full, in order; two valid states re-raise
             density_matrix(rho1)
             density_matrix(rho2)
             raise
-        self.spectrum = EigenSystem(w[0], fix_phases(v[0]))
-        self.noise = _CORE_NOISE * float(w[0, -1] * w[1, -1])
-
-    @cached_property
-    def root1(self) -> np.ndarray:
-        """sqrt(rho1), with the bits of matrix_sqrt; rho1 may be singular."""
-        return _apply_spectrum(_floored(self.spectrum, 0.0), np.sqrt)
-
-    @cached_property
-    def core(self) -> EigenSystem:
-        """eig(sqrt(rho1) rho2 sqrt(rho1)), unclamped, so that F never raises."""
-        return _eig(_hermitian(self.root1 @ self.rho2 @ self.root1))
+        self.rho1, self.rho2 = self.x, self.y
 
     @cached_property
     def fidelity(self) -> float:
         if (self.rho1 == self.rho2).all():
             return 1.0  # F(rho, rho) = 1, which the rounded root sum only comes near
         w = self.core.eigenvalues
-        root_sum = float(np.sqrt(w[w > self.noise]).sum())
+        noise = _CORE_NOISE * (self.highs[0] * self.highs[1])
+        root_sum = float(np.sqrt(w[w > noise]).sum())
         return min(1.0, root_sum * root_sum)
 
     @cached_property
     def m(self) -> np.ndarray:
-        """M unsymmetrized; rho1 invertible, rho1^(-1/2) as matrix_inv_sqrt forms it."""
-        inv_root = _apply_spectrum(self.spectrum, lambda w: 1.0 / _invertible_root(w))
-        return _congruence(inv_root, _floored(self.core, 0.0), np.sqrt)
+        """M unsymmetrized; rho1 invertible.  Never DomainError: the core is clamped."""
+        return self.congruence(np.sqrt)
 
     @cached_property
     def eig_m(self) -> EigenSystem:
@@ -150,7 +130,7 @@ class _Pair:
                 )
         if (self.rho1 == self.rho2).all():
             raise DegenerateError("states coincide; the geodesic is not unique")
-        a1 = self.root1
+        a1 = self.root
         a2 = self.m @ a1
         overlap = float((a1.conj() * a2).sum().real)  # hs_inner(a1, a2) = sqrt(fidelity), real
         overlap = min(1.0, max(-1.0, overlap))
@@ -163,7 +143,7 @@ class _Pair:
 
 # The most recent valid pair, so the public views called in a row on one
 # pair share it: _pair(rho1, rho2) gives it, validating a new pair.
-_pairs = _PairSlot(_Pair)
+_pairs = _PairSlot(_StatePair)
 _pair = _pairs.get
 
 
@@ -232,7 +212,7 @@ def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
         resid = float(np.linalg.norm(a1 @ a1.conj().T - pair.rho1))
         if not resid <= 1e-8:
             raise ValidationError(f"a1 does not purify rho1 (residual {resid:.3e})")
-    return pair.m @ (pair.root1 if a1 is None else a1)
+    return pair.m @ (pair.root if a1 is None else a1)
 
 
 @dataclass(frozen=True)

@@ -210,8 +210,7 @@ def _apply_spectrum(spectrum: EigenSystem, fn) -> np.ndarray:
     one matrix or each of a stack, with the bits of the 2-D call on each slice.
 
     ``fn`` gets a copy of w, so a kept spectrum survives an f that writes
-    to its argument.  An f(w) with one more leading axis than w gives one
-    V f_k(w) V† per row k, as :func:`_roots` uses.
+    to its argument.
     """
     w, v = spectrum
     fw = np.asarray(fn(w.copy()), dtype=complex)
@@ -237,14 +236,6 @@ def _invertible_root(w: np.ndarray) -> np.ndarray:
                 f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
             )
     return np.sqrt(w)  # as complex, it repeats matrix_sqrt bit for bit
-
-
-def _roots(spectrum: EigenSystem) -> tuple:
-    """(sqrt(H), H^(-1/2)) of the matrix H that :func:`eig_hermitian` gave
-    ``spectrum``, with the bits of :func:`matrix_sqrt` and
-    :func:`matrix_inv_sqrt`; raises as :func:`matrix_inv_sqrt` does."""
-    root = _invertible_root(spectrum.eigenvalues)
-    return tuple(_apply_spectrum(spectrum, lambda w: np.array((root, 1.0 / root))))
 
 
 def matrix_inv_sqrt(h: np.ndarray) -> np.ndarray:

@@ -9,12 +9,13 @@ The classical trio is arithmetic f = (1+t)/2, geometric f = sqrt(t), and
 harmonic f = 2t/(1+t), ordered harmonic <= geometric <= arithmetic in the
 positive-semidefinite sense.  Only f differs between the means of one
 pair, so each is a view of one private pair object: it validates A and B
-once, and computes (sqrt(A), A^(-1/2)) and the spectrum of the core
+once, and computes sqrt(A), A^(-1/2) and the spectrum of the core
 A^(-1/2) B A^(-1/2) once, on first use.  The last pair is remembered, so
 the trio on one pair decomposes (A, B), stacked, and the core once between
-them; returned arrays are always new.  The module also carries a randomized
-operator-monotonicity tester and the standard 2x2 witness that t -> t^2
-fails it.
+them; returned arrays are always new.  Switched to states, the same object
+gives the Bures operator M = rho1^(-1) # rho2.  The module also carries a
+randomized operator-monotonicity tester and the standard 2x2 witness that
+t -> t^2 fails it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .linalg import (
     _floored,
     _hermitian,
     _hermitian_pair,
-    _roots,
+    _invertible_root,
     fix_phases,
     hs_norm,
     min_eigenvalue,
@@ -90,45 +91,70 @@ def _symmetry_defect(f) -> float:
     return float(np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid))))
 
 
-def _core_spectrum(inner, b) -> EigenSystem:
-    """Clamped spectrum of inner b inner: the core A^(-1/2) B A^(-1/2) of
-    every mean from inner = A^(-1/2)."""
-    return _floored(_eig(_hermitian(inner @ b @ inner)), 0.0)
+class _Pair:
+    """A validated pair (X, Y), and the congruence outer f(core) outer of its means.
 
-
-def _congruence(outer, core: EigenSystem, f) -> np.ndarray:
-    """Unsymmetrized outer f(core) outer: M_f(A, B) from sqrt(A) and the core
-    of (A, B); the operator M from rho1^(-1/2) and its core, with f = sqrt."""
-    return outer @ _apply_spectrum(core, f) @ outer
-
-
-class _MeanPair:
-    """A validated operand pair (A, B), and what every mean of it shares.
-
-    Holds A and B, views of one owned stack checked as a Bures state pair
-    is, and the stack's Hermitian part.  (sqrt(A), A^(-1/2)), with B checked
-    positive semidefinite first, and the core spectrum are each computed on
-    first use; one that raises is not kept.  A mean applies its f to the kept core
-    and returns a new array, so the trio costs one stacked decomposition of
-    (A, B) and one of the core between them.
+    As operands (A, B), M_f(A, B) = sqrt(A) f(A^(-1/2) B A^(-1/2)) sqrt(A).
+    As states, M = rho1^(-1) # rho2 is the geometric mean of (rho1^(-1), rho2),
+    whose A^(-1/2) is sqrt(rho1) and sqrt(A) is rho1^(-1/2), so ``states``
+    swaps the inner and outer root of X.  It also picks the checks: Hermitian
+    operands with B positive semidefinite on first use, or unit-trace states
+    both positive semidefinite at once.  X and Y are views of one owned stack,
+    the operands as given and the states' Hermitian part, whose one eigh gives
+    X's spectrum and the least and greatest eigenvalues ``lows`` and ``highs``
+    of both.  sqrt(X) and X^(-1/2), by the routes of matrix_sqrt and
+    matrix_inv_sqrt, and the unclamped core inner Y inner are each made on
+    first use; one that raises is not kept.
     """
 
-    def __init__(self, a, b):
-        stack, self.hermitian_stack, hermitian = _hermitian_pair(a, b, "operands")
-        if not hermitian.all():
-            raise ValidationError("operator means need Hermitian operands")
-        self.a, self.b = stack
+    def __init__(self, x, y, states=False):
+        self.states = states
+        noun = "states" if states else "operands"
+        stack, self.hermitian_stack, valid = _hermitian_pair(x, y, noun)
+        if states:  # Hermitian and of unit trace
+            valid &= abs(self.hermitian_stack.trace(axis1=1, axis2=2).real - 1.0) <= 1e-12
+        if not valid.all():  # bures names the fault of a state
+            raise ValidationError(
+                "not a pair of states" if states else "operator means need Hermitian operands"
+            )
+        self.x, self.y = self.hermitian_stack if states else stack
+        if states:
+            self.spectrum  # the eigh runs now: it checks both states
 
     @cached_property
-    def roots(self) -> tuple:
+    def spectrum(self) -> EigenSystem:
         w, v = np.linalg.eigh(self.hermitian_stack)  # the bits of one eig_hermitian each
-        if w[1, 0] < -1e-12:
-            raise ValidationError("second operand is not positive semidefinite")
-        return _roots(EigenSystem(w[0], fix_phases(v[0])))  # SingularError if a is singular
+        self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
+        if min(self.lows if self.states else self.lows[1:]) < -1e-12:  # both states, or B
+            message = "second operand is not positive semidefinite"
+            raise ValidationError("not a pair of states" if self.states else message)
+        return EigenSystem(w[0], fix_phases(v[0]))
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """sqrt(X), as matrix_sqrt forms it; X may be singular."""
+        return _apply_spectrum(_floored(self.spectrum, 0.0), np.sqrt)
+
+    @cached_property
+    def inv_root(self) -> np.ndarray:
+        """X^(-1/2), as matrix_inv_sqrt forms it; SingularError if X is singular."""
+        return _apply_spectrum(self.spectrum, lambda w: 1.0 / _invertible_root(w))
 
     @cached_property
     def core(self) -> EigenSystem:
-        return _core_spectrum(self.roots[1], self.b)
+        """eig(inner Y inner), unclamped, with inner sqrt(rho1) or A^(-1/2)."""
+        inner = self.root if self.states else self.inv_root
+        return _eig(_hermitian(inner @ self.y @ inner))
+
+    def congruence(self, f) -> np.ndarray:
+        """outer f(core) outer, unsymmetrized, with outer rho1^(-1/2) or sqrt(A).
+
+        Validation bounds a state pair's core below by about -1e-12 lambda_max(rho1),
+        so it is clamped at 0; an operand pair's below -1e-12 raises DomainError."""
+        w, v = core = self.core
+        core = EigenSystem(np.maximum(w, 0.0), v) if self.states else _floored(core, 0.0)
+        outer = self.inv_root if self.states else self.root
+        return outer @ _apply_spectrum(core, f) @ outer
 
     def mean(self, f) -> np.ndarray:
         def finite(w):
@@ -136,12 +162,12 @@ class _MeanPair:
             if not np.isfinite(fw).all():
                 raise DomainError("f is not finite on the spectrum of A^(-1/2) B A^(-1/2)")
             return fw
-        return _hermitian(_congruence(self.roots[0], self.core, finite))
+        return _hermitian(self.congruence(finite))
 
 
 # The most recent valid operand pair, so the means called in a row on one
 # pair share its validation, roots and core.
-_pairs = _PairSlot(_MeanPair)
+_pairs = _PairSlot(_Pair)
 
 
 def operator_mean(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
@@ -160,7 +186,7 @@ def operator_mean(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
 def arithmetic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(A + B) / 2, computed directly (no invertibility needed)."""
     pair = _pairs.get(a, b)
-    return 0.5 * (pair.a + pair.b)
+    return 0.5 * (pair.x + pair.y)
 
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -44,7 +44,9 @@ def _hermitian(a, noun: str) -> np.ndarray:
 def density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD (to -1e-12), unit trace."""
     rho = _unit_trace_hermitian(rho)
-    _check_positive(float(np.linalg.eigvalsh(rho)[0]))  # rho is its own hermitian_part
+    # eigh, not eigvalsh: the state pair's stacked eigh has its bits, so the
+    # two agree on every state at the -1e-12 limit; rho is its own hermitian_part
+    _check_positive(float(np.linalg.eigh(rho)[0][0]))
     return rho
 
 

@@ -35,8 +35,9 @@ from statgeom.linalg import (
     _hermitian,
     _hermitian_checked,
     _hermitian_pair,
-    _roots,
+    _invertible_root,
 )
+from statgeom.means import _Pair
 
 A2 = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
 
@@ -332,11 +333,12 @@ def test_fix_phases_bits_in_every_layout(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 34))
 def test_roots_have_the_bits_of_one_matrix_function_each(rng, n):
-    """sqrt(H) and H^(-1/2), formed together, have the bits of one
-    matrix_function call each on H."""
+    """sqrt(H) and H^(-1/2), as an operand pair keeps them from its stacked
+    eigh, have the bits of one matrix_function call each on H."""
     states = [hermitian_part(g @ g.conj().T) for g in _layouts(rng, (6, n, n))["C"]]
     for h in [*states, *_positive_definite(rng, n)]:
-        root, inv_root = _roots(eig_hermitian(h))
+        pair = _Pair(h, h)
+        root, inv_root = pair.root, pair.inv_root
         assert root.tobytes() == matrix_function(h, np.sqrt, domain_floor=0.0).tobytes()
         assert inv_root.tobytes() == matrix_function(h, lambda w: 1.0 / np.sqrt(w)).tobytes()
 
@@ -535,8 +537,19 @@ def _roots_reference(spectrum):
             f"matrix not invertible: min eigenvalue {w.min():.3e} vs scale {scale:.3e}"
         )
     root = np.sqrt(w)
-    scaled = v * np.array((root, 1.0 / root), dtype=complex)[:, None, :]
-    return tuple(_hermitian_part_reference(scaled @ v.conj().T))
+    # one product per root: a stacked one gives NaNs of other signs on a NaN spectrum
+    return tuple(
+        _hermitian_part_reference((v * np.asarray(f, dtype=complex)) @ v.conj().T)
+        for f in (root, 1.0 / root)
+    )
+
+
+def _root_pair(spectrum):
+    """(sqrt(H), H^(-1/2)) from the spectrum eig_hermitian gave H, by the
+    routes of matrix_sqrt and matrix_inv_sqrt; H^(-1/2) first, so a singular
+    H raises as matrix_inv_sqrt does."""
+    inv_root = _apply_spectrum(_floored(spectrum, -math.inf), lambda w: 1.0 / _invertible_root(w))
+    return _apply_spectrum(_floored(spectrum, 0.0), np.sqrt), inv_root
 
 
 def _outcome(call, *args):
@@ -604,11 +617,11 @@ def test_floored_edge_spectra_reach_the_full_clamp(name, floor):
 def test_roots_have_the_bits_of_the_full_test(rng, n):
     for a in _positive_definite(rng, n):
         spectrum = eig_hermitian(a)
-        assert _bytes(_roots(spectrum)) == _bytes(_roots_reference(spectrum))
+        assert _bytes(_root_pair(spectrum)) == _bytes(_roots_reference(spectrum))
     vectors = spectrum.eigenvectors
     for w in _spectra(rng, n):
         spectrum = EigenSystem(w, vectors)
-        assert _outcome(_roots, spectrum) == _outcome(_roots_reference, spectrum)
+        assert _outcome(_root_pair, spectrum) == _outcome(_roots_reference, spectrum)
 
 
 @pytest.mark.parametrize("name", _EDGE_SPECTRA)
@@ -616,20 +629,20 @@ def test_roots_edge_spectra_reach_the_full_test(name):
     w = np.array(_EDGE_SPECTRA[name])
     spectrum = EigenSystem(w, np.eye(len(w), dtype=complex))
     with np.errstate(invalid="ignore", divide="ignore"):
-        assert _outcome(_roots, spectrum) == _outcome(_roots_reference, spectrum)
+        assert _outcome(_root_pair, spectrum) == _outcome(_roots_reference, spectrum)
 
 
 def test_a_negative_definite_spectrum_is_singular_with_its_old_message():
     spectrum = EigenSystem(np.array([-3.0, -1.0]), np.eye(2, dtype=complex))
     with pytest.raises(SingularError) as caught:
-        _roots(spectrum)
+        _root_pair(spectrum)
     assert str(caught.value) == "matrix not invertible: min eigenvalue -3.000e+00 vs scale 3.000e+00"
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_matrix_inv_sqrt_alone_has_the_bits_of_the_root_pair(rng, n):
-    """H^(-1/2), formed without sqrt(H), has the bits it had as the second
-    of the pair, on a matrix and on a slice of a stack."""
+    """H^(-1/2), formed without sqrt(H), has the bits of the full test's
+    reference, on a matrix and on a slice of a stack."""
     stack = _positive_definite(rng, n)
     for h in (*stack, stack[1], stack[:, ::-1, ::-1][2], stack.swapaxes(-1, -2)[0]):
         expected = _roots_reference(eig_hermitian(h))[1]

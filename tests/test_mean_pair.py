@@ -23,8 +23,7 @@ from statgeom import (
     operator_mean,
     random_psd,
 )
-from statgeom.linalg import EigenSystem, _roots, eig_hermitian, hermitian_part
-from statgeom.means import _congruence, _core_spectrum
+from statgeom.linalg import hermitian_part, matrix_function, matrix_inv_sqrt, matrix_sqrt
 
 
 def _operands(count, dim, seed):
@@ -66,16 +65,19 @@ def _assert_same_bits(got, expected):
 
 
 def _reference_means(a, b):
-    """:func:`_means` by the route each pair once took on its own: copies of
-    A and B, one eig_hermitian of their stack, the roots of A, then the core."""
+    """:func:`_means` by the route each mean once took on its own: copies of
+    A and B, the roots of A, then f of the core A^(-1/2) B A^(-1/2), each
+    by one public matrix function."""
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
-    w, v = eig_hermitian(np.stack([a, b]))
-    root, inv_root = _roots(EigenSystem(w[0], v[0]))
-    core = _core_spectrum(inv_root, b)
+    root, inv_root = matrix_sqrt(a), matrix_inv_sqrt(a)
+    core = inv_root @ b @ inv_root
+
+    def mean(f):
+        return hermitian_part(root @ matrix_function(core, f, domain_floor=0.0) @ root)
+
     fs = (lambda t: 2.0 * t / (1.0 + t), np.sqrt, lambda t: 0.5 * (1.0 + t))
-    harmonic, geometric, arithmetic = (hermitian_part(_congruence(root, core, f)) for f in fs)
-    power = hermitian_part(_congruence(root, core, lambda t: t ** 0.3))
-    return [harmonic, geometric, 0.5 * (a + b), arithmetic, power]
+    harmonic, geometric, arithmetic = (mean(f) for f in fs)
+    return [harmonic, geometric, 0.5 * (a + b), arithmetic, mean(lambda t: t ** 0.3)]
 
 
 def _layouts(a):
@@ -182,10 +184,12 @@ def test_an_invalid_pair_is_never_remembered(case, error, message, lapack_calls)
 @pytest.mark.parametrize(
     "case, error, calls_per_try",
     [
-        # one stacked eigh of (A, B) either way; it was an eigvalsh of B,
-        # and then an eigh of A
-        ("b-not-psd", ValidationError, {"eigh": 1}),
-        ("singular-a", SingularError, {"eigh": 1}),
+        # one stacked eigh of (A, B) on the first try (it was an eigvalsh of
+        # B, and then an eigh of A); a B that fails it is not kept, so each
+        # try makes it again, while a singular A fails only A^(-1/2), after
+        # the valid spectrum is kept
+        ("b-not-psd", ValidationError, [{"eigh": 1}, {"eigh": 1}]),
+        ("singular-a", SingularError, [{"eigh": 1}, {}]),
     ],
     ids=["b-not-psd", "singular-a"],
 )
@@ -199,11 +203,11 @@ def test_a_failed_quantity_raises_the_same_message_again(
         a = np.diag([0.5, 0.5, 0.0])
     calls = lapack_calls("eigvalsh", "eigh")
     messages = []
-    for _ in range(2):
+    for expected_calls in calls_per_try:
         calls.clear()
         with pytest.raises(error) as info:
             harmonic_mean(a, b)
-        assert dict(calls) == calls_per_try  # nothing of the failure was kept
+        assert dict(calls) == expected_calls  # nothing of the failure was kept
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     # the pair itself stays usable where no root is needed

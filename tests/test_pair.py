@@ -33,11 +33,11 @@ from statgeom import (
     qubit_povm_search,
     random_invertible_density_matrix,
     random_povm,
+    random_unitary,
     verify_billiard_theorem,
 )
 from statgeom import bures, measurement
 from statgeom.linalg import eig_hermitian, hermitian_part, matrix_inv_sqrt, matrix_sqrt
-from statgeom.means import _congruence, _core_spectrum
 from statgeom.monotone import density_matrix
 
 
@@ -152,17 +152,17 @@ def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
     Its smallest eigenvalues, from eigh, are within the N u |rho| <= N u
     that a backward stable eigvalsh is of the exact ones."""
     for rho1, rho2 in zip(*[iter(_states(20, dim, 60 + dim))] * 2):
-        pair = bures._Pair(rho1, rho2)
+        pair = bures._StatePair(rho1, rho2)
         a, b = density_matrix(rho1), density_matrix(rho2)
         root1, inv_root1 = matrix_sqrt(a), matrix_inv_sqrt(a)
         core = eig_hermitian(root1 @ b @ root1)
-        noise = bures._CORE_NOISE * np.linalg.eigvalsh(a)[-1] * np.linalg.eigvalsh(b)[-1]
+        noise = 8 * 2.0**-53 * np.linalg.eigvalsh(a)[-1] * np.linalg.eigvalsh(b)[-1]  # 8u
         w = core.eigenvalues
         root_sum = float(np.sum(np.sqrt(w[w > noise])))
-        m = _congruence(inv_root1, _core_spectrum(root1, b), np.sqrt)
+        m = inv_root1 @ matrix_sqrt(root1 @ b @ root1) @ inv_root1
         fid = min(1.0, root_sum * root_sum)
         expected = [root1, *core, m, np.array(fid)]
-        got = [pair.root1, *pair.core, pair.m, np.array(pair.fidelity)]
+        got = [pair.root, *pair.core, pair.m, np.array(pair.fidelity)]
         _assert_same_bits([got], [expected])
         for low, state in zip(pair.lows, (a, b)):
             assert abs(low - np.linalg.eigvalsh(state)[0]) <= dim * np.finfo(float).eps
@@ -243,7 +243,42 @@ def test_the_pair_raises_what_density_matrix_raises(first, second):
             DimensionMismatchError,
             f"states have shapes {np.shape(rho1)} and {np.shape(rho2)}",
         )
-    assert _first_error(lambda: bures._Pair(rho1, rho2)) == expected
+    assert _first_error(lambda: bures._StatePair(rho1, rho2)) == expected
+
+
+def _limit_pair(dim, rng):
+    """rho1 nearly pure, spectrum (1 - 1e-11, 1e-11 / (d - 1)), and rho2 with
+    eigenvalue -1e-12 along rho1's top eigenvector: each at the edge of what
+    validation allows, with the core sqrt(rho1) rho2 sqrt(rho1) within
+    rounding of -1e-12 along it."""
+    u = random_unitary(dim, rng)
+    v = u.copy()
+    v[:, 1:] = u[:, 1:] @ random_unitary(dim - 1, rng)  # rho2's other eigenvectors
+    rest = rng.random(dim - 1)
+    p = np.concatenate(([1.0 - 1e-11], np.full(dim - 1, 1e-11 / (dim - 1))))
+    q = np.concatenate(([-1e-12], (1.0 + 1e-12) * rest / rest.sum()))
+    return (u * p) @ u.conj().T, (v * q) @ v.conj().T
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_the_views_accept_what_density_matrix_accepts_at_the_limit(dim):
+    """fidelity, fuchs_caves_operator and geodesic reject a pair exactly when
+    density_matrix rejects one of its states, with its error, and never raise
+    DomainError: M clamps the core as F does.  geodesic raises SingularError
+    on every valid pair, since rho2 is singular."""
+    rng = np.random.default_rng((900, dim))
+    outcomes = set()
+    for _ in range(20):
+        rho1, rho2 = _limit_pair(dim, rng)
+        expected = _first_error(lambda: density_matrix(rho1), lambda: density_matrix(rho2))
+        for call in (fidelity, fuchs_caves_operator, geodesic):
+            got = _first_error(lambda: call(rho1, rho2))
+            if expected is not None or call is not geodesic:
+                assert got == expected
+            else:
+                assert got is not None and got[0] is SingularError
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}  # both sides of the limit were drawn
 
 
 @pytest.mark.parametrize("dim", range(1, 34))
@@ -257,7 +292,7 @@ def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
             states.append(rho + 1e-14 * rng.standard_normal((dim, dim)))  # off-Hermitian noise
-        pair = bures._Pair(*states)
+        pair = bures._StatePair(*states)
         expected = [density_matrix(rho) for rho in states]
         _assert_same_bits([[pair.rho1, pair.rho2]], [expected])
         spectra = [eig_hermitian(rho) for rho in expected]
