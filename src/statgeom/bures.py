@@ -25,9 +25,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum, _hermitian
-from .linalg import eig_hermitian, hermitian_part
+from .linalg import hermitian_part
 from .means import _Pair
-from .monotone import _check_positive, _unit_trace_hermitian, density_matrix
+from .monotone import _state_eigh, density_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -177,9 +177,7 @@ def purification(a) -> np.ndarray:
 def purify(rho) -> np.ndarray:
     """Canonical purification A = sqrt(rho), the positive-root gauge choice;
     one eigh validates rho and gives the bits of matrix_sqrt(density_matrix(rho))."""
-    spectrum = eig_hermitian(_unit_trace_hermitian(rho))
-    _check_positive(float(spectrum.eigenvalues[0]))
-    return _apply_spectrum(_floored(spectrum, 0.0), np.sqrt)
+    return _apply_spectrum(_floored(_state_eigh(rho)[1], 0.0), np.sqrt)
 
 
 def project(a) -> np.ndarray:

@@ -17,6 +17,9 @@ So does the private :func:`_apply_spectrum`, the one place V f(w) V† is
 formed; :func:`matrix_function`, :func:`matrix_sqrt` and
 :func:`matrix_inv_sqrt`, built on it, take one matrix.
 
+Phases are fixed only where eigenvectors leave the library (:func:`_eig`, the
+billiard's kernels): V f(w) V† is blind to column phases, so it takes eigh's own.
+
 The public functions convert and check their input; the private cores
 :func:`_hermitian` and :func:`_eig` take arrays the library made, already
 complex and square, and skip that.  A fast path may skip only a pass whose
@@ -53,8 +56,8 @@ class EigenSystem(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns, with the phase of each
-    column fixed so its largest-modulus component is real and positive.
+    matching orthonormal eigenvectors as columns.  Those returned to a caller
+    have phases fixed by :func:`fix_phases`; private spectra keep eigh's.
     """
 
     eigenvalues: np.ndarray
@@ -186,7 +189,10 @@ def matrix_function(
     :class:`DomainError`; values within that band are clamped to the floor
     so that e.g. a square root never sees -1e-15.
     """
-    return _apply_spectrum(_floored(_eig(_hermitian(_as_square(h))), domain_floor), fn)
+    h = _hermitian(_as_square(h))
+    if not h.size:  # raise as eig_hermitian does on an empty matrix
+        raise ValueError("attempt to get argmax of an empty sequence")
+    return _apply_spectrum(_floored(EigenSystem(*np.linalg.eigh(h)), domain_floor), fn)
 
 
 def _floored(spectrum: EigenSystem, domain_floor: float) -> EigenSystem:

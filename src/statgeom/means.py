@@ -29,12 +29,10 @@ from .linalg import (
     EigenSystem,
     _PairSlot,
     _apply_spectrum,
-    _eig,
     _floored,
     _hermitian,
     _hermitian_pair,
     _invertible_root,
-    fix_phases,
     hs_norm,
     min_eigenvalue,
     psd_order_geq,
@@ -103,8 +101,9 @@ class _Pair:
     the operands as given and the states' Hermitian part, whose one eigh gives
     X's spectrum and the least and greatest eigenvalues ``lows`` and ``highs``
     of both.  sqrt(X) and X^(-1/2), by the routes of matrix_sqrt and
-    matrix_inv_sqrt, and the unclamped core inner Y inner are each made on
-    first use; one that raises is not kept.
+    matrix_inv_sqrt, and the core inner Y inner, unclamped and clamped, are
+    each made on first use from eigh's eigenvectors as they come, since no
+    column phase changes V f(w) V†; one that raises is not kept.
     """
 
     def __init__(self, x, y, states=False):
@@ -123,12 +122,12 @@ class _Pair:
 
     @cached_property
     def spectrum(self) -> EigenSystem:
-        w, v = np.linalg.eigh(self.hermitian_stack)  # the bits of one eig_hermitian each
+        w, v = np.linalg.eigh(self.hermitian_stack)  # each slice has the bits of a 2-D eigh
         self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
         if min(self.lows if self.states else self.lows[1:]) < -1e-12:  # both states, or B
             message = "second operand is not positive semidefinite"
             raise ValidationError("not a pair of states" if self.states else message)
-        return EigenSystem(w[0], fix_phases(v[0]))
+        return EigenSystem(w[0], v[0])
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -144,17 +143,19 @@ class _Pair:
     def core(self) -> EigenSystem:
         """eig(inner Y inner), unclamped, with inner sqrt(rho1) or A^(-1/2)."""
         inner = self.root if self.states else self.inv_root
-        return _eig(_hermitian(inner @ self.y @ inner))
+        return EigenSystem(*np.linalg.eigh(_hermitian(inner @ self.y @ inner)))
+
+    @cached_property
+    def clamped_core(self) -> EigenSystem:
+        """The core clamped at 0.  Validation bounds a state pair's below by about
+        -1e-12 lambda_max(rho1); an operand pair's below -1e-12 raises DomainError."""
+        w, v = core = self.core
+        return EigenSystem(np.maximum(w, 0.0), v) if self.states else _floored(core, 0.0)
 
     def congruence(self, f) -> np.ndarray:
-        """outer f(core) outer, unsymmetrized, with outer rho1^(-1/2) or sqrt(A).
-
-        Validation bounds a state pair's core below by about -1e-12 lambda_max(rho1),
-        so it is clamped at 0; an operand pair's below -1e-12 raises DomainError."""
-        w, v = core = self.core
-        core = EigenSystem(np.maximum(w, 0.0), v) if self.states else _floored(core, 0.0)
+        """outer f(core) outer, unsymmetrized, with outer rho1^(-1/2) or sqrt(A)."""
         outer = self.inv_root if self.states else self.root
-        return outer @ _apply_spectrum(core, f) @ outer
+        return outer @ _apply_spectrum(self.clamped_core, f) @ outer
 
     def mean(self, f) -> np.ndarray:
         def finite(w):
@@ -311,7 +312,7 @@ def _apply_scalar(f, h: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(fw)):
             raise DomainError("f is undefined on part of the sampled spectrum")
         return fw
-    return _apply_spectrum(_eig(_hermitian(h)), clipped)
+    return _apply_spectrum(EigenSystem(*np.linalg.eigh(_hermitian(h))), clipped)
 
 
 def square_monotonicity_counterexample() -> dict:

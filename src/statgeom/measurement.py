@@ -123,14 +123,16 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
     returned for that pair, in order, are not validated again as an arbitrary
     POVM: each is the Hermitian part of fl(v v†) with |v| = 1 + O(N u), so its
     own Hermitian part, with least eigenvalue -O(u), far inside the -1e-12 of
-    that check.  Only their sum, whose error rests on the accuracy of eigh, is
-    checked.  Other elements, byte-equal copies too, are validated as any POVM.
+    that check.  Their sum, whose error rests on eigh's accuracy, is checked once
+    per pair.  Other elements, byte-equal copies too, are validated as any POVM.
     """
     pair = _pair(rho1, rho2)
     # only projectors already made: another POVM must not pay for eig(M)
     kept = vars(pair).get("projectors")
     if kept and len(elements) == len(kept) and all(map(is_, elements, kept)):
-        stack = _resolving_identity(kept[0].base)  # the stack they are views of
+        stack = kept[0].base  # the stack they are views of
+        if vars(pair).get("checked_stack") is not stack:  # a failed check is not kept
+            pair.checked_stack = _resolving_identity(stack)
     else:
         stack = _povm_stack(elements)
     p, q = _distribution(stack, pair.rho1), _distribution(stack, pair.rho2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryError, DomainError, ValidationError
-from .linalg import _hermitian_checked, eig_hermitian
+from .linalg import EigenSystem, _hermitian_checked
 from .means import _symmetry_defect, mean_function
 
 __all__ = [
@@ -43,27 +43,22 @@ def _hermitian(a, noun: str) -> np.ndarray:
 
 def density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD (to -1e-12), unit trace."""
-    rho = _unit_trace_hermitian(rho)
-    # eigh, not eigvalsh: the state pair's stacked eigh has its bits, so the
-    # two agree on every state at the -1e-12 limit; rho is its own hermitian_part
-    _check_positive(float(np.linalg.eigh(rho)[0][0]))
-    return rho
+    return _state_eigh(rho)[0]
 
 
-def _unit_trace_hermitian(rho) -> np.ndarray:
-    """The checks of :func:`density_matrix` before positivity: square,
-    Hermitian and unit trace; returns hermitian_part(rho)."""
+def _state_eigh(rho) -> tuple:
+    """(hermitian_part(rho), its eigh) for a state that passes the checks of
+    :func:`density_matrix`: square, Hermitian, unit trace, then PSD by the
+    one eigh that serves the caller.  eigh, not eigvalsh: the state pair's
+    stacked eigh has its bits, so the two agree on every state at -1e-12."""
     rho = _hermitian(rho, "density matrix")
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-12:
         raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    return rho
-
-
-def _check_positive(low) -> None:
-    """The positivity check of :func:`density_matrix` on the smallest eigenvalue."""
-    if low < -1e-12:
+    spectrum = EigenSystem(*np.linalg.eigh(rho))  # rho is its own hermitian_part
+    if spectrum.eigenvalues[0] < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
+    return rho, spectrum
 
 
 def tangent_perturbation(drho) -> np.ndarray:
@@ -85,9 +80,7 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
     """
     if isinstance(f, str):
         f = mean_function(f)
-    # one eigh validates rho, as density_matrix would, and serves the metric
-    lam, v = eig_hermitian(_unit_trace_hermitian(rho))
-    _check_positive(float(lam[0]))
+    _, (lam, v) = _state_eigh(rho)  # one eigh validates rho and serves the metric
     drho = tangent_perturbation(drho)
     if v.shape != drho.shape:
         raise ValidationError(

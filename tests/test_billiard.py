@@ -176,7 +176,8 @@ def test_contact_groups_fast_path_matches_the_general_path(rng):
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 12])
 def test_kernel_states_are_eig_hermitian_column_zero(dim):
     """The contacts phase-fix only the column they read, with the bits of
-    eig_hermitian on the contact states."""
+    eig_hermitian on the contact states: the kernels leave the library, so
+    each has a real, positive entry of largest modulus."""
     rng = substream(dim, "billiard-kernels")
     for _ in range(5):
         rho1 = random_invertible_density_matrix(dim, rng)
@@ -188,6 +189,8 @@ def test_kernel_states_are_eig_hermitian_column_zero(dim):
                                       vectors):
             assert type(t) is float and type(size) is int
             assert kernel.tobytes() == v[:, 0].tobytes()
+            pivot = kernel[np.abs(kernel).argmax()]
+            assert pivot.real > 0.0 and abs(pivot.imag) < 1e-12
 
 
 def test_bounce_ts_are_sorted_and_distinct(rng):

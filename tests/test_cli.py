@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from statgeom.cli import _build_parser, main
+from statgeom.serialize import parse_complex_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = resources.files("statgeom").joinpath("schemas")
@@ -156,6 +157,22 @@ def test_optimal_measurement(capsys, files):
     assert payload["classical_angle"] == pytest.approx(
         payload["bures_angle"], abs=1e-9
     )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_m_eigenvectors_have_a_real_positive_largest_entry(capsys, dim):
+    """eig(M) leaves the library here, so its phases are fixed: the entry of
+    largest modulus of each column is real and positive."""
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    for a, b in ("ab", "ba"):
+        payload = run_json(
+            capsys, "optimal-measurement", "optimal-measurement",
+            str(inputs / f"s{dim}{a}.json"), str(inputs / f"s{dim}{b}.json"),
+        )
+        vectors = parse_complex_matrix(payload["m_eigenvectors"])
+        for column in vectors.T:
+            pivot = column[np.abs(column).argmax()]
+            assert pivot.real > 0.0 and abs(pivot.imag) < 1e-12
 
 
 def test_povm_search(capsys, files):

@@ -66,11 +66,34 @@ def test_eig_hermitian_ascending_and_reconstructs(rng):
 
 def test_eig_hermitian_phase_convention(rng):
     h = hermitian_part(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    _, v = eig_hermitian(h)
-    for col in v.T:
+    columns = list(eig_hermitian(h).eigenvectors.T)
+    # the matrix functions take eigh's vectors as they come; the ones
+    # eig_hermitian returns, of a matrix or of each slice of a stack, keep
+    # the convention of fix_phases
+    for n in range(1, 17):
+        g = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        columns += [*eig_hermitian(g[0]).eigenvectors.T]
+        columns += [*eig_hermitian(g).eigenvectors.swapaxes(-1, -2).reshape(3 * n, n)]
+    for col in columns:
         pivot = col[np.argmax(np.abs(col))]
         assert pivot.real > 0.0
         assert abs(pivot.imag) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_a_matrix_function_does_not_see_the_phases_of_its_eigenvectors(rng, n):
+    """V f(w) V† is unchanged, to rounding, when each column of V takes a unit
+    phase: what lets the matrix functions skip fix_phases."""
+    g = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    w, v = np.linalg.eigh(hermitian_part(g @ g.conj().swapaxes(-1, -2)) + 0.1 * np.eye(n))
+    phases = np.exp(2j * np.pi * rng.uniform(size=(3, 1, n)))
+    for f in (np.sqrt, lambda w: 1.0 / np.sqrt(w), np.log, lambda w: 2.0 * w / (1.0 + w)):
+        expected = _apply_spectrum(EigenSystem(w, v), f)
+        got = _apply_spectrum(EigenSystem(w, v * phases), f)
+        scale = np.abs(f(w)).max(axis=-1)[:, None, None]
+        assert np.all(np.abs(got - expected) <= 8 * n * np.finfo(float).eps * scale)
+        single = _apply_spectrum(EigenSystem(w[0], v[0] * phases[0]), f)
+        assert np.all(np.abs(single - expected[0]) <= 8 * n * np.finfo(float).eps * scale[0])
 
 
 def test_fix_phases_is_idempotent(rng):
@@ -642,10 +665,10 @@ def test_a_negative_definite_spectrum_is_singular_with_its_old_message():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_matrix_inv_sqrt_alone_has_the_bits_of_the_root_pair(rng, n):
     """H^(-1/2), formed without sqrt(H), has the bits of the full test's
-    reference, on a matrix and on a slice of a stack."""
+    reference on eigh's own eigenvectors, on a matrix and on a slice of a stack."""
     stack = _positive_definite(rng, n)
     for h in (*stack, stack[1], stack[:, ::-1, ::-1][2], stack.swapaxes(-1, -2)[0]):
-        expected = _roots_reference(eig_hermitian(h))[1]
+        expected = _roots_reference(EigenSystem(*np.linalg.eigh(hermitian_part(h))))[1]
         got = matrix_inv_sqrt(h)
         assert got.tobytes() == expected.tobytes()
         assert got.flags.c_contiguous and got.flags.owndata

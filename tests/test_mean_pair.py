@@ -15,6 +15,7 @@ import pytest
 
 from statgeom import (
     DimensionMismatchError,
+    DomainError,
     SingularError,
     ValidationError,
     arithmetic_mean,
@@ -23,6 +24,7 @@ from statgeom import (
     operator_mean,
     random_psd,
 )
+from statgeom import means
 from statgeom.linalg import hermitian_part, matrix_function, matrix_inv_sqrt, matrix_sqrt
 
 
@@ -212,6 +214,28 @@ def test_a_failed_quantity_raises_the_same_message_again(
     assert messages[0] == messages[1]
     # the pair itself stays usable where no root is needed
     assert np.array_equal(arithmetic_mean(a, b), 0.5 * (a + b))
+
+
+def test_the_means_of_one_pair_clamp_its_core_once(monkeypatch):
+    # _floored runs once for sqrt(A) and once for the core, not once per mean
+    floors = []
+    floored = means._floored
+    monkeypatch.setattr(means, "_floored", lambda *args: floors.append(args[1]) or floored(*args))
+    a, b = _operands(2, 4, 28)
+    expected = _reference_means(a, b)
+    _assert_same_bits(_means(a, b), expected)
+    assert floors == [0.0, 0.0]
+
+
+def test_an_operand_core_below_the_floor_raises_on_every_mean():
+    # B passes at its -1e-12 limit; the core A^(-1/2) B A^(-1/2) = 100 B does not
+    a, b = 0.01 * np.eye(2), np.diag([1.0, -1e-12])
+    messages = []
+    for mean in (harmonic_mean, geometric_mean, harmonic_mean):
+        with pytest.raises(DomainError, match="below domain floor") as info:
+            mean(a, b)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
 
 
 @pytest.mark.parametrize(

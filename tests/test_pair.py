@@ -37,7 +37,7 @@ from statgeom import (
     verify_billiard_theorem,
 )
 from statgeom import bures, measurement
-from statgeom.linalg import eig_hermitian, hermitian_part, matrix_inv_sqrt, matrix_sqrt
+from statgeom.linalg import hermitian_part, matrix_inv_sqrt, matrix_sqrt
 from statgeom.monotone import density_matrix
 
 
@@ -130,6 +130,34 @@ def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
     assert dict(calls) == {"eigh": 2}
 
 
+def test_the_projectors_sum_is_checked_once_per_pair(monkeypatch):
+    rho1, rho2 = _states(2, 3, 29)
+    checked = []
+    check = measurement._resolving_identity
+    monkeypatch.setattr(
+        measurement, "_resolving_identity", lambda stack: checked.append(stack) or check(stack)
+    )
+    elements = optimal_measurement(rho1, rho2)
+    first = povm_classical_angle(elements, rho1, rho2)
+    assert povm_classical_angle(elements, rho1, rho2) == first
+    assert len(checked) == 1
+
+
+def test_a_projectors_sum_that_fails_raises_on_every_call():
+    rho1, rho2 = _states(2, 3, 30)
+    elements = optimal_measurement(rho1, rho2)
+    stack = elements[0].base  # the kept stack, spoiled: its sum is not I
+    stack.flags.writeable = True
+    stack[0] *= 1.5
+    stack.flags.writeable = False
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="sum to the identity") as info:
+            povm_classical_angle(elements, rho1, rho2)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_a_classical_angle_leaves_its_pair_to_the_bures_angle(lapack_calls):
     # povm_classical_angle validates the states through the pair (1 stacked
     # eigh) and the POVM (1 eigvalsh); bures_angle adds the core (1 eigh,
@@ -147,7 +175,7 @@ def test_a_classical_angle_leaves_its_pair_to_the_bures_angle(lapack_calls):
 def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
     """sqrt(rho1), the core, M and F from the pair's stacked eigh have the
     bytes of one decomposition per state: matrix_sqrt and matrix_inv_sqrt of
-    rho1, eig_hermitian of sqrt(rho1) rho2 sqrt(rho1), M formed from its
+    rho1, eigh of sqrt(rho1) rho2 sqrt(rho1), M formed from its
     clamped spectrum, and F summed from it above the pair's noise floor.
     Its smallest eigenvalues, from eigh, are within the N u |rho| <= N u
     that a backward stable eigvalsh is of the exact ones."""
@@ -155,7 +183,7 @@ def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
         pair = bures._StatePair(rho1, rho2)
         a, b = density_matrix(rho1), density_matrix(rho2)
         root1, inv_root1 = matrix_sqrt(a), matrix_inv_sqrt(a)
-        core = eig_hermitian(root1 @ b @ root1)
+        core = np.linalg.eigh(hermitian_part(root1 @ b @ root1))
         noise = 8 * 2.0**-53 * np.linalg.eigvalsh(a)[-1] * np.linalg.eigvalsh(b)[-1]  # 8u
         w = core.eigenvalues
         root_sum = float(np.sum(np.sqrt(w[w > noise])))
@@ -284,7 +312,7 @@ def test_the_views_accept_what_density_matrix_accepts_at_the_limit(dim):
 @pytest.mark.parametrize("dim", range(1, 34))
 def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
     """rho1, rho2, rho1's spectrum and the smallest eigenvalue of each equal
-    density_matrix and eig_hermitian of each state alone, byte for byte."""
+    density_matrix and eigh of each state alone, byte for byte."""
     rng = np.random.default_rng(dim)
     for _ in range(4):
         states = []
@@ -295,7 +323,7 @@ def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
         pair = bures._StatePair(*states)
         expected = [density_matrix(rho) for rho in states]
         _assert_same_bits([[pair.rho1, pair.rho2]], [expected])
-        spectra = [eig_hermitian(rho) for rho in expected]
+        spectra = [np.linalg.eigh(rho) for rho in expected]
         _assert_same_bits([pair.spectrum], [spectra[0]])
         assert pair.lows == tuple(float(w[0]) for w, _ in spectra)
 
