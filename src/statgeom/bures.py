@@ -95,7 +95,11 @@ class _StatePair(_Pair):
 
     @cached_property
     def m(self) -> np.ndarray:
-        """M unsymmetrized; rho1 invertible.  Never DomainError: the core is clamped."""
+        """M unsymmetrized; rho1 invertible.  Never DomainError: the core is clamped.
+        Exactly the identity when the states coincide, as F is exactly 1 then."""
+        if (self.rho1 == self.rho2).all():
+            self.inv_root  # a singular rho1 still raises SingularError
+            return np.eye(len(self.rho1), dtype=complex)
         return self.congruence(np.sqrt)
 
     @cached_property

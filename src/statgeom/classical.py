@@ -84,14 +84,16 @@ def _check_finite(what: str, *arrays) -> None:
 def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
     """Squared Fisher-Rao line element (1/4) sum dp_i^2 / p_i.
 
-    The 1/4 normalization makes classical distances directly comparable to
-    the quantum ones elsewhere in this package.
+    dp must be a tangent vector (see :func:`tangent_vector`).  The 1/4
+    normalization makes classical distances directly comparable to the
+    quantum ones elsewhere in this package.
     """
     p = np.asarray(p, dtype=float)
     dp = np.asarray(dp, dtype=float)
     if p.shape != dp.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, dp {dp.shape}")
     _check_finite("Fisher-Rao line element", p, dp)
+    tangent_vector(dp)  # after _check_finite: tangent_vector passes an infinite dp
     if np.any(p <= 0.0):
         raise BoundaryError("metric diverges where a probability vanishes")
     return 0.25 * float(np.sum(dp * dp / p))

@@ -41,7 +41,6 @@ from .sampling import random_psd, random_unitary, substream
 
 __all__ = [
     "mean_function",
-    "validate_mean_function",
     "operator_mean",
     "arithmetic_mean",
     "geometric_mean",
@@ -65,28 +64,6 @@ def mean_function(name: str):
     except KeyError:
         known = ", ".join(sorted(_MEAN_FUNCTIONS))
         raise ValidationError(f"unknown mean {name!r}; expected one of {known}") from None
-
-
-def validate_mean_function(f) -> None:
-    """Check the symmetric-mean conditions f(1) = 1 and f(1/t) = f(t)/t.
-
-    The normalization is required to 1e-12 and the symmetry to 1e-10 on a
-    log grid over [1e-3, 1e3].  Raises ValidationError on failure.
-    """
-    one = float(f(1.0))
-    if not abs(one - 1.0) <= 1e-12:  # NaN fails
-        raise ValidationError(f"f(1) = {one!r}, expected 1")
-    defect = _symmetry_defect(f)
-    if not defect <= 1e-10:
-        raise ValidationError(f"f(1/t) = f(t)/t fails on the grid (defect {defect:.3e})")
-
-
-def _symmetry_defect(f) -> float:
-    """Largest relative defect of f(1/t) = f(t)/t on a log grid over [1e-3, 1e3]."""
-    grid = np.logspace(-3.0, 3.0, 61)
-    ft = np.asarray(f(grid), dtype=float)
-    finv = np.asarray(f(1.0 / grid), dtype=float)
-    return float(np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid))))
 
 
 class _Pair:

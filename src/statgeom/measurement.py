@@ -146,8 +146,8 @@ def fuchs_caves_operator(rho1, rho2) -> np.ndarray:
     and positive semidefinite, is the geometric mean rho1^(-1) # rho2 (the
     congruence formula of operator_mean; horizontal_lift is M A1), and obeys
     M(rho1, rho2) M(rho2, rho1) = identity, so both argument orders define
-    the same projective measurement.
-    ``rho1`` must be invertible (SingularError otherwise).
+    the same projective measurement.  Exactly the identity when the states
+    coincide.  ``rho1`` must be invertible (SingularError otherwise).
     """
     return hermitian_part(_pair(rho1, rho2).m)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BoundaryError, DomainError, ValidationError
 from .linalg import EigenSystem, _hermitian_checked
-from .means import _symmetry_defect, mean_function
+from .means import mean_function
 
 __all__ = [
     "density_matrix",
@@ -122,6 +122,14 @@ def _lowner_spectrum(f) -> tuple[float, np.ndarray]:
     scale = 1.0 / np.sqrt(np.where(deriv == 0.0, 1.0, np.abs(deriv)))
     w, v = np.linalg.eigh(scale[:, None] * lowner * scale)
     return float(w[0]), v[:, 0]
+
+
+def _symmetry_defect(f) -> float:
+    """Largest relative defect of f(1/t) = f(t)/t on a log grid over [1e-3, 1e3]."""
+    grid = np.logspace(-3.0, 3.0, 61)
+    ft = np.asarray(f(grid), dtype=float)
+    finv = np.asarray(f(1.0 / grid), dtype=float)
+    return float(np.max(np.abs(finv - ft / grid) / np.maximum(1.0, np.abs(ft / grid))))
 
 
 def f_conditions_check(f) -> dict:

@@ -77,7 +77,10 @@ def random_invertible_density_matrix(
 
     Rejection-samples the HS ensemble; after a few misses mixes toward the
     maximally mixed state, which preserves determinism under a fixed seed.
+    ``min_eig`` above 1/dim, which no state meets, raises before any draw.
     """
+    if dim >= 1 and not min_eig <= 1.0 / dim:  # NaN fails
+        raise ValidationError(f"min_eig must be <= 1/dim = {1.0 / dim!r}, got {min_eig!r}")
     for _ in range(8):
         rho = random_density_matrix(dim, rng)
         if min_eigenvalue(rho) >= min_eig:

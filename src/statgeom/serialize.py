@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 __all__ = [
-    "to_jsonable",
     "dumps_canonical",
     "dump_canonical",
     "load_json",
@@ -36,41 +35,14 @@ def _float_token(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_jsonable(obj):
-    """Normalize numpy/complex payloads to plain JSON-ready structures.
-
-    Complex arrays and scalars become [re, im] pairs (row-major for
-    matrices); real arrays become nested lists; numpy scalars become
-    Python scalars.  Dicts and sequences are walked recursively.
-    """
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            z = np.asarray(obj, dtype=complex)
-            return np.stack((z.real, z.imag), axis=-1).tolist()
-        return obj.tolist()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, Integral):
-        return int(obj)
-    if isinstance(obj, Real):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def _encode(obj) -> str:
-    """The canonical text of ``to_jsonable(obj)``, made in one walk of obj."""
+    """The canonical text of obj, made in one walk: complex values become
+    [re, im] pairs, arrays nested lists (row-major), numpy scalars Python
+    ones.  The first fault in walk order (dict keys sorted) is raised."""
     if type(obj) is float:
         return _float_token(obj)
     if isinstance(obj, dict):
-        obj = {str(k): v for k, v in obj.items()}  # as to_jsonable: a later equal key wins
+        obj = {str(k): v for k, v in obj.items()}  # a later equal key wins
         items = [f"{json.dumps(k)}: {_encode(obj[k])}" for k in sorted(obj)]
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
@@ -89,14 +61,14 @@ def _encode(obj) -> str:
         return str(int(obj))
     if isinstance(obj, Real):
         return _float_token(obj)
-    raise ValidationError(f"cannot encode object of type {type(obj).__name__}")
+    raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def _encode_array(arr: np.ndarray) -> str:
     """A float or complex array in bulk: one finiteness check, then one
     template, nested by the shape, formats each real (re before im)."""
     if arr.size == 0 or arr.dtype.char not in "efdFD":  # half to double, complex
-        return _encode(to_jsonable(arr))
+        return _encode(arr.tolist())
     flat = np.ascontiguousarray(arr, dtype=complex if arr.dtype.kind == "c" else float)
     template = "[%.17g, %.17g]" if arr.dtype.kind == "c" else "%.17g"
     for n in reversed(arr.shape):
@@ -115,11 +87,7 @@ def _fill(template: str, values: np.ndarray) -> str:
 
 def dumps_canonical(obj) -> str:
     """Serialize to the canonical JSON text (sorted keys, 17-digit reals)."""
-    try:
-        return _encode(obj) + "\n"
-    except ValidationError:
-        to_jsonable(obj)  # an unserializable type anywhere is reported first
-        raise
+    return _encode(obj) + "\n"
 
 
 def dump_canonical(obj, path: str) -> None:

@@ -12,7 +12,8 @@ import jsonschema
 import pytest
 
 from statgeom import acceptance, cli
-from statgeom.acceptance import CRITERIA, DEFAULT_SEED, Gate, run_criterion
+from statgeom.acceptance import _OPS, CRITERIA, DEFAULT_SEED, Gate, run_criterion
+from statgeom.errors import NumericalError
 
 _reports = {}
 
@@ -168,3 +169,27 @@ def test_holding_gates_pass_and_print_each_bound_under_its_key(monkeypatch):
 )
 def test_a_gate_at_its_bound(monkeypatch, gate, passed):
     assert _stub_report(monkeypatch, [gate], {})["passed"] is passed
+
+
+def test_billiard_criterion_counts_failures_and_flags(monkeypatch):
+    # every third run raises NumericalError and every third is flagged: both
+    # are counted per dimension, and each fails a gate of its own
+    calls = []
+
+    def verify(rho1, rho2):
+        calls.append(None)
+        if len(calls) % 3 == 1:
+            raise NumericalError("stub")
+        dim = len(rho1)
+        return {"flagged": len(calls) % 3 == 2, "bounce_ts": [0.0] * dim, "matched": True}
+
+    monkeypatch.setattr(acceptance, "verify_billiard_theorem", verify)
+    gates, details = acceptance.criterion_10_billiard(DEFAULT_SEED)
+    assert len(calls) == 800
+    for counts in details["per_dim"].values():
+        assert counts["mismatched"] == counts["wrong_count"] == 0
+    assert sum(c["failures"] for c in details["per_dim"].values()) == 267
+    assert sum(c["flagged"] for c in details["per_dim"].values()) == 267
+    wrong, flagged = gates
+    assert wrong.observed == 267 and not _OPS[wrong.op](wrong.observed, wrong.bound)
+    assert flagged.observed == 267 / 800 and not _OPS[flagged.op](flagged.observed, flagged.bound)

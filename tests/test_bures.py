@@ -260,6 +260,15 @@ def test_geodesic_rejects_every_coincident_pair(dim):
         verify_billiard_theorem(states[0], states[0].copy())
 
 
+def test_geodesic_rejects_distinct_states_whose_overlap_rounds_to_one():
+    # rho1 != rho2 bit for bit, so only the sine floor can see them coincide
+    rho1 = np.diag([0.5 + 2.0**-52, 0.5 - 2.0**-52]).astype(complex)
+    rho2 = np.eye(2, dtype=complex) / 2
+    assert not (rho1 == rho2).all()
+    with pytest.raises(DegenerateError, match="states coincide"):
+        geodesic(rho1, rho2)
+
+
 def test_fubini_study_frozen_and_phase_invariant():
     psi = np.array([1.0, 0.0])
     phi = np.array([1.0, 1.0]) / math.sqrt(2.0)

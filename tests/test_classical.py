@@ -127,6 +127,12 @@ def test_fisher_rao_ds2_rejects_empty_or_non_finite_input(p, dp):
         fisher_rao_ds2(np.array(p), np.array(dp))
 
 
+def test_fisher_rao_ds2_rejects_a_dp_off_the_tangent_space():
+    # this returned 1.0: dp must sum to 0, as drho of monotone_ds2 is traceless
+    with pytest.raises(ValidationError, match="sum to 2.000e"):
+        fisher_rao_ds2(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+
+
 def test_fisher_rao_ds2_needs_interior_point():
     with pytest.raises(BoundaryError):
         fisher_rao_ds2(np.array([1.0, 0.0]), np.array([0.1, -0.1]))

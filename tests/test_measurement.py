@@ -660,3 +660,17 @@ def test_the_identity_test_keeps_its_verdict(n):
             with pytest.raises(ValidationError, match="must sum to the identity"):
                 _resolving_identity(stack)
         assert stack.tobytes() == before.tobytes()  # the sum is a new array
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_equal_states_give_the_identity_and_the_standard_basis(dim):
+    # M = I for coincident states, as F = 1; its eigenbasis was one that
+    # rounding picked, and optimal_measurement printed it
+    rho = random_invertible_density_matrix(dim, substream(dim, "equal-states"))
+    m = fuchs_caves_operator(rho, rho.copy())
+    assert np.array_equal(m, np.eye(dim))
+    projectors = optimal_measurement(rho, rho.copy())
+    basis = np.eye(dim)
+    assert all(np.array_equal(e, np.outer(b, b)) for e, b in zip(projectors, basis))
+    with pytest.raises(SingularError):  # rho1 must still be invertible
+        fuchs_caves_operator(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))

@@ -177,6 +177,27 @@ def test_f_conditions_rejects_f_undefined_on_the_grid():
         f_conditions_check(lambda t: np.log(t - 0.5))  # NaN below t = 0.5
 
 
+def test_f_conditions_flag_normalization_and_symmetry():
+    report = f_conditions_check(lambda t: (1.0 + t) / 2.0)
+    assert report["normalized"] and report["symmetric"]
+    report = f_conditions_check(lambda t: t)  # f(1) = 1 but not symmetric
+    assert report["normalized"] and not report["symmetric"]
+    report = f_conditions_check(lambda t: 2.0 * t / (1.0 + t) + 0.1)  # f(1) != 1
+    assert not report["normalized"] and not report["symmetric"]
+
+
+def test_f_conditions_flag_or_reject_nan():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (t - 1)/ln t is 0/0 = NaN at t = 1, which the Löwner grid misses
+        report = f_conditions_check(lambda t: (t - 1.0) / np.log(t))
+        assert report["operator_monotone"]
+        assert not report["normalized"] and not report["symmetric"]  # NaN fails both
+        assert not report["all_pass"]
+        for f in (lambda t: t * np.nan, lambda t: np.where(t == 1.0, 1.0, np.nan)):
+            with pytest.raises(DomainError, match="not finite"):
+                f_conditions_check(f)
+
+
 def test_f_conditions_is_deterministic():
     first = f_conditions_check(lambda t: t**1.001)
     assert f_conditions_check(lambda t: t**1.001) == first

@@ -117,6 +117,20 @@ def test_random_kraus_channel_preserves_states(rng):
     assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
 
+@pytest.mark.parametrize(
+    "dim, min_eig", [(2, 0.9), (2, np.nextafter(0.5, 1.0)), (3, 0.34), (2, np.nan)]
+)
+def test_random_invertible_density_matrix_rejects_min_eig_above_one_over_dim(dim, min_eig):
+    # (2, 0.9) returned I/2, whose eigenvalues are 0.5
+    rng = substream(7, "sizes")
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="min_eig must be <= 1/dim"):
+        random_invertible_density_matrix(dim, rng, min_eig=min_eig)
+    assert rng.bit_generator.state == state
+    rho = random_invertible_density_matrix(dim, rng, min_eig=1.0 / dim)  # I/dim meets it
+    assert np.linalg.eigvalsh(rho)[0] >= 1.0 / dim - 1e-15
+
+
 def _rejects_before_drawing(draw):
     """``draw(rng)`` raises ValidationError and leaves the generator as it was."""
     rng = substream(7, "sizes")
