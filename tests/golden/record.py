@@ -19,7 +19,9 @@ compares a saved ``verify-all --seed SEED`` stdout with its golden file
 
 prints, for each command, how many cases moved against a copy of the corpus
 as it was, and the largest change of each numeric field (a JSON key path,
-or ``(text)`` for CSV and other stdout), and likewise for each
+or ``(text)`` for CSV and other stdout), then the argv and the old and new
+exit code and stdout of each case that moved in more than numbers (an error
+that changed, say); then how many cases were added, and likewise for each
 ``verify-all-S.txt`` found next to OLD/cli.json.  The tests reach this
 module through the ``golden`` fixture of ``tests/conftest.py``.
 
@@ -227,6 +229,12 @@ def cases() -> list[list[str]]:
         for command in ("fidelity", "bures-distance", "optimal-measurement"):
             out.append([command, f(a), f(b)])
         out.append(["geodesic", f(a), f(b), "--samples", "4"])
+    # pairs with two faults: which one is reported is the order of the checks
+    for a, b in (("trace2", "nonherm2"), ("negative2", "nonherm2"), ("s3a", "nonherm2"),
+                 ("nonherm2", "missing")):
+        out.append(["fidelity", f(a), f(b)])
+        out.append(["geodesic", f(a), f(b), "--samples", "4"])
+    out.append(["povm-search", f("s3a"), f("trace2"), "--grid", "12"])
     return out
 
 
@@ -261,6 +269,16 @@ def numbers(text: str) -> dict:
     return fields
 
 
+def reshaped_case(before, after) -> bool:
+    """True when (exit code, stdout) moved in more than numbers."""
+    return before[0] != after[0] or masked(before[1]) != masked(after[1])
+
+
+def _brief(stdout: str) -> str:
+    text = stdout.strip()
+    return text if len(text) <= 200 else text[:197] + "..."
+
+
 def moves(pairs) -> str:
     """'m of n moved' for pairs of (exit code, stdout), old and new, with the
     largest change per numeric field."""
@@ -268,8 +286,8 @@ def moves(pairs) -> str:
     moved = [(a, b) for a, b in pairs if a != b]
     largest, reshaped = {}, 0
     for (exit_a, a), (exit_b, b) in moved:
-        if exit_a != exit_b or masked(a) != masked(b):
-            reshaped += 1  # not a change of numbers alone
+        if reshaped_case((exit_a, a), (exit_b, b)):
+            reshaped += 1
             continue
         new = numbers(b)
         for field, values in numbers(a).items():
@@ -286,14 +304,24 @@ def diff(old_path: str) -> None:
     """Print what moved from the corpus at ``old_path`` to the recorded one."""
     old_cases = json.loads(Path(old_path).read_text())["cases"]
     old = {tuple(case["argv"]): case for case in old_cases}
-    by_command = {}
+    by_command, added = {}, 0
     for case in corpus()["cases"]:
         before = old.get(tuple(case["argv"]))
-        if before is not None:
-            pair = ((before["exit"], before["stdout"]), (case["exit"], case["stdout"]))
-            by_command.setdefault(case["argv"][0] if case["argv"] else "(none)", []).append(pair)
-    for command, pairs in by_command.items():
-        print(f"{command}: {moves(pairs)}")
+        if before is None:
+            added += 1
+            continue
+        pair = ((before["exit"], before["stdout"]), (case["exit"], case["stdout"]))
+        by_command.setdefault(case["argv"][0] if case["argv"] else "(none)", []).append(
+            (case["argv"], pair))
+    for command, cases in by_command.items():
+        print(f"{command}: {moves(pair for _, pair in cases)}")
+        for argv, (before, after) in cases:
+            if reshaped_case(before, after):
+                print(f"  {' '.join(argv)}")
+                print(f"    old: exit {before[0]}, {_brief(before[1])}")
+                print(f"    new: exit {after[0]}, {_brief(after[1])}")
+    if added:
+        print(f"{added} cases added")
     for seed in VERIFY_ALL_SEEDS:
         before = Path(old_path).parent / f"verify-all-{seed}.txt"
         if before.exists():
