@@ -27,7 +27,7 @@ from .errors import (
 from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum, _hermitian
 from .linalg import hermitian_part
 from .means import _Pair
-from .monotone import _state_eigh, density_matrix
+from .monotone import _square, _states, density_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -53,9 +53,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-# F counts core eigenvalues <= this * lambda_max(rho1) lambda_max(rho2) as rounding, worth
-# sqrt(u) = 1e-8 each.  On exact rank deficiency (pure vs mixed both ways, pure vs pure; 300
-# pairs each, d = 2..32) they reached 3.6u, u = 2^-53; real ones of HS pairs were >= 6.2e-12.
+# Core eigenvalues <= this * lambda_max(rho1) lambda_max(rho2) are rounding, worth sqrt(u) =
+# 1e-8 each in F and M, so both take them as 0.  On exact rank deficiency (pure vs mixed both
+# ways, pure vs pure; 300 pairs each, d = 2..32) they reached 3.6u, u = 2^-53; real ones of HS
+# pairs were >= 6.2e-12.
 _CORE_NOISE = 8 * 2.0**-53
 
 
@@ -64,33 +65,42 @@ class _StatePair(_Pair):
 
     The pair of :mod:`means` switched to states: rho1 and rho2 are its X and Y,
     ``spectrum`` rho1's eigendecomposition, ``root`` sqrt(rho1), ``inv_root``
-    rho1^(-1/2) and ``core`` the unclamped spectrum of sqrt(rho1) rho2 sqrt(rho1),
-    which serves F and M.  F, M, the geodesic, eig(M) and the optimal
-    measurement are each computed on first use; one that raises is not kept.
+    rho1^(-1/2), ``core`` the spectrum of sqrt(rho1) rho2 sqrt(rho1) and
+    ``clamped_core`` that spectrum without its rounding, which serves F and M.
+    F, M, the geodesic, eig(M) and the optimal measurement are each computed
+    on first use; one that raises is not kept.
     Public views copy what is kept, bar the read-only projectors, matched
     later by identity; povm_classical_angle reads the states as they are.
     """
 
+    states = True
+
     def __init__(self, rho1, rho2):
-        """Validate two states of one shape.  An invalid state raises what
-        density_matrix raises on it, rho1 first; two valid states of two
-        shapes raise DimensionMismatchError."""
-        try:
-            super().__init__(rho1, rho2, states=True)
-        except (ValidationError, ValueError, TypeError):  # or unconvertible input
-            # each state checked in full, in order; two valid states re-raise
-            density_matrix(rho1)
-            density_matrix(rho2)
-            raise
+        """Validate two states check by check: each converts and is square, in
+        argument order, then the two share one shape, then the one state check
+        of density_matrix runs over their stack and raises its errors."""
+        a, b = _square(rho1), _square(rho2)
+        if a.shape != b.shape:
+            raise DimensionMismatchError(f"states have shapes {a.shape} and {b.shape}")
+        (self.x, self.y), (w, v) = _states(np.array((a, b)))
         self.rho1, self.rho2 = self.x, self.y
+        self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
+        self.spectrum = EigenSystem(w[0], v[0])
+
+    @cached_property
+    def clamped_core(self) -> EigenSystem:
+        """The core with its rounding, up to _CORE_NOISE lambda_max(rho1)
+        lambda_max(rho2), set to 0; never DomainError, as states are PSD."""
+        w, v = self.core
+        noise = _CORE_NOISE * (self.highs[0] * self.highs[1])
+        return EigenSystem(np.where(w > noise, w, 0.0), v)
 
     @cached_property
     def fidelity(self) -> float:
         if (self.rho1 == self.rho2).all():
             return 1.0  # F(rho, rho) = 1, which the rounded root sum only comes near
-        w = self.core.eigenvalues
-        noise = _CORE_NOISE * (self.highs[0] * self.highs[1])
-        root_sum = float(np.sqrt(w[w > noise]).sum())
+        w = self.clamped_core.eigenvalues
+        root_sum = float(np.sqrt(w[w > 0.0]).sum())
         return min(1.0, root_sum * root_sum)
 
     @cached_property
@@ -181,7 +191,7 @@ def purification(a) -> np.ndarray:
 def purify(rho) -> np.ndarray:
     """Canonical purification A = sqrt(rho), the positive-root gauge choice;
     one eigh validates rho and gives the bits of matrix_sqrt(density_matrix(rho))."""
-    return _apply_spectrum(_floored(_state_eigh(rho)[1], 0.0), np.sqrt)
+    return _apply_spectrum(_floored(_states(_square(rho))[1], 0.0), np.sqrt)
 
 
 def project(a) -> np.ndarray:

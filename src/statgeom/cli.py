@@ -27,7 +27,7 @@ from .classical import (
 from .errors import NumericalError, ValidationError
 from .means import operator_mean
 from .measurement import optimal_measurement, povm_classical_angle, qubit_povm_search
-from .monotone import density_matrix, monotone_ds2
+from .monotone import monotone_ds2
 from .sampling import random_density_matrix, substream
 from .serialize import _fill, dumps_canonical, read_matrix_file, read_vector_file
 
@@ -94,41 +94,32 @@ def _cmd_monotone_stress(args) -> dict:
     return {**report, "trials": args.trials, "seed": args.seed}
 
 
+def _read_pair(args) -> tuple:
+    """The matrices in the files ``a`` and ``b``, read in that order."""
+    return read_matrix_file(args.a), read_matrix_file(args.b)
+
+
 def _cmd_mean(args) -> dict:
-    a = read_matrix_file(args.a)
-    b = read_matrix_file(args.b)
-    return {"mean": operator_mean(a, b, args.f), "f": args.f}
+    return {"mean": operator_mean(*_read_pair(args), args.f), "f": args.f}
 
 
 def _cmd_monotone_metric(args) -> dict:
-    rho, drho = _read_states(args.rho, args.drho)
+    rho, drho = read_matrix_file(args.rho), read_matrix_file(args.drho)
     return {"ds2": monotone_ds2(rho, drho, args.f), "f": args.f}
 
 
-def _read_states(path_a: str, path_b: str) -> tuple:
-    """The matrices in two files, the first a state; its validation error
-    comes before the second's read error, as when it was validated first."""
-    a = read_matrix_file(path_a)
-    try:
-        b = read_matrix_file(path_b)
-    except ValidationError:
-        density_matrix(a)
-        raise
-    return a, b
-
-
 def _cmd_fidelity(args) -> dict:
-    return {"fidelity": fidelity(*_read_states(args.a, args.b))}
+    return {"fidelity": fidelity(*_read_pair(args))}
 
 
 def _cmd_bures_distance(args) -> dict:
-    a, b = _read_states(args.a, args.b)
+    a, b = _read_pair(args)
     return {"angle": bures_angle(a, b), "fidelity": fidelity(a, b)}
 
 
 def _cmd_geodesic(args):
     _at_least_one(args.samples, "--samples")
-    path = geodesic(*_read_states(args.a, args.b))
+    path = geodesic(*_read_pair(args))
     ts = np.linspace(0.0, path.t_star, args.samples)
     states = path.state(ts)
     lams = np.linalg.eigvalsh(states)[..., 0]  # states are their own hermitian_part
@@ -147,7 +138,7 @@ def _cmd_geodesic(args):
 
 
 def _cmd_optimal_measurement(args) -> dict:
-    a, b = _read_states(args.a, args.b)
+    a, b = _read_pair(args)
     eigenvalues, eigenvectors = _pair(a, b).eig_m  # eig(M) has no public view
     return {
         "bures_angle": bures_angle(a, b),
@@ -158,7 +149,7 @@ def _cmd_optimal_measurement(args) -> dict:
 
 
 def _cmd_povm_search(args) -> dict:
-    a, b = _read_states(args.a, args.b)
+    a, b = _read_pair(args)
     report = qubit_povm_search(a, b, args.grid)  # first: its errors come in its order
     return {**report, "bures_angle": bures_angle(a, b)}
 

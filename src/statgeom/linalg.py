@@ -68,6 +68,8 @@ def _as_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.n
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
+    if not a.shape[-1]:
+        raise DimensionMismatchError(f"{name} must not be empty, got shape {a.shape}")
     return a
 
 
@@ -190,8 +192,6 @@ def matrix_function(
     so that e.g. a square root never sees -1e-15.
     """
     h = _hermitian(_as_square(h))
-    if not h.size:  # raise as eig_hermitian does on an empty matrix
-        raise ValueError("attempt to get argmax of an empty sequence")
     return _apply_spectrum(_floored(EigenSystem(*np.linalg.eigh(h)), domain_floor), fn)
 
 

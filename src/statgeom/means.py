@@ -69,41 +69,32 @@ def mean_function(name: str):
 class _Pair:
     """A validated pair (X, Y), and the congruence outer f(core) outer of its means.
 
-    As operands (A, B), M_f(A, B) = sqrt(A) f(A^(-1/2) B A^(-1/2)) sqrt(A).
-    As states, M = rho1^(-1) # rho2 is the geometric mean of (rho1^(-1), rho2),
-    whose A^(-1/2) is sqrt(rho1) and sqrt(A) is rho1^(-1/2), so ``states``
-    swaps the inner and outer root of X.  It also picks the checks: Hermitian
-    operands with B positive semidefinite on first use, or unit-trace states
-    both positive semidefinite at once.  X and Y are views of one owned stack,
-    the operands as given and the states' Hermitian part, whose one eigh gives
-    X's spectrum and the least and greatest eigenvalues ``lows`` and ``highs``
-    of both.  sqrt(X) and X^(-1/2), by the routes of matrix_sqrt and
-    matrix_inv_sqrt, and the core inner Y inner, unclamped and clamped, are
-    each made on first use from eigh's eigenvectors as they come, since no
-    column phase changes V f(w) V†; one that raises is not kept.
+    As operands (A, B), M_f(A, B) = sqrt(A) f(A^(-1/2) B A^(-1/2)) sqrt(A), with
+    A and B Hermitian and B positive semidefinite on first use: X and Y are
+    views of one owned stack, whose Hermitian part's one eigh gives X's
+    spectrum and B's least eigenvalue.  As states (``states``; the subclass in
+    bures validates them and sets the spectrum), M = rho1^(-1) # rho2 is the
+    geometric mean of (rho1^(-1), rho2), whose A^(-1/2) is sqrt(rho1) and
+    sqrt(A) is rho1^(-1/2): ``states`` swaps the inner and outer root of X.
+    sqrt(X) and X^(-1/2), by the routes of matrix_sqrt and matrix_inv_sqrt,
+    and the core inner Y inner, unclamped and clamped, are each made on first
+    use from eigh's eigenvectors as they come, since no column phase changes
+    V f(w) V†; one that raises is not kept.
     """
 
-    def __init__(self, x, y, states=False):
-        self.states = states
-        noun = "states" if states else "operands"
-        stack, self.hermitian_stack, valid = _hermitian_pair(x, y, noun)
-        if states:  # Hermitian and of unit trace
-            valid &= abs(self.hermitian_stack.trace(axis1=1, axis2=2).real - 1.0) <= 1e-12
-        if not valid.all():  # bures names the fault of a state
-            raise ValidationError(
-                "not a pair of states" if states else "operator means need Hermitian operands"
-            )
-        self.x, self.y = self.hermitian_stack if states else stack
-        if states:
-            self.spectrum  # the eigh runs now: it checks both states
+    states = False
+
+    def __init__(self, x, y):
+        stack, self.hermitian_stack, valid = _hermitian_pair(x, y, "operands")
+        if not valid.all():
+            raise ValidationError("operator means need Hermitian operands")
+        self.x, self.y = stack
 
     @cached_property
     def spectrum(self) -> EigenSystem:
         w, v = np.linalg.eigh(self.hermitian_stack)  # each slice has the bits of a 2-D eigh
-        self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
-        if min(self.lows if self.states else self.lows[1:]) < -1e-12:  # both states, or B
-            message = "second operand is not positive semidefinite"
-            raise ValidationError("not a pair of states" if self.states else message)
+        if w[1, 0] < -1e-12:
+            raise ValidationError("second operand is not positive semidefinite")
         return EigenSystem(w[0], v[0])
 
     @cached_property
@@ -124,10 +115,8 @@ class _Pair:
 
     @cached_property
     def clamped_core(self) -> EigenSystem:
-        """The core clamped at 0.  Validation bounds a state pair's below by about
-        -1e-12 lambda_max(rho1); an operand pair's below -1e-12 raises DomainError."""
-        w, v = core = self.core
-        return EigenSystem(np.maximum(w, 0.0), v) if self.states else _floored(core, 0.0)
+        """The core clamped at 0; an eigenvalue below -1e-12 raises DomainError."""
+        return _floored(self.core, 0.0)
 
     def congruence(self, f) -> np.ndarray:
         """outer f(core) outer, unsymmetrized, with outer rho1^(-1/2) or sqrt(A)."""

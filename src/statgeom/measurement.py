@@ -40,46 +40,31 @@ _PSD_FLOOR = 1e-12  # a POVM element passes when its least eigenvalue is >= -thi
 
 
 def povm(elements) -> list[np.ndarray]:
-    """Validate a POVM: PSD elements of equal shape resolving the identity."""
+    """Validate a POVM: PSD elements of equal shape resolving the identity.
+
+    Check by check, each over all elements: every element converts, the
+    first is square and the rest share its shape, each is Hermitian, each is
+    PSD (to -1e-12), then they sum to I (to 1e-10); the first element that
+    fails a check names it."""
     return list(_povm_stack(elements))
 
 
 def _povm_stack(elements) -> np.ndarray:
-    """Validate a POVM as one (K, N, N) stack, with the checks of :func:`povm`.
-
-    The error raised is the one a check element by element (shape, then
-    Hermiticity, then positivity) meets first: the batched Hermiticity test
-    covers only the elements before the first that fails shape, the one
-    batched eigvalsh only those before the first that fails either, and
-    that failure is raised when none of them is negative.
-    """
+    """Validate a POVM as one (K, N, N) stack, with the checks of :func:`povm`:
+    one Hermiticity test and one eigvalsh, each of the whole stack."""
     if len(elements) == 0:
         raise ValidationError("a POVM needs at least one element")
-    checked, error = [], None
-    for e in elements:
-        try:
-            e = np.asarray(e, dtype=complex)
-        except (TypeError, ValueError) as exc:  # e.g. a ragged nested list
-            error = exc
-            break
-        if e.shape != np.shape(elements[0]):
-            error = DimensionMismatchError("POVM elements must share one shape")
-            break
-        checked.append(e)
-    if not checked:
-        raise error
-    _as_square(checked[0])  # every checked element has this shape
-    stack, hermitian = _hermitian_checked(np.stack(checked))
+    arrays = [np.asarray(e, dtype=complex) for e in elements]
+    _as_square(arrays[0])  # the one shape every element must share
+    if any(e.shape != arrays[0].shape for e in arrays):
+        raise DimensionMismatchError("POVM elements must share one shape")
+    stack, hermitian = _hermitian_checked(np.stack(arrays))
     if not hermitian.all():
-        k = int(np.argmin(hermitian))
-        error = ValidationError(f"POVM element {k} is not Hermitian")
-        stack = stack[:k]
+        raise ValidationError(f"POVM element {np.argmin(hermitian)} is not Hermitian")
     # the stack is its own hermitian_part, as in density_matrix
     negative = np.flatnonzero(np.linalg.eigvalsh(stack)[..., 0] < -_PSD_FLOOR)
     if negative.size:
         raise ValidationError(f"POVM element {negative[0]} is not positive semidefinite")
-    if error is not None:
-        raise error
     return _resolving_identity(stack)
 
 
@@ -201,12 +186,13 @@ def qubit_povm_search(rho1, rho2, grid_resolution: int = 200) -> dict:
     sphere grid of that resolution, then refines the best one's cell by
     golden-section search.  grid_resolution must lie in [2, 1000]; it is
     checked after the states, which are validated through the pair the Bures
-    views share, and before the qubit shape, so two valid states of different
-    shapes raise "Bloch vector is defined for qubits only".
+    views share, and before the qubit shape, so two square states of different
+    shapes, which the pair rejects before its state checks, raise "Bloch
+    vector is defined for qubits only".
     """
     try:
         pair = _pair(rho1, rho2)
-    except DimensionMismatchError:  # two valid states of different shapes
+    except DimensionMismatchError:  # two square states of different shapes
         pair = None
     if grid_resolution < 2:
         raise ValidationError("grid_resolution must be >= 2")

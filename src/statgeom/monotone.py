@@ -30,40 +30,43 @@ __all__ = [
 ]
 
 
-def _hermitian(a, noun: str) -> np.ndarray:
-    """hermitian_part(a) of a square ``a`` that passes is_hermitian."""
+def _square(a, noun: str = "density matrix") -> np.ndarray:
+    """``a`` as a complex array, once it is checked to be one square matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{noun} must be square, got shape {a.shape}")
-    h, hermitian = _hermitian_checked(a)
-    if not hermitian:
-        raise ValidationError(f"{noun} must be Hermitian")
-    return h
+    return a
 
 
 def density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD (to -1e-12), unit trace."""
-    return _state_eigh(rho)[0]
+    """Validate a density matrix: square, Hermitian, unit trace, PSD (to -1e-12)."""
+    return _states(_square(rho))[0]
 
 
-def _state_eigh(rho) -> tuple:
-    """(hermitian_part(rho), its eigh) for a state that passes the checks of
-    :func:`density_matrix`: square, Hermitian, unit trace, then PSD by the
-    one eigh that serves the caller.  eigh, not eigvalsh: the state pair's
-    stacked eigh has its bits, so the two agree on every state at -1e-12."""
-    rho = _hermitian(rho, "density matrix")
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-12:
-        raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
-    spectrum = EigenSystem(*np.linalg.eigh(rho))  # rho is its own hermitian_part
-    if spectrum.eigenvalues[0] < -1e-12:
+def _states(stack: np.ndarray) -> tuple:
+    """(hermitian_part(stack), its eigh) for a square state or an (..., n, n)
+    stack of them, checked check by check over the whole stack: Hermitian,
+    unit trace, then PSD by the one eigh that serves the caller (a stacked
+    eigh has the bits of a 2-D eigh on each slice).  The first state that
+    fails a check raises density_matrix's error."""
+    h, hermitian = _hermitian_checked(stack)
+    if not hermitian.all():
+        raise ValidationError("density matrix must be Hermitian")
+    traces = h.trace(axis1=-2, axis2=-1).real
+    off = traces[abs(traces - 1.0) > 1e-12]
+    if off.size:
+        raise ValidationError(f"density matrix trace is {float(off[0])!r}, expected 1")
+    spectrum = EigenSystem(*np.linalg.eigh(h))  # h is its own hermitian_part
+    if spectrum.eigenvalues[..., 0].min() < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
-    return rho, spectrum
+    return h, spectrum
 
 
 def tangent_perturbation(drho) -> np.ndarray:
     """Validate a tangent perturbation: Hermitian and traceless."""
-    drho = _hermitian(drho, "perturbation")
+    drho, hermitian = _hermitian_checked(_square(drho, "perturbation"))
+    if not hermitian:
+        raise ValidationError("perturbation must be Hermitian")
     scale = max(1.0, float(np.abs(drho).sum()))
     if abs(complex(np.trace(drho)).real) > 1e-12 * scale:
         raise ValidationError("perturbation must be traceless")
@@ -80,7 +83,7 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
     """
     if isinstance(f, str):
         f = mean_function(f)
-    _, (lam, v) = _state_eigh(rho)  # one eigh validates rho and serves the metric
+    _, (lam, v) = _states(_square(rho))  # one eigh validates rho and serves the metric
     drho = tangent_perturbation(drho)
     if v.shape != drho.shape:
         raise ValidationError(

@@ -75,17 +75,20 @@ def random_invertible_density_matrix(
 ) -> np.ndarray:
     """Random density matrix with all eigenvalues >= ``min_eig``.
 
-    Rejection-samples the HS ensemble; after a few misses mixes toward the
-    maximally mixed state, which preserves determinism under a fixed seed.
+    Rejection-samples the HS ensemble; after 8 misses mixes the last draw
+    toward the maximally mixed state by the least weight that lifts its
+    smallest eigenvalue a hair (1e-14) above ``min_eig``.
     ``min_eig`` above 1/dim, which no state meets, raises before any draw.
     """
     if dim >= 1 and not min_eig <= 1.0 / dim:  # NaN fails
         raise ValidationError(f"min_eig must be <= 1/dim = {1.0 / dim!r}, got {min_eig!r}")
     for _ in range(8):
         rho = random_density_matrix(dim, rng)
-        if min_eigenvalue(rho) >= min_eig:
+        low = min_eigenvalue(rho)
+        if low >= min_eig:
             return rho
-    alpha = min(1.0, 2.0 * min_eig * dim)
+    # (1 - alpha) low + alpha / dim is the mixture's smallest eigenvalue
+    alpha = min(1.0, (min_eig + 1e-14 - low) / (1.0 / dim - low))
     mixed = (1 - alpha) * rho + alpha * np.eye(dim) / dim
     return hermitian_part(mixed)
 

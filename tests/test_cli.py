@@ -522,6 +522,7 @@ _STATE_COMMANDS = [
     ["geodesic", "--format", "csv"],
     ["optimal-measurement"],
 ]
+_MISSING = "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
 
 
 @pytest.mark.parametrize("command", _STATE_COMMANDS)
@@ -537,24 +538,36 @@ _STATE_COMMANDS = [
             "rho1", "qutrit",
             ("DimensionMismatchError", "states have shapes (2, 2) and (3, 3)"),
         ),
-        # a is read and validated before b is read
-        ("nonherm", "missing", ("ValidationError", "density matrix must be Hermitian")),
+        # both files are read before either is validated
+        ("nonherm", "missing", ("ParseError", _MISSING)),
     ],
 )
 def test_state_commands_reject_bad_inputs(capsys, files, command, a, b, error):
     code, out = run_cli(capsys, *command, files[a], files[b])
     assert code == 1
-    envelope = {"error": {"type": error[0], "message": error[1]}}
+    envelope = {"error": {"type": error[0], "message": error[1].format(**files)}}
     assert out == json.dumps(envelope, sort_keys=True) + "\n"
+
+
+_AFTER_NEGATIVE = {
+    # the second state's fault comes earlier in the checks than positivity
+    "nonherm": ("ValidationError", "density matrix must be Hermitian"),
+    "trace2": ("ValidationError", "density matrix trace is 2.0, expected 1"),
+    # the second file is read before the first state is validated
+    "ragged": ("ParseError", "{ragged}[1]: row has 1 entries, expected 2"),
+    "qutrit": ("DimensionMismatchError", "states have shapes (2, 2) and (3, 3)"),
+    "missing": ("ParseError", _MISSING),
+}
 
 
 @pytest.mark.parametrize("b", ["nonherm", "trace2", "ragged", "qutrit", "missing"])
 def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files, b):
-    # a is read and validated, positivity included, before b is read
+    # the pair is checked check by check, and positivity is the last check:
+    # a negative first state is reported only when nothing else is wrong
     code, out = run_cli(capsys, "fidelity", files["negative"], files[b])
     assert code == 1
-    envelope = {"error": {
-        "type": "ValidationError", "message": "density matrix has a negative eigenvalue"}}
+    kind, message = _AFTER_NEGATIVE[b]
+    envelope = {"error": {"type": kind, "message": message.format(**files)}}
     assert out == json.dumps(envelope, sort_keys=True) + "\n"
 
 
@@ -575,8 +588,9 @@ def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files
             "qutrit", "rho1", "20",
             ("DimensionMismatchError", "Bloch vector is defined for qubits only"),
         ),
-        # both files are validated before the grid, the grid before the shapes
-        ("nonherm", "missing", "1", ("ValidationError", "density matrix must be Hermitian")),
+        # both files are read before the states are validated, the states
+        # before the grid, the grid before the shapes
+        ("nonherm", "missing", "1", ("ParseError", _MISSING)),
         ("qutrit", "rho1", "1", ("ValidationError", "grid_resolution must be >= 2")),
         # bounded before the grid_resolution^2 angles are made
         ("rho1", "rho2", "1001", ("ValidationError", "grid_resolution must be <= 1000")),
@@ -586,7 +600,7 @@ def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files
 def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
     code, out = run_cli(capsys, "povm-search", files[a], files[b], "--grid", grid)
     assert code == 1
-    envelope = {"error": {"type": error[0], "message": error[1]}}
+    envelope = {"error": {"type": error[0], "message": error[1].format(**files)}}
     assert out == json.dumps(envelope, sort_keys=True) + "\n"
 
 

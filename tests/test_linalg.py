@@ -14,6 +14,8 @@ from statgeom import (
     fix_phases,
     fuchs_caves_operator,
     geodesic,
+    geometric_mean,
+    harmonic_mean,
     hermitian_part,
     horizontal_lift,
     hs_inner,
@@ -24,6 +26,7 @@ from statgeom import (
     matrix_sqrt,
     min_eigenvalue,
     operator_mean,
+    povm,
     psd_order_geq,
     random_density_matrix,
 )
@@ -680,12 +683,41 @@ def test_matrix_inv_sqrt_of_a_singular_matrix_keeps_its_message():
 
 
 def test_an_empty_matrix_function_raises_as_before():
+    """A 0 x 0 matrix is rejected once, where the input is made square, with
+    its shape: matrix_function raises as eig_hermitian does, and so does every
+    public entry.  Each raised IndexError, or numpy's ValueError from an empty
+    argmax, which matrix_function's own guard repeated; hermitian_part and
+    is_hermitian returned an empty array and True."""
     empty = np.zeros((0, 0))
-    with pytest.raises(ValueError) as old:
+    with pytest.raises(DimensionMismatchError) as old:
         _floored_reference(eig_hermitian(empty), 0.0)
-    with pytest.raises(ValueError) as new:
+    with pytest.raises(DimensionMismatchError) as new:
         matrix_function(empty, np.sqrt, domain_floor=0.0)
-    assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
+    message = "matrix must not be empty, got shape (0, 0)"
+    assert str(new.value) == str(old.value) == message
+    for call, expected in [
+        (matrix_sqrt, message),
+        (matrix_inv_sqrt, message),
+        (min_eigenvalue, message),
+        (hermitian_part, message),
+        (is_hermitian, message),
+        (lambda h: psd_order_geq(h, h), "a must not be empty, got shape (0, 0)"),
+        (lambda h: geometric_mean(h, h), message),
+        (lambda h: harmonic_mean(h, h), message),
+        (lambda h: operator_mean(h, h, "arithmetic"), message),
+        (lambda h: povm([h]), message),
+        (lambda h: hermitian_part(h[None]), "matrix must not be empty, got shape (1, 0, 0)"),
+    ]:
+        with pytest.raises(DimensionMismatchError) as caught:
+            call(empty)
+        assert str(caught.value) == expected
+
+
+def test_a_stack_of_no_matrices_is_not_empty_matrices():
+    none = np.zeros((0, 3, 3))
+    assert hermitian_part(none).shape == (0, 3, 3)
+    assert min_eigenvalue(none).shape == (0,)
+    assert eig_hermitian(none).eigenvectors.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 17))

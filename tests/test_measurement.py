@@ -227,12 +227,13 @@ _TRACE_TWO = np.diag([1.2, 0.8])
     [
         # the states first: an invalid second state before a bad grid ...
         (_QUBIT, _TRACE_TWO, 1, ValidationError, "trace is 2.0"),
-        # ... and before a qutrit first state
-        (_QUTRIT, _TRACE_TWO, 20, ValidationError, "trace is 2.0"),
+        # ... but the pair's shapes before its states' checks, and then the
+        # qubit check
+        (_QUTRIT, _TRACE_TWO, 20, DimensionMismatchError, "qubits only"),
         # then the grid, before the qubit shape
         (_QUTRIT, _QUTRIT, 1001, ValidationError, "must be <= 1000"),
         (_QUTRIT, _QUBIT, 1, ValidationError, "must be >= 2"),
-        # two valid states of different shapes: the qubit check, not the pair's
+        # two square states of different shapes: the qubit check, not the pair's
         (_QUBIT, _QUTRIT, 20, DimensionMismatchError, "qubits only"),
         (_QUTRIT, _QUBIT, 20, DimensionMismatchError, "qubits only"),
     ],
@@ -396,20 +397,22 @@ def test_pure_state_angle_domain_errors():
 
 
 def _povm_reference(elements):
-    """povm checked one element at a time: the stacked check must match it."""
+    """povm checked one element at a time within each check, the checks in
+    order: the stacked check must match it."""
     if len(elements) == 0:
         raise ValidationError("a POVM needs at least one element")
-    checked = []
-    for k, e in enumerate(elements):
-        e = np.asarray(e, dtype=complex)
-        if e.shape != np.shape(elements[0]):
+    elements = [np.asarray(e, dtype=complex) for e in elements]
+    is_hermitian(elements[0])  # DimensionMismatchError if it is not square
+    for e in elements:
+        if e.shape != elements[0].shape:
             raise DimensionMismatchError("POVM elements must share one shape")
+    for k, e in enumerate(elements):
         if not is_hermitian(e):
             raise ValidationError(f"POVM element {k} is not Hermitian")
-        e = hermitian_part(e)
+    checked = [hermitian_part(e) for e in elements]
+    for k, e in enumerate(checked):
         if min_eigenvalue(e) < -1e-12:
             raise ValidationError(f"POVM element {k} is not positive semidefinite")
-        checked.append(e)
     total = sum(checked)
     if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
         raise ValidationError("POVM elements must sum to the identity")
@@ -473,6 +476,15 @@ def test_stacked_povm_matches_element_loop_exactly():
 
 _NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 _NEGATIVE = np.diag([-0.5, 0.0])
+_RAGGED = [[1.0, 0.0], [0.0]]
+
+
+def _conversion_message(a):
+    try:
+        np.asarray(a, dtype=complex)
+    except ValueError as error:
+        return str(error)
+    raise AssertionError("converts")
 
 
 @pytest.mark.parametrize(
@@ -481,23 +493,24 @@ _NEGATIVE = np.diag([-0.5, 0.0])
         ([], ValidationError, "a POVM needs at least one element"),
         (
             [_NON_HERMITIAN, np.eye(3)],
-            ValidationError,
-            "POVM element 0 is not Hermitian",
+            DimensionMismatchError,
+            "POVM elements must share one shape",
         ),
         (
             [np.diag([1.5, 1.0]), _NEGATIVE, _NON_HERMITIAN],
             ValidationError,
-            "POVM element 1 is not positive semidefinite",
+            "POVM element 2 is not Hermitian",
         ),
         (
             [np.diag([1.5, 1.0]), _NEGATIVE, np.full((2, 2), np.nan)],
             ValidationError,
-            "POVM element 1 is not positive semidefinite",
+            "POVM element 2 is not Hermitian",
         ),
-        (
-            [np.diag([1.5, 1.0]), _NEGATIVE, [[1.0, 0.0], [0.0]]],
-            ValidationError,
-            "POVM element 1 is not positive semidefinite",
+        pytest.param(
+            [np.diag([1.5, 1.0]), _NEGATIVE, _RAGGED],
+            ValueError,
+            _conversion_message(_RAGGED),  # numpy's own
+            id="elements4-ValueError-ragged",
         ),
         (
             [np.eye(2), np.eye(3)],
@@ -517,8 +530,9 @@ _NEGATIVE = np.diag([-0.5, 0.0])
     ],
 )
 def test_povm_errors_keep_element_order(elements, error, message):
-    # the lowest-index offending element wins, and within one element the
-    # shape check precedes Hermiticity, which precedes positivity
+    # check by check over all elements: conversion, the first element
+    # square and the rest of its shape, Hermiticity, positivity, the sum;
+    # within a check the lowest-index offending element wins
     for check in (povm, _povm_reference):
         with pytest.raises(error) as caught:
             check(elements)
@@ -594,11 +608,12 @@ def test_classical_angle_runs_one_stacked_eigvalsh(lapack_calls, outcomes):
     ids=["identity-32", "random-povm-32", "identity-64", "negative", "nan"],
 )
 def test_povm_positivity_certificate_or_fallback(lapack_calls, elements, outcome):
-    # the batched eigvalsh is the one positivity check, whatever the outcome
-    # (the name is that of the shifted-Cholesky certificate this once pinned)
+    # the batched eigvalsh is the one positivity check, made once every
+    # element is Hermitian (the name is that of the shifted-Cholesky
+    # certificate this once pinned)
     counts = lapack_calls("eigh", "eigvalsh", "cholesky")
     assert _outcome(povm, elements) == outcome
-    assert counts == {"eigvalsh": 1}
+    assert counts == ({} if outcome.endswith("not Hermitian") else {"eigvalsh": 1})
 
 
 def _hermitian_with_least(n, least, top, rng):

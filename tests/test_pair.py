@@ -33,6 +33,7 @@ from statgeom import (
     qubit_povm_search,
     random_invertible_density_matrix,
     random_povm,
+    random_pure_state,
     random_unitary,
     verify_billiard_theorem,
 )
@@ -189,7 +190,7 @@ def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
         w = core.eigenvalues
         root_sum = float(np.sum(np.sqrt(w[w > noise])))
         m = inv_root1 @ matrix_sqrt(root1 @ b @ root1) @ inv_root1
-        if (a == b).all():  # as at d = 32, where every draw is I/32: M is I exactly
+        if (a == b).all():  # as at d = 1, where every state is [[1]]: M is I exactly
             m = np.eye(dim, dtype=complex)
         fid = min(1.0, root_sum * root_sum)
         expected = [root1, *core, m, np.array(fid)]
@@ -197,6 +198,21 @@ def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
         _assert_same_bits([got], [expected])
         for low, state in zip(pair.lows, (a, b)):
             assert abs(low - np.linalg.eigvalsh(state)[0]) <= dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_m_and_f_take_the_cores_rounding_as_zero(dim):
+    """With rho2 pure the core sqrt(rho1) rho2 sqrt(rho1) has rank 1, so its
+    other eigenvalues are rounding.  They are set to 0 once, for F and M
+    alike: M's null eigenvalues read about u relative, where the square root
+    of that rounding put them near 4e-7."""
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        psi = random_pure_state(dim, rng)
+        pair = bures._StatePair(random_invertible_density_matrix(dim, rng), np.outer(psi, psi.conj()))
+        assert (pair.clamped_core.eigenvalues[:-1] == 0.0).all()
+        m = np.linalg.eigvalsh(hermitian_part(pair.m))
+        assert np.abs(m[:-1]).max() <= 1e-14 * m[-1]
 
 
 def test_an_invalid_pair_does_not_replace_the_remembered_one(lapack_calls):
@@ -209,14 +225,20 @@ def test_an_invalid_pair_does_not_replace_the_remembered_one(lapack_calls):
     assert not calls
 
 
+def _conversion_error(a):
+    """The type and message of numpy's error converting ``a`` to a complex array."""
+    return _first_error(lambda: np.asarray(a, dtype=complex))
+
+
 def test_unconvertible_input_keeps_its_error_and_precedence():
     rho1, rho2 = _states(2, 2, 13)
     ragged = [[1.0, 0.0], [0.0]]
     fidelity(rho1, rho2)
-    with pytest.raises(ValueError):
-        fidelity(ragged, rho2)
-    with pytest.raises(ValidationError, match="trace"):
-        fidelity(2.0 * rho1, ragged)  # the first state is checked first
+    expected = _conversion_error(ragged)
+    assert expected[0] is ValueError
+    assert _first_error(lambda: fidelity(ragged, rho2)) == expected
+    # each state converts before any state is checked
+    assert _first_error(lambda: fidelity(2.0 * rho1, ragged)) == expected
 
 
 # unit trace and Hermitian, but with eigenvalue -0.2
@@ -232,12 +254,18 @@ _SECONDS = {
 @pytest.mark.parametrize("second", list(_SECONDS))
 @pytest.mark.parametrize("call", [fidelity, geodesic])
 def test_the_first_states_negative_eigenvalue_is_reported_first(call, second):
-    # each state is validated in full before the next, and both before
-    # their shapes are compared
-    with pytest.raises(ValidationError) as info:
-        call(_NEGATIVE, _SECONDS[second])
-    assert type(info.value) is ValidationError
-    assert str(info.value) == "density matrix has a negative eigenvalue"
+    # check by check: conversion, the shared shape, Hermiticity and the trace
+    # all come before positivity, so each fault of the second state is the
+    # one reported
+    expected = {
+        "non-Hermitian": (ValidationError, "density matrix must be Hermitian"),
+        "trace 2": (ValidationError, "density matrix trace is 2.0, expected 1"),
+        "ragged": _conversion_error(_SECONDS["ragged"]),
+        "another shape": (DimensionMismatchError, "states have shapes (2, 2) and (3, 3)"),
+    }[second]
+    assert _first_error(lambda: call(_NEGATIVE, _SECONDS[second])) == expected
+    assert _first_error(lambda: call(_NEGATIVE, np.eye(2) / 2)) == (
+        ValidationError, "density matrix has a negative eigenvalue")
 
 
 _STATES = {
@@ -262,19 +290,42 @@ def _first_error(*calls):
     return None
 
 
+# density_matrix's checks after conversion, in the order the pair makes them
+_CHECKS = ("must be square", "must be Hermitian", "trace is", "negative eigenvalue")
+
+
+def _check_rank(error):
+    """The place of density_matrix's error in the order of the checks."""
+    if error[0] is ValueError:  # conversion, before the square check
+        return -1
+    return next(k for k, check in enumerate(_CHECKS) if check in error[1])
+
+
 @pytest.mark.parametrize("second", list(_STATES))
 @pytest.mark.parametrize("first", list(_STATES))
 def test_the_pair_raises_what_density_matrix_raises(first, second):
-    """Either state invalid, the pair raises density_matrix's error on the
-    first invalid one; two valid states of two shapes raise a shape error."""
+    """The pair checks check by check: each state converts and is square, in
+    argument order; then the two share one shape; then Hermitian, unit trace
+    and PSD, each over both states, rho1 first.  Each error is the one
+    density_matrix raises on the state that fails; a pair with one fault
+    raises exactly density_matrix's error, or the shape error."""
     rho1, rho2 = _STATES[first], _STATES[second]
-    expected = _first_error(lambda: density_matrix(rho1), lambda: density_matrix(rho2))
-    if expected is None and np.shape(rho1) != np.shape(rho2):
+    errors = [e for e in map(_first_error, (lambda: density_matrix(rho1),
+                                            lambda: density_matrix(rho2))) if e]
+    per_argument = [e for e in errors if _check_rank(e) <= 0]
+    if per_argument:
+        expected = per_argument[0]
+    elif np.shape(rho1) != np.shape(rho2):
         expected = (
             DimensionMismatchError,
             f"states have shapes {np.shape(rho1)} and {np.shape(rho2)}",
         )
-    assert _first_error(lambda: bures._StatePair(rho1, rho2)) == expected
+    else:  # the first check either state fails; rho1 first on a tie
+        expected = min(errors, key=_check_rank, default=None)
+    got = _first_error(lambda: bures._StatePair(rho1, rho2))
+    assert got == expected
+    if len(errors) == 1 and (per_argument or np.shape(rho1) == np.shape(rho2)):
+        assert got == errors[0]  # one fault: density_matrix's error on its state
 
 
 def _limit_pair(dim, rng):

@@ -66,6 +66,22 @@ def test_random_invertible_density_matrix(rng):
         assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [25, 26, 32])
+def test_random_invertible_density_matrix_mixes_in_the_least_identity(dim):
+    # every draw at these sizes misses min_eig = 0.02, and the mixture was
+    # exactly I/dim; now it lifts the last draw's least eigenvalue just to
+    # min_eig, after the same 8 draws
+    rng, again = np.random.default_rng(dim), np.random.default_rng(dim)
+    for _ in range(4):
+        rho = random_invertible_density_matrix(dim, rng, min_eig=0.02)
+        for _ in range(8):
+            random_density_matrix(dim, again)
+        assert rng.bit_generator.state == again.bit_generator.state
+        assert not np.array_equal(rho, np.eye(dim) / dim)
+        assert 0.02 <= np.linalg.eigvalsh(rho)[0] <= 0.02 + 1e-12
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
 def test_random_traceless_hermitian(rng):
     h = random_traceless_hermitian(4, rng)
     assert np.allclose(h, h.conj().T)
