@@ -53,10 +53,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-# Core eigenvalues <= this * lambda_max(rho1) lambda_max(rho2) are rounding, worth sqrt(u) =
-# 1e-8 each in F and M, so both take them as 0.  On exact rank deficiency (pure vs mixed both
-# ways, pure vs pure; 300 pairs each, d = 2..32) they reached 3.6u, u = 2^-53; real ones of HS
-# pairs were >= 6.2e-12.
+# F counts core eigenvalues <= this * lambda_max(rho1) lambda_max(rho2) as rounding, worth
+# sqrt(u) = 1e-8 each.  On exact rank deficiency (pure vs mixed both ways, pure vs pure; 300
+# pairs each, d = 2..32) they reached 3.6u, u = 2^-53; real ones of HS pairs were >= 6.2e-12.
+# M keeps them: rho1^(-1/2) scales sqrt(c) by 1/lambda(rho1), so on a near-singular rho1 an
+# exact core eigenvalue under the floor is O(1) in M.
 _CORE_NOISE = 8 * 2.0**-53
 
 
@@ -64,16 +65,14 @@ class _StatePair(_Pair):
     """A validated pair of states of one shape, and what the paper derives from it.
 
     The pair of :mod:`means` switched to states: rho1 and rho2 are its X and Y,
-    ``spectrum`` rho1's eigendecomposition, ``root`` sqrt(rho1), ``inv_root``
-    rho1^(-1/2), ``core`` the spectrum of sqrt(rho1) rho2 sqrt(rho1) and
-    ``clamped_core`` that spectrum without its rounding, which serves F and M.
-    F, M, the geodesic, eig(M) and the optimal measurement are each computed
-    on first use; one that raises is not kept.
-    Public views copy what is kept, bar the read-only projectors, matched
-    later by identity; povm_classical_angle reads the states as they are.
+    ``spectrum`` rho1's eigendecomposition, ``inner`` its ``root`` sqrt(rho1),
+    ``outer`` its ``inv_root`` rho1^(-1/2), and ``core`` the unclamped spectrum
+    of sqrt(rho1) rho2 sqrt(rho1), which serves F and M.  F, M, the geodesic,
+    eig(M) and the optimal measurement are each computed on first use; one
+    that raises is not kept.  Public views copy what is kept, bar the read-only
+    projectors, matched later by identity; povm_classical_angle reads the
+    states as they are.
     """
-
-    states = True
 
     def __init__(self, rho1, rho2):
         """Validate two states check by check: each converts and is square, in
@@ -85,22 +84,25 @@ class _StatePair(_Pair):
         (self.x, self.y), (w, v) = _states(np.array((a, b)))
         self.rho1, self.rho2 = self.x, self.y
         self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
-        self.spectrum = EigenSystem(w[0], v[0])
+        self.spectrum = EigenSystem(w[0], v[0])  # _Pair's cached spectrum, from the check's eigh
+
+    inner = property(lambda self: self.root)
+    outer = property(lambda self: self.inv_root)
 
     @cached_property
     def clamped_core(self) -> EigenSystem:
-        """The core with its rounding, up to _CORE_NOISE lambda_max(rho1)
-        lambda_max(rho2), set to 0; never DomainError, as states are PSD."""
+        """The core clamped at 0.  Validation bounds it below by about
+        -1e-12 lambda_max(rho1), so it never raises DomainError."""
         w, v = self.core
-        noise = _CORE_NOISE * (self.highs[0] * self.highs[1])
-        return EigenSystem(np.where(w > noise, w, 0.0), v)
+        return EigenSystem(np.maximum(w, 0.0), v)
 
     @cached_property
     def fidelity(self) -> float:
         if (self.rho1 == self.rho2).all():
             return 1.0  # F(rho, rho) = 1, which the rounded root sum only comes near
-        w = self.clamped_core.eigenvalues
-        root_sum = float(np.sqrt(w[w > 0.0]).sum())
+        w = self.core.eigenvalues
+        noise = _CORE_NOISE * (self.highs[0] * self.highs[1])
+        root_sum = float(np.sqrt(w[w > noise]).sum())
         return min(1.0, root_sum * root_sum)
 
     @cached_property

@@ -72,17 +72,16 @@ class _Pair:
     As operands (A, B), M_f(A, B) = sqrt(A) f(A^(-1/2) B A^(-1/2)) sqrt(A), with
     A and B Hermitian and B positive semidefinite on first use: X and Y are
     views of one owned stack, whose Hermitian part's one eigh gives X's
-    spectrum and B's least eigenvalue.  As states (``states``; the subclass in
-    bures validates them and sets the spectrum), M = rho1^(-1) # rho2 is the
-    geometric mean of (rho1^(-1), rho2), whose A^(-1/2) is sqrt(rho1) and
-    sqrt(A) is rho1^(-1/2): ``states`` swaps the inner and outer root of X.
+    spectrum and B's least eigenvalue.  The core is inner Y inner and each
+    mean outer f(core) outer, with ``inner`` X^(-1/2) and ``outer`` sqrt(X).
+    As states (the subclass in bures validates them and sets the spectrum),
+    M = rho1^(-1) # rho2 is the geometric mean of (rho1^(-1), rho2), whose
+    A^(-1/2) is sqrt(rho1) and sqrt(A) is rho1^(-1/2): the subclass swaps them.
     sqrt(X) and X^(-1/2), by the routes of matrix_sqrt and matrix_inv_sqrt,
     and the core inner Y inner, unclamped and clamped, are each made on first
     use from eigh's eigenvectors as they come, since no column phase changes
     V f(w) V†; one that raises is not kept.
     """
-
-    states = False
 
     def __init__(self, x, y):
         stack, self.hermitian_stack, valid = _hermitian_pair(x, y, "operands")
@@ -107,11 +106,13 @@ class _Pair:
         """X^(-1/2), as matrix_inv_sqrt forms it; SingularError if X is singular."""
         return _apply_spectrum(self.spectrum, lambda w: 1.0 / _invertible_root(w))
 
+    inner = property(lambda self: self.inv_root)
+    outer = property(lambda self: self.root)
+
     @cached_property
     def core(self) -> EigenSystem:
-        """eig(inner Y inner), unclamped, with inner sqrt(rho1) or A^(-1/2)."""
-        inner = self.root if self.states else self.inv_root
-        return EigenSystem(*np.linalg.eigh(_hermitian(inner @ self.y @ inner)))
+        """eig(inner Y inner), unclamped."""
+        return EigenSystem(*np.linalg.eigh(_hermitian(self.inner @ self.y @ self.inner)))
 
     @cached_property
     def clamped_core(self) -> EigenSystem:
@@ -119,9 +120,8 @@ class _Pair:
         return _floored(self.core, 0.0)
 
     def congruence(self, f) -> np.ndarray:
-        """outer f(core) outer, unsymmetrized, with outer rho1^(-1/2) or sqrt(A)."""
-        outer = self.inv_root if self.states else self.root
-        return outer @ _apply_spectrum(self.clamped_core, f) @ outer
+        """outer f(core) outer, unsymmetrized."""
+        return self.outer @ _apply_spectrum(self.clamped_core, f) @ self.outer
 
     def mean(self, f) -> np.ndarray:
         def finite(w):

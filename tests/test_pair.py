@@ -33,7 +33,6 @@ from statgeom import (
     qubit_povm_search,
     random_invertible_density_matrix,
     random_povm,
-    random_pure_state,
     random_unitary,
     verify_billiard_theorem,
 )
@@ -200,19 +199,24 @@ def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
             assert abs(low - np.linalg.eigvalsh(state)[0]) <= dim * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 8])
-def test_m_and_f_take_the_cores_rounding_as_zero(dim):
-    """With rho2 pure the core sqrt(rho1) rho2 sqrt(rho1) has rank 1, so its
-    other eigenvalues are rounding.  They are set to 0 once, for F and M
-    alike: M's null eigenvalues read about u relative, where the square root
-    of that rounding put them near 4e-7."""
-    rng = np.random.default_rng(dim)
-    for _ in range(20):
-        psi = random_pure_state(dim, rng)
-        pair = bures._StatePair(random_invertible_density_matrix(dim, rng), np.outer(psi, psi.conj()))
-        assert (pair.clamped_core.eigenvalues[:-1] == 0.0).all()
-        m = np.linalg.eigvalsh(hermitian_part(pair.m))
-        assert np.abs(m[:-1]).max() <= 1e-14 * m[-1]
+@pytest.mark.parametrize("p, q", [
+    ((1 - 1e-9, 1e-9), (1 - 2e-9, 2e-9)),
+    ((1 - 3e-9, 1e-9, 2e-9), (1 - 5e-9, 2e-9, 3e-9)),
+])
+def test_m_keeps_core_eigenvalues_below_the_fidelity_noise_floor(p, q):
+    """Commuting invertible states with eigenvalues near 1e-9 have exact core
+    eigenvalues p_i q_i near 1e-18, under the 8u floor F counts as rounding.
+    M = rho1^(-1/2) sqrt(core) rho1^(-1/2) scales their roots back to O(1),
+    so M keeps them: M = diag(sqrt(q/p)), M(rho1, rho2) M(rho2, rho1) = I, and
+    no contact of the billiard falls on the endpoint t*."""
+    rho1, rho2 = np.diag(p).astype(complex), np.diag(q).astype(complex)
+    m12 = fuchs_caves_operator(rho1, rho2)
+    np.testing.assert_allclose(m12, np.diag(np.sqrt(np.divide(q, p))), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m12 @ fuchs_caves_operator(rho2, rho1), np.eye(len(p)), rtol=0, atol=1e-14)
+    report = verify_billiard_theorem(rho1, rho2)
+    t_star = geodesic(rho1, rho2).t_star
+    assert report["matched"]
+    assert min(abs(t - t_star) for t in report["bounce_ts"]) > 1.0
 
 
 def test_an_invalid_pair_does_not_replace_the_remembered_one(lapack_calls):
