@@ -67,11 +67,11 @@ class _StatePair(_Pair):
     The pair of :mod:`means` switched to states: rho1 and rho2 are its X and Y,
     ``spectrum`` rho1's eigendecomposition, ``inner`` its ``root`` sqrt(rho1),
     ``outer`` its ``inv_root`` rho1^(-1/2), and ``core`` the unclamped spectrum
-    of sqrt(rho1) rho2 sqrt(rho1), which serves F and M.  F, M, the geodesic,
-    eig(M) and the optimal measurement are each computed on first use; one
-    that raises is not kept.  Public views copy what is kept, bar the read-only
-    projectors, matched later by identity; povm_classical_angle reads the
-    states as they are.
+    of sqrt(rho1) rho2 sqrt(rho1), which serves F and M; ``coincide`` is True
+    when the validated states are equal.  F, M, the geodesic, eig(M) and the
+    optimal measurement are each computed on first use; one that raises is not
+    kept.  Public views copy what is kept, bar the read-only projectors,
+    matched later by identity; povm_classical_angle reads the states as they are.
     """
 
     def __init__(self, rho1, rho2):
@@ -85,6 +85,7 @@ class _StatePair(_Pair):
         self.rho1, self.rho2 = self.x, self.y
         self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
         self.spectrum = EigenSystem(w[0], v[0])  # _Pair's cached spectrum, from the check's eigh
+        self.coincide = bool((self.x == self.y).all())
 
     inner = property(lambda self: self.root)
     outer = property(lambda self: self.inv_root)
@@ -98,7 +99,7 @@ class _StatePair(_Pair):
 
     @cached_property
     def fidelity(self) -> float:
-        if (self.rho1 == self.rho2).all():
+        if self.coincide:
             return 1.0  # F(rho, rho) = 1, which the rounded root sum only comes near
         w = self.core.eigenvalues
         noise = _CORE_NOISE * (self.highs[0] * self.highs[1])
@@ -109,7 +110,7 @@ class _StatePair(_Pair):
     def m(self) -> np.ndarray:
         """M unsymmetrized; rho1 invertible.  Never DomainError: the core is clamped.
         Exactly the identity when the states coincide, as F is exactly 1 then."""
-        if (self.rho1 == self.rho2).all():
+        if self.coincide:
             self.inv_root  # a singular rho1 still raises SingularError
             return np.eye(len(self.rho1), dtype=complex)
         return self.congruence(np.sqrt)
@@ -144,7 +145,7 @@ class _StatePair(_Pair):
                     f"geodesic endpoint has eigenvalue {low:.3e}; "
                     "both endpoints must be strictly positive"
                 )
-        if (self.rho1 == self.rho2).all():
+        if self.coincide:
             raise DegenerateError("states coincide; the geodesic is not unique")
         a1 = self.root
         a2 = self.m @ a1
@@ -181,9 +182,7 @@ def bures_angle(rho1, rho2) -> float:
 
 def purification(a) -> np.ndarray:
     """Validate a purification: square complex matrix with Tr A A* = 1 (to 1e-10)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"purification must be square, got shape {a.shape}")
+    a = _square(a, "purification")
     norm2 = float(np.sum(np.abs(a) ** 2))
     if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails
         raise ValidationError(f"purification has squared norm {norm2!r}, expected 1")

@@ -3,7 +3,9 @@
 Covers the metric itself, the square-root embedding onto the positive
 octant of the unit sphere, geodesic distance, stochastic coarse-graining
 with its monotonicity stress test, the multinomial error-ellipse
-experiment, and the Jeffreys prior density.
+experiment, and the Jeffreys prior density.  The distances, the line
+element and the density take points of the simplex as they are (sum 1
+within 1e-12); :func:`probability_vector` normalizes raw data.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ def probability_vector(p) -> np.ndarray:
 
 
 def tangent_vector(dp) -> np.ndarray:
-    """Validate a tangent vector of the simplex (components sum to zero)."""
+    """Validate a tangent vector of the simplex (finite, components sum to zero)."""
     dp = np.asarray(dp, dtype=float).ravel()
-    scale = max(1.0, float(np.abs(dp).sum()))
-    if not abs(dp.sum()) <= 1e-12 * scale:  # NaN fails
+    _finite("tangent vector", dp.tolist())
+    if not abs(dp.sum()) <= 1e-12 * max(1.0, float(np.abs(dp).sum())):
         raise ValidationError(f"tangent components sum to {dp.sum():.3e}, not 0")
     return dp
 
@@ -74,11 +76,35 @@ def stochastic_matrix(t) -> np.ndarray:
     return t
 
 
-def _check_finite(what: str, *arrays) -> None:
-    """Raise ValidationError unless each array is nonempty and finite."""
-    for a in arrays:
-        if a.size == 0 or not np.isfinite(a).all():
-            raise ValidationError(f"{what} needs nonempty, finite input")
+def _finite(what: str, values: list) -> None:
+    """Raise ValidationError unless the floats ``values`` are nonempty and finite."""
+    if not (values and all(map(math.isfinite, values))):
+        raise ValidationError(f"{what} needs nonempty, finite input")
+
+
+def _simplex(what: str, p: np.ndarray) -> float:
+    """The least entry of p, once p is a point of the simplex: nonempty, finite,
+    no entry below 0, sum 1 within 1e-12.  Not normalized, so p keeps its bits;
+    checked as Python floats, faster than numpy reductions on short vectors."""
+    values = p.ravel().tolist()
+    _finite(what, values)
+    low = min(values)
+    if low < 0.0:
+        raise ValidationError(f"negative probability {low:.3e}")
+    total = math.fsum(values)
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValidationError(f"{what} needs p on the simplex, got sum {total!r}")
+    return low
+
+
+def _simplex_pair(what: str, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float arrays of one shape, each checked by :func:`_simplex`, p first."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
+    _simplex(what, p)
+    _simplex(what, q)
+    return p, q
 
 
 def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
@@ -88,13 +114,12 @@ def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
     normalization makes classical distances directly comparable to the
     quantum ones elsewhere in this package.
     """
-    p = np.asarray(p, dtype=float)
-    dp = np.asarray(dp, dtype=float)
+    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
     if p.shape != dp.shape:
         raise DimensionMismatchError(f"p has shape {p.shape}, dp {dp.shape}")
-    _check_finite("Fisher-Rao line element", p, dp)
-    tangent_vector(dp)  # after _check_finite: tangent_vector passes an infinite dp
-    if np.any(p <= 0.0):
+    low = _simplex("Fisher-Rao line element", p)
+    tangent_vector(dp)
+    if low == 0.0:
         raise BoundaryError("metric diverges where a probability vanishes")
     return 0.25 * float(np.sum(dp * dp / p))
 
@@ -110,30 +135,14 @@ def fr_geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     Equals the great-circle arc between the sphere embeddings of p and q,
     and lies in [0, pi/2].  Finite on the simplex boundary.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
-    if p.size == 0:
-        raise ValidationError("Fisher-Rao distance needs nonempty, finite input")
-    with np.errstate(invalid="ignore", over="ignore"):  # raised below instead
-        cosine = float(np.sqrt(p * q).sum())
-    if not math.isfinite(cosine):  # a NaN, infinite or negative entry
-        raise ValidationError(f"sum of sqrt(p_i q_i) is {cosine}, not finite")
-    return math.acos(min(1.0, max(0.0, cosine)))
+    p, q = _simplex_pair("Fisher-Rao distance", p, q)
+    return math.acos(min(1.0, float(np.sqrt(p * q).sum())))
 
 
 def euclidean_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Flat-simplex distance |p - q|; not monotone under stochastic maps."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionMismatchError(f"p has shape {p.shape}, q {q.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
-        distance = float(np.linalg.norm(p - q)) if p.size else math.nan
-    if not math.isfinite(distance):
-        raise ValidationError("Euclidean distance needs nonempty, finite input")
-    return distance
+    p, q = _simplex_pair("Euclidean distance", p, q)
+    return float(np.linalg.norm(p - q))
 
 
 def apply_stochastic(t: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -230,16 +239,12 @@ def jeffreys_density(p: np.ndarray) -> float:
     normalizer with respect to Lebesgue measure on the simplex.
 
     For two outcomes this is the arcsine law: 1 / (pi sqrt(p (1 - p))).
-    Raises :class:`ValidationError` unless p is nonempty, finite and sums to
-    1 within 1e-12, and :class:`NumericalError` when the density exceeds the
-    float range.
+    Raises :class:`ValidationError` unless p is a point of the simplex
+    (nonempty, finite, no entry below zero, sum 1 within 1e-12), and
+    :class:`NumericalError` when the density exceeds the float range.
     """
     p = np.asarray(p, dtype=float).ravel()
-    _check_finite("Jeffreys density", p)
-    total = float(p.sum())
-    if not abs(total - 1.0) <= 1e-12:
-        raise ValidationError(f"Jeffreys density needs p on the simplex, got sum {total!r}")
-    if np.any(p <= 0.0):
+    if _simplex("Jeffreys density", p) == 0.0:
         raise BoundaryError("density diverges where a probability vanishes")
     try:
         return float(math.exp(_jeffreys_log_norm(p.size) - 0.5 * np.sum(np.log(p))))

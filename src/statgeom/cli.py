@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import DEFAULT_SEED, run_all
+from .acceptance import DEFAULT_SEED, _mixed_state, run_all
 from .billiard import verify_billiard_theorem
 from .bures import _pair, bures_angle, fidelity, geodesic
 from .classical import (
@@ -28,7 +28,7 @@ from .errors import NumericalError, ValidationError
 from .means import operator_mean
 from .measurement import optimal_measurement, povm_classical_angle, qubit_povm_search
 from .monotone import monotone_ds2
-from .sampling import random_density_matrix, substream
+from .sampling import substream
 from .serialize import _fill, dumps_canonical, read_matrix_file, read_vector_file
 
 __all__ = ["main"]
@@ -57,16 +57,6 @@ def _at_least_one(count: int, option: str) -> None:
 def _csv_text(header: list[str], rows: np.ndarray) -> str:
     line = "\n" + ",".join(["%.17g"] * rows.shape[1])
     return ",".join(header) + _fill(line * len(rows), rows) + "\n"
-
-
-def _sampled_pair(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two random full-rank mixtures, left for the library to validate."""
-    rng = substream(seed, "cli-billiard")
-    pair = []
-    for _ in range(2):
-        rho = random_density_matrix(dim, rng)
-        pair.append(0.85 * rho + 0.15 * np.eye(dim) / dim)
-    return pair[0], pair[1]
 
 
 def _cmd_classical_distance(args) -> dict:
@@ -157,7 +147,8 @@ def _cmd_povm_search(args) -> dict:
 def _cmd_billiard(args):
     _at_least_one(args.dim, "--dim")
     _at_least_one(args.samples, "--samples")
-    rho1, rho2 = _sampled_pair(args.dim, args.seed)
+    rng = substream(args.seed, "cli-billiard")
+    rho1, rho2 = _mixed_state(args.dim, rng, 0.15), _mixed_state(args.dim, rng, 0.15)
     if args.format == "csv":
         path = geodesic(rho1, rho2)
         ts = np.linspace(0.0, np.pi, args.samples, endpoint=False)

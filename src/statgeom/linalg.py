@@ -114,21 +114,22 @@ def _hermitian_checked(a: np.ndarray) -> tuple:
     """(hermitian_part(a), the verdict of :func:`is_hermitian` on each slice)
     for a square matrix or a ``(..., n, n)`` stack, from one A†.
 
-    A slice passes if |A - A†| <= 1e-10 max(|A|, 1); NaN fails.  Every
-    caller has made ``a`` complex and square.
+    A slice passes if |A - A†| <= 1e-10 max(|A|, 1); a NaN there fails, as
+    inf - inf does.  Every caller has made ``a`` complex and square.
     """
     h = a.swapaxes(-1, -2).astype(complex, order="C")  # A†, as in hermitian_part
     np.conjugate(h, out=h)
-    diff = np.subtract(a, h, order="C")
-    if not diff.any():  # A = A† exactly; a NaN or an infinity leaves a nonzero
+    # A = A† exactly and |A| finite: an infinity equals its conjugate
+    if not (a != h).any() and math.isfinite(np.vdot(a, a).real):
         return _half_sum(h, a), np.ones(a.shape[:-2], dtype=bool)
-    # HS norms over the real and imaginary parts side by side, of C-ordered
-    # arrays; |A†| = |A|
-    diff = diff.view(float)
-    parts = h.view(float)
-    norms = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
-    scale = np.maximum(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), 1.0)
-    return _half_sum(h, a), norms <= 1e-10 * scale
+    with np.errstate(invalid="ignore"):  # inf - inf, inf + -inf: quiet NaNs
+        # HS norms over the real and imaginary parts side by side, of C-ordered
+        # arrays; |A†| = |A|
+        diff = np.subtract(a, h, order="C").view(float)
+        parts = h.view(float)
+        norms = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
+        scale = np.maximum(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), 1.0)
+        return _half_sum(h, a), norms <= 1e-10 * scale
 
 
 def _hermitian_pair(x, y, noun: str) -> tuple:

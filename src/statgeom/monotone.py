@@ -79,7 +79,8 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
     ``f`` is a mean name ("arithmetic" for the Bures metric, "geometric",
     "harmonic") or a vectorizable callable.  ``rho`` must be strictly
     positive — all monotone metrics with f(0) = 0 diverge on the boundary
-    of state space, so singular input raises BoundaryError.
+    of state space, so singular input raises BoundaryError; an f that makes
+    some lambda_j f(lambda_i / lambda_j) not finite and positive, DomainError.
     """
     if isinstance(f, str):
         f = mean_function(f)
@@ -93,10 +94,12 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
         raise BoundaryError(
             f"state eigenvalue {lam[0]:.3e} too close to the boundary"
         )
-    ds = v.conj().T @ drho @ v
-    diag = float(np.sum(np.real(np.diag(ds)) ** 2 / lam))
     i, j = np.triu_indices(lam.size, k=1)
     denom = lam[j] * np.asarray(f(lam[i] / lam[j]), dtype=float)
+    if not ((denom > 0.0) & (denom < np.inf)).all():  # NaN fails
+        raise DomainError("lambda_j f(lambda_i / lambda_j) is not finite and positive")
+    ds = v.conj().T @ drho @ v
+    diag = float(np.sum(np.real(np.diag(ds)) ** 2 / lam))
     off = 2.0 * float(np.sum(np.abs(ds[i, j]) ** 2 / denom))
     return 0.25 * (diag + off)
 

@@ -154,6 +154,7 @@ def write_inputs() -> None:
     (HERE / "inputs" / "unparsable.json").write_text("{,}\n")
     (HERE / "inputs" / "nan2.json").write_text("[[NaN, 0], [0, 1]]\n")
     (HERE / "inputs" / "pnan.json").write_text("[NaN, 0.5, 0.5]\n")
+    (HERE / "inputs" / "inf2.json").write_text("[[Infinity, 0], [0, 0.5]]\n")
 
 
 def cases() -> list[list[str]]:
@@ -235,6 +236,10 @@ def cases() -> list[list[str]]:
         out.append(["fidelity", f(a), f(b)])
         out.append(["geodesic", f(a), f(b), "--samples", "4"])
     out.append(["povm-search", f("s3a"), f("trace2"), "--grid", "12"])
+    # an infinite entry is not Hermitian: inf - inf is NaN in A - A†
+    out.append(["fidelity", f("inf2"), f("inf2")])
+    out.append(["mean", f("inf2"), f("pd2a")])
+    out.append(["monotone-metric", f("inf2"), f("drho2")])
     return out
 
 

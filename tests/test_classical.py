@@ -76,7 +76,7 @@ def test_tangent_vector_must_sum_to_zero():
 
 
 def test_tangent_vector_rejects_nan():
-    with pytest.raises(ValidationError, match="sum to nan"):
+    with pytest.raises(ValidationError, match="tangent vector needs nonempty, finite input"):
         tangent_vector([math.nan, 0.0])
 
 
@@ -153,20 +153,23 @@ def test_distance_coincident_and_orthogonal():
 
 
 @pytest.mark.parametrize(
-    "p, q",
+    "p, q, message",
     [
-        ([math.nan, 0.5, 0.5], [0.2, 0.3, 0.5]),
-        ([0.5, 0.5], [math.inf, 0.0]),
+        ([math.nan, 0.5, 0.5], [0.2, 0.3, 0.5], "needs nonempty, finite input"),
+        ([0.5, 0.5], [math.inf, 0.0], "needs nonempty, finite input"),
         # these warned first, and RuntimeWarning is an error in this suite
-        ([0.5, 0.5], [-0.1, 1.1]),  # sqrt of a negative product
-        ([math.inf, 0.0], [0.0, 1.0]),  # inf * 0
-        ([1e200, 0.0], [1e200, 1.0]),  # a product that overflows
+        ([0.5, 0.5], [-0.1, 1.1], "negative probability -1.000e-01"),  # sqrt of a negative
+        ([math.inf, 0.0], [0.0, 1.0], "needs nonempty, finite input"),  # inf * 0
+        ([1e200, 0.0], [1e200, 1.0], "needs p on the simplex, got sum 1e+200"),  # overflow
     ],
+    ids=[f"p{k}-q{k}" for k in range(5)],
 )
-def test_distance_rejects_a_non_finite_cosine(p, q):
-    # a NaN cosine used to clamp to 0, reporting orthogonality (pi/2)
-    with pytest.raises(ValidationError, match=r"sum of sqrt\(p_i q_i\) is (nan|inf), not finite"):
+def test_distance_rejects_a_non_finite_cosine(p, q, message):
+    # each made a cosine that is not finite; a NaN one used to clamp to 0,
+    # reporting orthogonality (pi/2).  The points are now checked first.
+    with pytest.raises(ValidationError) as caught:
         fr_geodesic_distance(np.array(p), np.array(q))
+    assert str(caught.value).endswith(message)
 
 
 @pytest.mark.parametrize("distance", [fr_geodesic_distance, euclidean_distance])
@@ -188,17 +191,73 @@ def test_euclidean_distance_rejects_a_non_finite_result(p, q):
 
 
 @pytest.mark.parametrize(
-    "p, q",
-    [([1e200, 0.0], [-1e200, 0.0]), ([1e308, 0.0], [-1e308, 0.0]),
-     ([math.inf, 0.0], [math.inf, 0.0])],
+    "p, q, message",
+    [([1e200, 0.0], [-1e200, 0.0], "needs p on the simplex, got sum 1e+200"),
+     ([1e308, 0.0], [-1e308, 0.0], "needs p on the simplex, got sum 1e+308"),
+     ([math.inf, 0.0], [math.inf, 0.0], "needs nonempty, finite input")],
     ids=["overflow-in-norm", "overflow-in-subtract", "inf-minus-inf"],
 )
-def test_euclidean_distance_raises_on_overflow_without_a_warning(p, q):
+def test_euclidean_distance_raises_on_overflow_without_a_warning(p, q, message):
     # these warned first, which a RuntimeWarning filter turns into the error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="needs nonempty, finite input"):
+        with pytest.raises(ValidationError) as caught:
             euclidean_distance(np.array(p), np.array(q))
+    assert str(caught.value).endswith(message)
+
+
+# Each classical entry point takes points of the simplex as they are, and
+# checks both sides of a pair: these five are off the simplex.
+_OFF_THE_SIMPLEX = {
+    "off-simplex": ([0.1, 0.1], "needs p on the simplex, got sum 0.2"),
+    "negative": ([1.5, -0.5], "negative probability -5.000e-01"),
+    "nan": ([math.nan, 1.0], "needs nonempty, finite input"),
+    "infinite": ([math.inf, 0.0], "needs nonempty, finite input"),
+    "empty": ([], "needs nonempty, finite input"),
+}
+_UNIFORM = lambda p: np.full(len(p), 1.0 / max(1, len(p)))  # noqa: E731
+_ON_POINTS = {
+    "fr_geodesic_distance-p": lambda p: fr_geodesic_distance(p, _UNIFORM(p)),
+    "fr_geodesic_distance-q": lambda q: fr_geodesic_distance(_UNIFORM(q), q),
+    "euclidean_distance-p": lambda p: euclidean_distance(p, _UNIFORM(p)),
+    "euclidean_distance-q": lambda q: euclidean_distance(_UNIFORM(q), q),
+    "fisher_rao_ds2": lambda p: fisher_rao_ds2(p, np.zeros(len(p))),
+    "jeffreys_density": jeffreys_density,
+}
+# a tangent vector may have negative components; it must sum to 0
+_OFF_THE_TANGENT_SPACE = {
+    "off-simplex": ([0.1, 0.1], "tangent components sum to 2.000e-01, not 0"),
+    "nan": ([math.nan, 0.0], "needs nonempty, finite input"),
+    "infinite": ([math.inf, 0.0], "needs nonempty, finite input"),
+    "empty": ([], "needs nonempty, finite input"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, case",
+    [(call, case) for call in _ON_POINTS for case in _OFF_THE_SIMPLEX]
+    + [("tangent_vector", case) for case in _OFF_THE_TANGENT_SPACE],
+    ids=lambda name: name,
+)
+def test_entry_points_reject_input_off_the_simplex(call, case):
+    # the off-simplex points gave fr_geodesic_distance([0.5, 0.5], [0.1, 0.1])
+    # = 1.107 and a Euclidean distance and a line element; tangent_vector
+    # passed [inf, 0].  None may warn on the way to its error.
+    if call == "tangent_vector":
+        run, (x, message) = tangent_vector, _OFF_THE_TANGENT_SPACE[case]
+    else:
+        run, (x, message) = _ON_POINTS[call], _OFF_THE_SIMPLEX[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError) as caught:
+            run(np.array(x, dtype=float))
+    assert str(caught.value).endswith(message)
+
+
+def test_points_of_the_simplex_are_not_normalized():
+    # a sum 1e-13 off 1 is on the simplex, and is used as it is
+    p = np.array([0.5, 0.5 + 1e-13])
+    assert euclidean_distance(p, np.array([0.5, 0.5])) == (0.5 + 1e-13) - 0.5
 
 
 def test_distance_closed_form_on_binary_family():

@@ -69,9 +69,10 @@ def test_package_exports_the_union_of_module_exports():
             assert getattr(statgeom, name) is getattr(module, name)
 
 
-def test_cli_imports_no_private_library_name_but_the_pair_and_fill():
+def test_cli_imports_no_private_library_name_but_the_pair_fill_and_sampler():
     # the CLI calls the public functions; the pair's eig(M), printed by
-    # optimal-measurement, and the CSV formatter are its only private reads
+    # optimal-measurement, the CSV formatter, and the mixed-state sampler
+    # billiard shares with the acceptance suite are its only private reads
     tree = ast.parse((ROOT / "src" / "statgeom" / "cli.py").read_text())
     private = {
         (node.module, alias.name)
@@ -80,4 +81,6 @@ def test_cli_imports_no_private_library_name_but_the_pair_and_fill():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert private == {("bures", "_pair"), ("serialize", "_fill")}
+    assert private == {
+        ("bures", "_pair"), ("serialize", "_fill"), ("acceptance", "_mixed_state")
+    }

@@ -1,6 +1,7 @@
 """Hermitian matrix kernel: eigensystems, functions, square roots, order."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from statgeom import (
     DimensionMismatchError,
     DomainError,
     SingularError,
+    ValidationError,
     eig_hermitian,
     fix_phases,
     fuchs_caves_operator,
@@ -25,10 +27,12 @@ from statgeom import (
     matrix_inv_sqrt,
     matrix_sqrt,
     min_eigenvalue,
+    density_matrix,
     operator_mean,
     povm,
     psd_order_geq,
     random_density_matrix,
+    tangent_perturbation,
 )
 from statgeom.linalg import (
     EigenSystem,
@@ -280,6 +284,38 @@ def test_exactly_hermitian_input_skips_the_norms(rng, monkeypatch):
         assert verdict.dtype == bool and verdict.shape == expected.shape
         assert np.array_equal(verdict, expected)
         assert (not einsums) is exact
+
+
+_INFINITE = {  # an infinity that meets its own conjugate in A - A†
+    "diagonal": np.diag([math.inf, 0.5]),
+    "off-diagonal": np.array([[0.5, math.inf], [math.inf, 0.5]]),
+    "imaginary": np.array([[0.5, complex(0.0, math.inf)], [complex(0.0, -math.inf), 0.5]]),
+}
+
+
+@pytest.mark.parametrize("entry", _INFINITE)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (density_matrix, "density matrix must be Hermitian"),
+        (lambda m: operator_mean(m, np.eye(2), "geometric"),
+         "operator means need Hermitian operands"),
+        (lambda m: povm([m, np.eye(2)]), "POVM element 0 is not Hermitian"),
+        (tangent_perturbation, "perturbation must be Hermitian"),
+        (is_hermitian, None),  # returns False
+    ],
+    ids=["density_matrix", "operator_mean", "povm", "tangent_perturbation", "is_hermitian"],
+)
+def test_an_infinite_entry_is_not_hermitian_and_does_not_warn(call, message, entry):
+    # inf - inf in A - A† warned "invalid value encountered in subtract"
+    # before the verdict, which a RuntimeWarning filter turned into the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert call(_INFINITE[entry]) is False
+        else:
+            with pytest.raises(ValidationError, match=message):
+                call(_INFINITE[entry])
 
 
 def test_hermitian_part_keeps_negative_zeros():

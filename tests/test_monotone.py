@@ -1,6 +1,7 @@
 """Monotone-metric family on density matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_monotone_ds2_rejects_boundary_states():
 def test_monotone_ds2_shape_mismatch():
     with pytest.raises(ValidationError):
         monotone_ds2(np.eye(3) / 3, np.diag([0.1, -0.1]))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda t: -t, lambda t: np.full_like(t, math.nan), lambda t: np.zeros_like(t),
+     lambda t: np.full_like(t, math.inf)],
+    ids=["negative", "nan", "zero", "infinite"],
+)
+def test_monotone_ds2_rejects_an_f_that_is_not_finite_and_positive(f):
+    # these returned -0.0292, nan, nan after a divide-by-zero warning, and 0.0
+    rho = np.diag([0.6, 0.3, 0.1])
+    drho = np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.05], [0.0, 0.05, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite and positive"):
+            monotone_ds2(rho, drho, f)
 
 
 def test_monotone_ds2_decomposes_the_state_once(lapack_calls):
