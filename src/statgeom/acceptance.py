@@ -268,7 +268,7 @@ def criterion_8_optimality(seed: int) -> tuple[list[Gate], dict]:
     for _ in range(100):
         rho1 = _mixed_state(2, rng)
         rho2 = _mixed_state(2, rng)
-        report = qubit_povm_search(rho1, rho2, grid_resolution=200)
+        report = qubit_povm_search(rho1, rho2)
         target = bures_angle(rho1, rho2)
         worst_angle_gap = max(worst_angle_gap, abs(report["best_angle"] - target))
         m = fuchs_caves_operator(rho1, rho2)

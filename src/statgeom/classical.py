@@ -156,20 +156,17 @@ def apply_stochastic(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     return probability_vector(t @ p)
 
 
-def monotonicity_stress(seed: int, trials: int, distance=None, tol: float = 1e-9) -> dict:
-    """Stress-test distance monotonicity under random stochastic maps.
+def monotonicity_stress(seed: int, trials: int, tol: float = 1e-9) -> dict:
+    """Stress-test Fisher-Rao monotonicity under random stochastic maps.
 
     Samples (T, P, Q) with input/output sizes drawn from 2..5 and counts
-    trials where distance(TP, TQ) exceeds distance(P, Q) by more than ``tol``.
-    ``distance`` defaults to :func:`fr_geodesic_distance`, which should never
-    violate; passing :func:`euclidean_distance` exhibits stretching.
+    trials where the Fisher-Rao distance of (TP, TQ) exceeds that of (P, Q)
+    by more than ``tol``, which should never happen.
 
     Returns a dict with ``violations`` and ``max_excess``.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if distance is None:
-        distance = fr_geodesic_distance
     rng = substream(seed, "monotonicity-stress")
     violations = 0
     max_excess = 0.0
@@ -179,8 +176,8 @@ def monotonicity_stress(seed: int, trials: int, distance=None, tol: float = 1e-9
         t = random_stochastic_matrix(m, n, rng)
         p = random_probability_vector(n, rng)
         q = random_probability_vector(n, rng)
-        before = distance(p, q)
-        after = distance(apply_stochastic(t, p), apply_stochastic(t, q))
+        before = fr_geodesic_distance(p, q)
+        after = fr_geodesic_distance(apply_stochastic(t, p), apply_stochastic(t, q))
         excess = after - before
         max_excess = max(max_excess, excess)
         if excess > tol:

@@ -140,7 +140,7 @@ def _cmd_optimal_measurement(args) -> dict:
 
 def _cmd_povm_search(args) -> dict:
     a, b = _read_pair(args)
-    report = qubit_povm_search(a, b, args.grid)  # first: its errors come in its order
+    report = qubit_povm_search(a, b)  # first: its errors come in its order
     return {**report, "bures_angle": bures_angle(a, b)}
 
 
@@ -258,7 +258,6 @@ def _build_parser() -> _Parser:
             "qubit projective-measurement search, not reading M")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--grid", type=int, default=200, help="circle resolution (grid² angles)")
 
     p = add("billiard", _cmd_billiard,
             "boundary bounce points of a random geodesic's great circle",

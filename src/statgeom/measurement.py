@@ -8,10 +8,11 @@ eigenbasis of the operator
     M(rho1, rho2) = rho1^(-1/2) sqrt(sqrt(rho1) rho2 sqrt(rho1)) rho1^(-1/2),
 
 the geometric mean of rho1^(-1) and rho2.  The module provides the POVM
-plumbing, the operator M, the optimal projective measurement, a qubit
-axis search on the circle of the two Bloch vectors that rediscovers it
-without reading M, and the closed-form answer for a pair of pure qubit
-states measured along an arbitrary diameter of their Bloch-disk section.
+plumbing, the operator M, the optimal projective measurement, the best
+qubit axis found from its stationary equation on the circle of the two
+Bloch vectors, which rediscovers it without reading M, and the
+closed-form answer for a pair of pure qubit states measured along an
+arbitrary diameter of their Bloch-disk section.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _axis_cosine(phi, polars) -> np.ndarray:
     p = (1 + n.r)/2 and 1 - p are each summed from nonnegative terms,
     (1 - |r|)/2 + |r| cos^2 or sin^2 of (phi - psi)/2, to keep their relative
     accuracy where small: 1 - fl(p) errs by u near a pure state's axis, its
-    square root by sqrt(u) ~ 1e-8, and a search finds such dips.
+    square root by sqrt(u) ~ 1e-8, and that axis is where the optimum can be.
     """
     plus, minus = 1.0, 1.0
     for length, psi in polars:
@@ -166,11 +167,10 @@ def _axis_cosine(phi, polars) -> np.ndarray:
     return np.sqrt(plus) + np.sqrt(minus)
 
 
-def qubit_povm_search(rho1, rho2, grid_resolution: int = 200) -> dict:
-    """Search the Bloch axes, without reading M, for the best projective
-    measurement: the largest classical angle and an axis attaining it.
-    ``non_unique`` is set when both states are pure, where a continuum of
-    measurements is optimal.
+def qubit_povm_search(rho1, rho2) -> dict:
+    """Find, without reading M, the best projective qubit measurement: the
+    largest classical angle and an axis attaining it.  ``non_unique`` is set
+    when both states are pure, where a continuum of measurements is optimal.
 
     An optimal axis lies in a plane holding the Bloch vectors r1 and r2.
     The cosine to minimize is B(a, b) = sqrt(pq) + sqrt((1-p)(1-q)), with
@@ -181,53 +181,54 @@ def qubit_povm_search(rho1, rho2, grid_resolution: int = 200) -> dict:
     a plane trace.  A concave function takes its minimum over a compact
     convex set at an extreme point.
 
-    The search evaluates grid_resolution^2 equally spaced angles in [0, pi)
-    on that circle (n and -n are one measurement), as many cosines as a
-    sphere grid of that resolution, then refines the best one's cell by
-    golden-section search.  grid_resolution must lie in [2, 1000]; it is
-    checked after the states, which are validated through the pair the Bures
-    views share, and before the qubit shape, so two square states of different
-    shapes, which the pair rejects before its state checks, raise "Bloch
-    vector is defined for qubits only".
+    On that circle, with a_i = x_i cos phi + y_i sin phi in the plane's
+    coordinates, B = sqrt(P) + sqrt(Q) for P = (1+a1)(1+a2)/4 and
+    Q = (1-a1)(1-a2)/4 (Braunstein and Caves's optimal measurement on the
+    circle of axes).  Where B is smooth, its minimum is a root of
+    g = P'^2 Q - Q'^2 P, a trigonometric polynomial of degree 6 with
+    g(phi + pi) = -g(phi), since n and -n swap P and Q.  So g has only the
+    odd harmonics 1, 3 and 5: it is a quintic in w = exp(2i phi), whose
+    coefficients an FFT of 12 samples gives exactly.  B has kinks only on
+    the axis of a pure state.  The answer is the least B over the angles of
+    the quintic's 5 roots, whatever their modulus, and the axes along r1 and
+    r2.  When g vanishes identically (two pure or two equal states) its
+    roots are noise, but each is still an axis, whose B is at least the
+    minimum that an axis along r1 or r2 attains.
+
+    The states are validated through the pair the Bures views share, then
+    the qubit shape, so two square states of different shapes, which the
+    pair rejects before its state checks, raise "Bloch vector is defined
+    for qubits only".
     """
     try:
         pair = _pair(rho1, rho2)
     except DimensionMismatchError:  # two square states of different shapes
-        pair = None
-    if grid_resolution < 2:
-        raise ValidationError("grid_resolution must be >= 2")
-    if grid_resolution > 1000:  # before the grid_resolution^2 angles exist
-        raise ValidationError("grid_resolution must be <= 1000")
-    if pair is None:
-        raise DimensionMismatchError("Bloch vector is defined for qubits only")
+        raise DimensionMismatchError("Bloch vector is defined for qubits only") from None
     r1, r2 = _bloch_vector(pair.rho1), _bloch_vector(pair.rho2)
     # orthonormal columns whose span holds r1 and r2, whatever their rank,
-    # and the coordinates of r1 and r2 in that plane
-    plane, coords = np.linalg.qr(np.column_stack([r1, r2]))
-    polars = [(np.hypot(x, y), np.arctan2(y, x)) for x, y in coords.T]
-    count = grid_resolution * grid_resolution
-    phis = np.pi / count * np.arange(count)
-    cosines = _axis_cosine(phis, polars)
+    # and the coordinates (x_i, y_i) of r1 and r2 in that plane
+    plane, (x, y) = np.linalg.qr(np.column_stack([r1, r2]))
+    samples = np.pi / 6 * np.arange(12)
+    a = np.outer(x, np.cos(samples)) + np.outer(y, np.sin(samples))
+    da = np.outer(y, np.cos(samples)) - np.outer(x, np.sin(samples))
+    # 4P, 4Q, 4P' and -4Q': g times 64, which has g's roots
+    p, q = (1.0 + a[0]) * (1.0 + a[1]), (1.0 - a[0]) * (1.0 - a[1])
+    dp = da[0] * (1.0 + a[1]) + (1.0 + a[0]) * da[1]
+    dq = da[0] * (1.0 - a[1]) + (1.0 - a[0]) * da[1]
+    # harmonics 5, 3, 1, -1, -3, -5 of g: the quintic's coefficients, highest first
+    quintic = np.fft.fft(dp * dp * q - dq * dq * p)[[5, 3, 1, 11, 9, 7]]
+    psis = np.arctan2(y, x)
+    phis = np.concatenate([psis, 0.5 * np.angle(np.roots(quintic))])
+    cosines = _axis_cosine(phis, zip(np.hypot(x, y), psis))
     best = int(np.argmin(cosines))
-    best_phi, best_cos = phis[best], cosines[best]
-    # golden-section search of the best angle's cell, keeping the best point
-    shrink = 0.5 * (np.sqrt(5.0) - 1.0)
-    lo, hi = best_phi - np.pi / count, best_phi + np.pi / count
-    while hi - lo > 1e-12:
-        inner = np.array([hi - shrink * (hi - lo), lo + shrink * (hi - lo)])
-        values = _axis_cosine(inner, polars)
-        k = int(np.argmin(values))
-        if values[k] < best_cos:
-            best_phi, best_cos = inner[k], values[k]
-        lo, hi = (lo, inner[1]) if k == 0 else (inner[0], hi)
     # a unit vector to rounding; clipped to the schema's bounds of 1
-    best_axis = np.clip(plane @ np.array([np.cos(best_phi), np.sin(best_phi)]), -1.0, 1.0)
+    best_axis = np.clip(plane @ np.array([np.cos(phis[best]), np.sin(phis[best])]), -1.0, 1.0)
     if best_axis[np.argmax(np.abs(best_axis))] < 0:
         best_axis = -best_axis
     best_axis += 0.0  # -0 to +0, every other value unchanged
     both_pure = min(np.linalg.norm(r1), np.linalg.norm(r2)) >= 1.0 - 1e-9
     return {
-        "best_angle": float(np.arccos(np.clip(best_cos, 0.0, 1.0))),
+        "best_angle": float(np.arccos(np.clip(cosines[best], 0.0, 1.0))),
         "best_axis": best_axis,
         "non_unique": bool(both_pure),
     }

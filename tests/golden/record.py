@@ -173,7 +173,7 @@ def cases() -> list[list[str]]:
             out.append([command, f(a), f(b)])
         out.append(["geodesic", f(a), f(b), "--samples", "4"])
         out.append(["geodesic", f(a), f(b), "--samples", "3", "--format", "csv"])
-        out.append(["povm-search", f(a), f(b), "--grid", "12"])
+        out.append(["povm-search", f(a), f(b)])
     for a, b in (("pd2a", "pd2b"), ("pd3a", "pd3b"), ("pd2b", "pd2a")):
         for mean in ("arithmetic", "geometric", "harmonic"):
             out.append(["mean", f(a), f(b), "--f", mean])
@@ -235,7 +235,7 @@ def cases() -> list[list[str]]:
                  ("nonherm2", "missing")):
         out.append(["fidelity", f(a), f(b)])
         out.append(["geodesic", f(a), f(b), "--samples", "4"])
-    out.append(["povm-search", f("s3a"), f("trace2"), "--grid", "12"])
+    out.append(["povm-search", f("s3a"), f("trace2")])
     # an infinite entry is not Hermitian: inf - inf is NaN in A - A†
     out.append(["fidelity", f("inf2"), f("inf2")])
     out.append(["mean", f("inf2"), f("pd2a")])

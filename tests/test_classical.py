@@ -23,6 +23,8 @@ from statgeom import (
     multinomial_ellipse_experiment,
     operator_monotone_test,
     probability_vector,
+    random_probability_vector,
+    random_stochastic_matrix,
     sphere_embed,
     stochastic_matrix,
     substream,
@@ -269,8 +271,6 @@ def test_distance_closed_form_on_binary_family():
 
 
 def test_distance_is_symmetric(rng):
-    from statgeom import random_probability_vector
-
     p = random_probability_vector(5, rng)
     q = random_probability_vector(5, rng)
     assert fr_geodesic_distance(p, q) == pytest.approx(
@@ -313,11 +313,22 @@ def test_monotonicity_stress_clean_for_fisher_rao():
 
 
 def test_monotonicity_stress_catches_flat_metric():
-    # random soft maps rarely stretch the flat distance, so give the
-    # search enough trials to hit at least one expanding triple
-    report = monotonicity_stress(seed=7, trials=500, distance=euclidean_distance)
-    assert report["violations"] > 0
-    assert report["max_excess"] > 1e-3
+    # monotonicity_stress's loop, with its draws in its order, measuring the
+    # flat distance: random soft maps rarely stretch it, so give the search
+    # enough trials to hit at least one expanding triple
+    rng = substream(7, "monotonicity-stress")
+    excesses = []
+    for _ in range(500):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 6))
+        t = random_stochastic_matrix(m, n, rng)
+        p = random_probability_vector(n, rng)
+        q = random_probability_vector(n, rng)
+        before = euclidean_distance(p, q)
+        after = euclidean_distance(apply_stochastic(t, p), apply_stochastic(t, q))
+        excesses.append(after - before)
+    assert sum(excess > 1e-9 for excess in excesses) > 0  # violations
+    assert max(excesses) > 1e-3
 
 
 def test_multinomial_covariance_prediction():

@@ -178,7 +178,7 @@ def test_m_eigenvectors_have_a_real_positive_largest_entry(capsys, dim):
 def test_povm_search(capsys, files):
     payload = run_json(
         capsys, "povm-search", "povm-search",
-        files["rho1"], files["rho2"], "--grid", "40",
+        files["rho1"], files["rho2"],
     )
     assert payload["best_angle"] == pytest.approx(payload["bures_angle"], abs=1e-12)
     assert not payload["non_unique"]
@@ -207,12 +207,8 @@ def test_output_is_byte_identical(capsys, files):
     _, first = run_cli(capsys, "billiard", "--dim", "3", "--seed", "7")
     _, second = run_cli(capsys, "billiard", "--dim", "3", "--seed", "7")
     assert first == second
-    _, third = run_cli(
-        capsys, "povm-search", files["rho1"], files["rho2"], "--grid", "30"
-    )
-    _, fourth = run_cli(
-        capsys, "povm-search", files["rho1"], files["rho2"], "--grid", "30"
-    )
+    _, third = run_cli(capsys, "povm-search", files["rho1"], files["rho2"])
+    _, fourth = run_cli(capsys, "povm-search", files["rho1"], files["rho2"])
     assert third == fourth
 
 
@@ -452,11 +448,11 @@ def test_every_option_is_read_by_its_command():
         "bures-distance": {"--out"},
         "geodesic": {"--out", "--format", "--samples"},
         "optimal-measurement": {"--out"},
-        "povm-search": {"--out", "--grid"},
+        "povm-search": {"--out"},
         "billiard": {"--out", "--format", "--seed", "--dim", "--samples"},
         "verify-all": {"--out", "--seed"},
     }
-    assert sum(map(len, options.values())) == 29
+    assert sum(map(len, options.values())) == 28
 
 
 def test_console_script_entry_point(files):
@@ -572,33 +568,19 @@ def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files
 
 
 @pytest.mark.parametrize(
-    "a, b, grid, error",
+    "a, b, error",
     [
-        ("nonherm", "rho2", "20", ("ValidationError", "density matrix must be Hermitian")),
-        (
-            "rho1", "trace2", "20",
-            ("ValidationError", "density matrix trace is 2.0, expected 1"),
-        ),
+        ("nonherm", "rho2", ("ValidationError", "density matrix must be Hermitian")),
+        ("rho1", "trace2", ("ValidationError", "density matrix trace is 2.0, expected 1")),
         # the Bloch-vector check, not the shape check of the other commands
-        (
-            "rho1", "qutrit", "20",
-            ("DimensionMismatchError", "Bloch vector is defined for qubits only"),
-        ),
-        (
-            "qutrit", "rho1", "20",
-            ("DimensionMismatchError", "Bloch vector is defined for qubits only"),
-        ),
-        # both files are read before the states are validated, the states
-        # before the grid, the grid before the shapes
-        ("nonherm", "missing", "1", ("ParseError", _MISSING)),
-        ("qutrit", "rho1", "1", ("ValidationError", "grid_resolution must be >= 2")),
-        # bounded before the grid_resolution^2 angles are made
-        ("rho1", "rho2", "1001", ("ValidationError", "grid_resolution must be <= 1000")),
-        ("qutrit", "rho1", "1001", ("ValidationError", "grid_resolution must be <= 1000")),
+        ("rho1", "qutrit", ("DimensionMismatchError", "Bloch vector is defined for qubits only")),
+        ("qutrit", "rho1", ("DimensionMismatchError", "Bloch vector is defined for qubits only")),
+        # both files are read before the states are validated
+        ("nonherm", "missing", ("ParseError", _MISSING)),
     ],
 )
-def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
-    code, out = run_cli(capsys, "povm-search", files[a], files[b], "--grid", grid)
+def test_povm_search_rejects_bad_inputs(capsys, files, a, b, error):
+    code, out = run_cli(capsys, "povm-search", files[a], files[b])
     assert code == 1
     envelope = {"error": {"type": error[0], "message": error[1].format(**files)}}
     assert out == json.dumps(envelope, sort_keys=True) + "\n"
@@ -619,7 +601,7 @@ def test_povm_search_rejects_bad_inputs(capsys, files, a, b, grid, error):
         # 13 eigvalsh, then 4 before the Cholesky, then 3 and 4 eigh, then 1 and 3
         (["optimal-measurement"], {"eigh": 3}),
         # 7, then 3 and 1, then 1 and 1
-        (["povm-search", "--grid", "20"], {"eigh": 2}),
+        (["povm-search"], {"eigh": 2}),
     ],
     ids=["fidelity", "bures-distance", "geodesic", "optimal-measurement", "povm-search"],
 )

@@ -7,7 +7,10 @@ member, contracts likewise.  Both are also unitarily invariant.  Each
 property is checked on 200 seeded draws at dimensions 2-4 with random
 Stinespring channels.  The family is ordered too: every admissible f lies
 between the harmonic and the arithmetic function, so the Bures metric is
-the smallest monotone metric and the harmonic one the largest.
+the smallest monotone metric and the harmonic one the largest.  The maps
+that can be undone give equality: Markov embeddings preserve the
+Fisher-Rao metric and move the other sum dp^2/p^alpha (Chentsov), and
+appending an ancilla preserves fidelity and every monotone metric (Petz).
 """
 
 import numpy as np
@@ -15,10 +18,15 @@ import pytest
 
 from statgeom import (
     apply_channel,
+    apply_stochastic,
     bures_angle,
+    fidelity,
+    fisher_rao_ds2,
+    fr_geodesic_distance,
     monotone_ds2,
     random_kraus_channel,
     random_invertible_density_matrix,
+    random_probability_vector,
     random_traceless_hermitian,
     random_unitary,
     substream,
@@ -114,3 +122,84 @@ def test_bures_angle_is_unitarily_invariant():
         u = random_unitary(dim, rng)
         moved = bures_angle(_conjugate(u, rho1), _conjugate(u, rho2))
         assert moved == pytest.approx(bures_angle(rho1, rho2), abs=1e-10)
+
+
+# Equality cases.  Contraction alone would also pass a metric shrunk by some
+# embedding-dependent factor below 1; the maps that can be undone must leave
+# the metric as it was.  Classically these are the Markov embeddings, which
+# split each outcome into pieces with fixed weights: Fisher-Rao is, up to
+# scale, the only metric they all preserve (Cencov 1972; Campbell 1986).
+# Quantum mechanically, rho -> rho (x) sigma, undone by the partial trace,
+# preserves every monotone metric (Petz 1996).
+
+
+def _markov_embeddings(label):
+    """Yield (p, q, dp, T, split) for DRAWS draws at n = 2..5: T splits each
+    of the n outcomes into 1-3 pieces with flat-Dirichlet weights, and
+    ``split`` says whether any outcome has more than one piece."""
+    rng = substream(20260819, label)
+    for k in range(DRAWS):
+        n = 2 + k % 4
+        p, q = random_probability_vector(n, rng), random_probability_vector(n, rng)
+        dp = rng.standard_normal(n)
+        dp -= dp.mean()
+        pieces = rng.integers(1, 4, size=n)
+        t = np.zeros((int(pieces.sum()), n))
+        rows = np.repeat(np.arange(n), pieces)
+        for i in range(n):
+            t[rows == i, i] = rng.dirichlet(np.ones(pieces[i]))
+        yield p, q, dp, t, bool(pieces.max() > 1)
+
+
+def _power_ds2(p, dp, alpha):
+    """sum dp_i^2 / p_i^alpha: Fisher-Rao (times 4) only at alpha = 1."""
+    return float(np.sum(dp * dp / p**alpha))
+
+
+def test_markov_embeddings_preserve_the_fisher_rao_metric():
+    worst_ds2 = worst_distance = 0.0
+    for p, q, dp, t, _ in _markov_embeddings("chentsov"):
+        before = fisher_rao_ds2(p, dp)
+        after = fisher_rao_ds2(apply_stochastic(t, p), t @ dp)
+        worst_ds2 = max(worst_ds2, abs(after - before) / before)
+        moved = fr_geodesic_distance(apply_stochastic(t, p), apply_stochastic(t, q))
+        worst_distance = max(worst_distance, abs(moved - fr_geodesic_distance(p, q)))
+    assert worst_ds2 <= 1e-14
+    assert worst_distance <= 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_markov_embeddings_move_every_other_power_metric(alpha):
+    # the negative control: an outcome split with weights w_j scales the
+    # form's entry along it by sum_j w_j^(2 - alpha), which is 1 only at
+    # alpha = 1.  The embedded form is diagonal too, since T's columns have
+    # disjoint supports, so comparing it on the coordinate vectors e_i
+    # compares the whole form; a random tangent can miss a split outcome.
+    splits = 0
+    for p, _, _, t, split in _markov_embeddings("chentsov"):
+        if split:
+            splits += 1
+            moves = [
+                abs(_power_ds2(t @ p, t[:, i], alpha) / _power_ds2(p, e, alpha) - 1.0)
+                for i, e in enumerate(np.eye(len(p)))
+            ]
+            assert max(moves) > 1e-3
+    assert splits > DRAWS // 2
+
+
+def test_appending_an_ancilla_preserves_fidelity_and_the_monotone_metrics():
+    worst_fidelity = worst_ds2 = 0.0
+    for dim, rng in _draws("petz-ancilla"):
+        rho1, rho2 = _state(dim, rng), _state(dim, rng)
+        drho = random_traceless_hermitian(dim, rng)
+        sigma = _state(2, rng)
+        before = fidelity(rho1, rho2)
+        worst_fidelity = max(
+            worst_fidelity, abs(fidelity(np.kron(rho1, sigma), np.kron(rho2, sigma)) - before)
+        )
+        for f in MEANS:
+            before = monotone_ds2(rho1, drho, f)
+            after = monotone_ds2(np.kron(rho1, sigma), np.kron(drho, sigma), f)
+            worst_ds2 = max(worst_ds2, abs(after - before) / before)
+    assert worst_fidelity <= 1e-12
+    assert worst_ds2 <= 1e-13

@@ -56,6 +56,16 @@ def test_import_loads_no_hashlib():
     )
 
 
+def test_import_loads_no_numpy_fft():
+    # qubit_povm_search reaches np.fft on its first call, and numpy loads it then
+    code = (
+        "import sys, statgeom; print('numpy.fft' in sys.modules); "
+        "statgeom.qubit_povm_search(statgeom.qubit_state(0.1, 0.2, 0.3), "
+        "statgeom.qubit_state(-0.3, 0.1, 0.2)); print('numpy.fft' in sys.modules)"
+    )
+    assert _run(code) == "False\nTrue\n"
+
+
 def test_package_exports_the_union_of_module_exports():
     modules = (
         errors, linalg, sampling, classical, means, monotone, bures,

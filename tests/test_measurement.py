@@ -35,7 +35,7 @@ from statgeom import (
     substream,
 )
 from statgeom.acceptance import _mixed_state  # criterion 8's draw
-from statgeom.measurement import _resolving_identity
+from statgeom.measurement import _axis_cosine, _resolving_identity
 
 
 def _trine_povm():
@@ -194,7 +194,7 @@ def test_no_random_povm_beats_the_quantum_angle(rng):
 def test_qubit_povm_search_commuting_pair():
     rho1 = np.diag([0.7, 0.3]).astype(complex)
     rho2 = np.diag([0.4, 0.6]).astype(complex)
-    report = qubit_povm_search(rho1, rho2, grid_resolution=80)
+    report = qubit_povm_search(rho1, rho2)
     assert report["best_angle"] == pytest.approx(
         bures_angle(rho1, rho2), abs=1e-12
     )
@@ -206,7 +206,7 @@ def test_qubit_povm_search_commuting_pair():
 def test_qubit_povm_search_flags_pure_pairs():
     rho1 = qubit_state(0.0, 0.0, 1.0)
     rho2 = qubit_state(math.sin(1.0), 0.0, math.cos(1.0))
-    report = qubit_povm_search(rho1, rho2, grid_resolution=60)
+    report = qubit_povm_search(rho1, rho2)
     assert report["non_unique"]
     assert report["best_angle"] == pytest.approx(0.5, abs=1e-11)
 
@@ -223,46 +223,33 @@ _TRACE_TWO = np.diag([1.2, 0.8])
 
 
 @pytest.mark.parametrize(
-    "rho1, rho2, grid, error, message",
+    "rho1, rho2, error, message",
     [
-        # the states first: an invalid second state before a bad grid ...
-        (_QUBIT, _TRACE_TWO, 1, ValidationError, "trace is 2.0"),
+        # the states first: an invalid second state of a qubit pair ...
+        (_QUBIT, _TRACE_TWO, ValidationError, "trace is 2.0"),
         # ... but the pair's shapes before its states' checks, and then the
         # qubit check
-        (_QUTRIT, _TRACE_TWO, 20, DimensionMismatchError, "qubits only"),
-        # then the grid, before the qubit shape
-        (_QUTRIT, _QUTRIT, 1001, ValidationError, "must be <= 1000"),
-        (_QUTRIT, _QUBIT, 1, ValidationError, "must be >= 2"),
+        (_QUTRIT, _TRACE_TWO, DimensionMismatchError, "qubits only"),
         # two square states of different shapes: the qubit check, not the pair's
-        (_QUBIT, _QUTRIT, 20, DimensionMismatchError, "qubits only"),
-        (_QUTRIT, _QUBIT, 20, DimensionMismatchError, "qubits only"),
+        (_QUBIT, _QUTRIT, DimensionMismatchError, "qubits only"),
+        (_QUTRIT, _QUBIT, DimensionMismatchError, "qubits only"),
     ],
-    ids=["state-then-grid", "state-then-shape", "grid-then-shape",
-         "grid-then-mixed-shapes", "qubit-qutrit", "qutrit-qubit"],
+    ids=["state-first", "state-then-shape", "qubit-qutrit", "qutrit-qubit"],
 )
 def test_qubit_povm_search_reports_the_state_then_the_grid_then_the_shape(
-    rho1, rho2, grid, error, message
+    rho1, rho2, error, message
 ):
     # the order the povm-search command reports its errors in
     with pytest.raises(error, match=message) as info:
-        qubit_povm_search(rho1, rho2, grid_resolution=grid)
+        qubit_povm_search(rho1, rho2)
     assert type(info.value) is error
-
-
-@pytest.mark.parametrize("grid", [1, 1001])
-def test_qubit_povm_search_bounds_the_grid(grid):
-    # checked before the grid_resolution^2 angles are made
-    rho = qubit_state(0.1, 0.2, 0.3)
-    bound = ">= 2" if grid < 2 else "<= 1000"
-    with pytest.raises(ValidationError, match=f"grid_resolution must be {bound}"):
-        qubit_povm_search(rho, rho, grid_resolution=grid)
 
 
 def test_qubit_povm_search_axis_stays_within_one():
     # the report's schema bounds each component by 1; at the pure state's
     # axis, the circle's orthonormal basis gave 1 + 2^-52
     rho1 = qubit_state(0.0, 0.3, math.sqrt(0.5))
-    report = qubit_povm_search(rho1, qubit_state(1.0, 0.0, 0.0), grid_resolution=3)
+    report = qubit_povm_search(rho1, qubit_state(1.0, 0.0, 0.0))
     assert np.abs(report["best_axis"]).max() <= 1.0
     assert report["best_axis"][0] == 1.0
 
@@ -272,7 +259,7 @@ def test_qubit_povm_search_axis_has_no_negative_zero():
     units = [np.array(v) / np.linalg.norm(v) for v in itertools.product((-1, 0, 1), repeat=3)
              if any(v)]
     for v, w in itertools.product(units, repeat=2):
-        report = qubit_povm_search(qubit_state(*(0.5 * v)), qubit_state(*(0.9 * w)), 20)
+        report = qubit_povm_search(qubit_state(*(0.5 * v)), qubit_state(*(0.9 * w)))
         axis = report["best_axis"]
         assert not np.signbit(axis[axis == 0.0]).any()
 
@@ -329,6 +316,58 @@ def test_qubit_povm_search_is_not_beaten_on_the_sphere():
         assert circle >= _sphere_search(rho1, rho2, 200) - 1e-13
 
 
+def _circle_search(rho1, rho2, grid_resolution):
+    """Reference: the largest classical angle found on the circle of axes
+    in the plane of the Bloch vectors, and an axis attaining it.
+
+    grid_resolution^2 equally spaced angles in [0, pi), then a golden-section
+    search of the best one's cell that keeps the best point it meets.
+    """
+    plane, coords = np.linalg.qr(np.column_stack([bloch_vector(rho1), bloch_vector(rho2)]))
+    polars = [(np.hypot(x, y), np.arctan2(y, x)) for x, y in coords.T]
+    count = grid_resolution * grid_resolution
+    phis = np.pi / count * np.arange(count)
+    cosines = _axis_cosine(phis, polars)
+    best = int(np.argmin(cosines))
+    best_phi, best_cos = phis[best], cosines[best]
+    shrink = 0.5 * (np.sqrt(5.0) - 1.0)
+    lo, hi = best_phi - np.pi / count, best_phi + np.pi / count
+    while hi - lo > 1e-12:
+        inner = np.array([hi - shrink * (hi - lo), lo + shrink * (hi - lo)])
+        values = _axis_cosine(inner, polars)
+        k = int(np.argmin(values))
+        if values[k] < best_cos:
+            best_phi, best_cos = inner[k], values[k]
+        lo, hi = (lo, inner[1]) if k == 0 else (inner[0], hi)
+    axis = plane @ np.array([np.cos(best_phi), np.sin(best_phi)])
+    return float(np.arccos(np.clip(best_cos, 0.0, 1.0))), axis
+
+
+def _criterion_8_pairs(count):
+    rng = substream(1729, "acceptance-8")
+    return [(_mixed_state(2, rng), _mixed_state(2, rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "rho1, rho2",
+    [
+        *_criterion_8_pairs(5),
+        (qubit_state(0.0, 0.0, 1.0), qubit_state(0.3, -0.2, 0.5)),  # a kink at r1
+        (qubit_state(0.5, 0.1, -0.2), qubit_state(-0.3, 0.25, 0.4)),
+        (np.diag([0.7, 0.3]), np.diag([0.4, 0.6])),
+    ],
+    ids=[*(f"criterion-8-{k}" for k in range(5)), "pure-r1", "mixed", "commuting"],
+)
+def test_the_stationary_equation_finds_the_circle_search_optimum(rho1, rho2):
+    # the grid and golden-section search the roots of the quintic replace:
+    # the same angle to rounding, and an axis the search agrees with to its
+    # own accuracy (B is flat to second order at the optimum)
+    report = qubit_povm_search(rho1, rho2)
+    angle, axis = _circle_search(rho1, rho2, 200)
+    assert report["best_angle"] == pytest.approx(angle, abs=1e-14)
+    assert abs(report["best_axis"] @ axis) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "r1, r2, non_unique",
     [
@@ -343,7 +382,7 @@ def test_qubit_povm_search_is_not_beaten_on_the_sphere():
 )
 def test_qubit_povm_search_when_the_bloch_vectors_span_no_plane(r1, r2, non_unique):
     rho1, rho2 = qubit_state(*r1), qubit_state(*r2)
-    report = qubit_povm_search(rho1, rho2, grid_resolution=12)
+    report = qubit_povm_search(rho1, rho2)
     assert report["best_angle"] == pytest.approx(bures_angle(rho1, rho2), abs=1e-14)
     assert report["non_unique"] is non_unique
     assert np.linalg.norm(report["best_axis"]) == pytest.approx(1.0, abs=1e-15)

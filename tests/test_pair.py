@@ -122,7 +122,7 @@ def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
     # forms M from it (none; it was 1 eigvalsh for F and 1 eigh for M)
     rho1, rho2 = _states(2, 2, 23)
     calls = lapack_calls("eigvalsh", "eigh")
-    qubit_povm_search(rho1, rho2, grid_resolution=20)
+    qubit_povm_search(rho1, rho2)
     pair = bures._pairs.entry[1]
     bures_angle(rho1, rho2)
     fuchs_caves_operator(rho1, rho2)
