@@ -112,7 +112,8 @@ def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
 
     dp must be a tangent vector (see :func:`tangent_vector`).  The 1/4
     normalization makes classical distances directly comparable to the
-    quantum ones elsewhere in this package.
+    quantum ones elsewhere in this package.  Raises :class:`NumericalError`
+    when the line element exceeds the float range.
     """
     p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
     if p.shape != dp.shape:
@@ -121,7 +122,11 @@ def fisher_rao_ds2(p: np.ndarray, dp: np.ndarray) -> float:
     tangent_vector(dp)
     if low == 0.0:
         raise BoundaryError("metric diverges where a probability vanishes")
-    return 0.25 * float(np.sum(dp * dp / p))
+    try:
+        with np.errstate(over="raise"):
+            return 0.25 * float(np.sum(dp * dp / p))
+    except FloatingPointError:
+        raise NumericalError("Fisher-Rao line element overflows a float") from None
 
 
 def sphere_embed(p: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .linalg import (
     min_eigenvalue,
     psd_order_geq,
 )
-from .sampling import random_psd, random_unitary, substream
+from .sampling import _random_psd, random_psd, random_unitary, substream
 
 __all__ = [
     "mean_function",
@@ -235,11 +235,14 @@ _MONOTONE_BLOCK = 256
 def operator_monotone_test(f, dim: int, seed: int, trials: int) -> dict:
     """Search for a counterexample to operator monotonicity of f.
 
-    Samples pairs A >= B >= 0 of ``dim`` x ``dim`` matrices and tests whether
-    f(A) >= f(B) in the positive-semidefinite order.  Returns a report with
-    the first counterexample found (or None), the most negative ordering
-    eigenvalue seen, and the number of pairs checked.  f acts elementwise:
-    it is applied to the spectra of a block of trials at once.
+    Samples pairs A >= B >= 0 of ``dim`` x ``dim`` matrices, B and A - B
+    each a unit-HS-norm Hilbert-Schmidt draw (random_psd), and tests whether
+    f(A) >= f(B) in the positive-semidefinite order.  Each block of up to
+    256 trials is drawn as one stack, in trial order, so the report is that
+    of a trial-by-trial loop.  Returns a report with the first counterexample
+    found (or None), the most negative ordering eigenvalue seen, and the
+    number of pairs checked.  f acts elementwise: it is applied to the
+    spectra of a whole block at once.
 
     Raises DomainError if f is undefined (non-finite) on a sampled spectrum.
     """
@@ -251,18 +254,19 @@ def operator_monotone_test(f, dim: int, seed: int, trials: int) -> dict:
     worst = np.inf
     counterexample = None
     for start in range(0, trials, _MONOTONE_BLOCK):
-        lower, upper = [], []  # B and A of each trial, drawn in trial order
-        for _ in range(min(_MONOTONE_BLOCK, trials - start)):
-            lower.append(random_psd(dim, rng))
-            upper.append(lower[-1] + random_psd(dim, rng))
+        # trial k draws B, then A - B: slices [k, 0] and [k, 1] of one stack
+        draws = _random_psd((min(_MONOTONE_BLOCK, trials - start), 2), dim, rng)
+        lower = draws[:, 0]
+        upper = lower + draws[:, 1]
         # f(A) - f(B) is exactly Hermitian, so eigvalsh needs no hermitian_part
-        diff = _apply_scalar(f, np.array(upper)) - _apply_scalar(f, np.array(lower))
+        diff = _apply_scalar(f, upper) - _apply_scalar(f, lower)
         gaps = np.linalg.eigvalsh(diff)[:, 0]
         worst = min(worst, float(gaps.min()))
         negative = np.flatnonzero(gaps < -1e-9)
         if negative.size and counterexample is None:
             k = negative[0]
-            counterexample = {"a": upper[k], "b": lower[k], "min_eigenvalue": float(gaps[k])}
+            a, b = upper[k].copy(), lower[k].copy()  # owned, not views of the block
+            counterexample = {"a": a, "b": b, "min_eigenvalue": float(gaps[k])}
     return {
         "counterexample": counterexample,
         "min_gap": float(worst),

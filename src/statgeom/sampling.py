@@ -1,4 +1,4 @@
-"""Seeded random generators for states, channels, and measurements.
+"""Seeded random generators for states, unitaries, and measurements.
 
 All experiment entry points take a single integer seed.  Independent
 sub-streams are derived by hashing a purpose label into the seed sequence,
@@ -16,7 +16,6 @@ from .linalg import hermitian_part, min_eigenvalue
 __all__ = [
     "substream",
     "random_unitary",
-    "random_pure_state",
     "random_psd",
     "random_density_matrix",
     "random_invertible_density_matrix",
@@ -24,8 +23,6 @@ __all__ = [
     "random_probability_vector",
     "random_stochastic_matrix",
     "random_povm",
-    "random_kraus_channel",
-    "apply_channel",
 ]
 
 
@@ -37,10 +34,36 @@ def substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _ginibre(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrices of ``shape``, the matrix axes last: each
+    matrix draws its real part, then its imaginary part."""
+    z = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _gram(shape: tuple, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """G G† for a ``dim`` x ``dim`` Ginibre G at each index of ``shape``."""
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _ginibre((*shape, dim, dim), rng)
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def _unit_hs(m: np.ndarray) -> np.ndarray:
+    """Each matrix of ``m`` scaled to unit HS norm.
+
+    Each 2-D slice takes its own np.linalg.norm, since one norm over the
+    stack sums in another order, and is multiplied by 1 / norm, since
+    m / norm rounds differently: the seeded draws keep their bits.
+    """
+    norms = np.array([np.linalg.norm(s) for s in m.reshape(-1, *m.shape[-2:])])
+    return m * (1.0 / norms).reshape(*m.shape[:-2], 1, 1)
+
+
+def _random_psd(shape: tuple, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """random_psd at each index of ``shape``, drawn in one call: slice k has
+    the bits of the k-th of that many random_psd calls, in C order."""
+    return hermitian_part(_unit_hs(_gram(shape, dim, rng)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -48,25 +71,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_isometry(dim, dim, rng)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector in C^dim; ``dim`` >= 1."""
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random PSD matrix G G† with unit HS norm."""
-    g = _ginibre(dim, rng)
-    m = g @ g.conj().T
-    return hermitian_part(m * (1.0 / np.linalg.norm(m)))  # m / norm rounds differently
+    return _random_psd((), dim, rng)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random density matrix from the Hilbert-Schmidt ensemble."""
-    g = _ginibre(dim, rng)
-    m = g @ g.conj().T
+    m = _gram((), dim, rng)
     return hermitian_part(m / np.trace(m).real)
 
 
@@ -98,9 +110,9 @@ def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray
     since the only traceless 1 x 1 Hermitian matrix is 0."""
     if dim < 2:
         raise ValidationError(f"traceless unit-norm sampling needs dim >= 2, got {dim}")
-    h = hermitian_part(_ginibre(dim, rng))
+    h = hermitian_part(_ginibre((dim, dim), rng))
     h -= np.trace(h) / dim * np.eye(dim)
-    return h * (1.0 / np.linalg.norm(h))  # h / norm rounds differently
+    return _unit_hs(h)
 
 
 def random_probability_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,10 +137,7 @@ def _haar_isometry(
     """Haar-random isometry C^dim_in -> C^dim_out (dim_out >= dim_in >= 1)."""
     if min(dim_in, dim_out) < 1:
         raise ValidationError(f"dims must be >= 1, got C^{dim_in} -> C^{dim_out}")
-    g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal(
-        (dim_out, dim_in)
-    )
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_ginibre((dim_out, dim_in), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -145,23 +154,3 @@ def random_povm(
     v = _haar_isometry(dim, dim * n_outcomes, rng)
     blocks = v.reshape(n_outcomes, dim, dim)
     return hermitian_part(np.conj(np.swapaxes(blocks, -1, -2)) @ blocks)
-
-
-def random_kraus_channel(
-    dim: int, rng: np.random.Generator, env_dim: int | None = None
-) -> np.ndarray:
-    """Kraus operators of a random CPTP map (Stinespring dilation).
-
-    The environment dimension defaults to ``dim``.  Returns an array of
-    shape (env_dim, dim, dim) with sum_i K_i† K_i = identity.
-    """
-    if env_dim is None:
-        env_dim = dim
-    v = _haar_isometry(dim, dim * env_dim, rng)
-    return v.reshape(env_dim, dim, dim)
-
-
-def apply_channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a channel given by Kraus operators: sum_i K_i rho K_i†."""
-    terms = kraus @ rho @ np.conj(np.swapaxes(kraus, -1, -2))
-    return hermitian_part(np.sum(terms, axis=0))

@@ -29,10 +29,11 @@ from statgeom import (
     qubit_state,
     random_density_matrix,
     random_invertible_density_matrix,
-    random_pure_state,
     random_unitary,
     verify_billiard_theorem,
 )
+
+from samplers import random_pure_state
 
 
 def _commuting_pair():

@@ -135,6 +135,23 @@ def test_fisher_rao_ds2_rejects_a_dp_off_the_tangent_space():
         fisher_rao_ds2(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "p, dp",
+    [
+        ([1 - 5e-324, 5e-324], [0.5, -0.5]),
+        ([0.5, 0.5], [1e200, -1e200]),
+        ([0.5, 0.5], [1e154, -1e154]),
+    ],
+    ids=["subnormal-probability", "dp-squared", "dp-squared-over-p"],
+)
+def test_fisher_rao_ds2_overflow_is_a_numerical_error(p, dp):
+    # each warned of an overflow and returned inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="Fisher-Rao line element overflows a float"):
+            fisher_rao_ds2(p, dp)
+
+
 def test_fisher_rao_ds2_needs_interior_point():
     with pytest.raises(BoundaryError):
         fisher_rao_ds2(np.array([1.0, 0.0]), np.array([0.1, -0.1]))

@@ -17,20 +17,20 @@ import numpy as np
 import pytest
 
 from statgeom import (
-    apply_channel,
     apply_stochastic,
     bures_angle,
     fidelity,
     fisher_rao_ds2,
     fr_geodesic_distance,
     monotone_ds2,
-    random_kraus_channel,
     random_invertible_density_matrix,
     random_probability_vector,
     random_traceless_hermitian,
     random_unitary,
     substream,
 )
+
+from samplers import apply_channel, random_kraus_channel
 
 DRAWS = 200
 MEANS = ("arithmetic", "geometric", "harmonic")

@@ -23,11 +23,12 @@ from statgeom import (
     qubit_state,
     random_density_matrix,
     random_invertible_density_matrix,
-    random_pure_state,
     random_unitary,
 )
 from statgeom import bures
 from statgeom.linalg import _floored
+
+from samplers import random_pure_state
 
 DIMS = range(2, 17)
 

@@ -236,7 +236,7 @@ _TRACE_TWO = np.diag([1.2, 0.8])
     ],
     ids=["state-first", "state-then-shape", "qubit-qutrit", "qutrit-qubit"],
 )
-def test_qubit_povm_search_reports_the_state_then_the_grid_then_the_shape(
+def test_qubit_povm_search_reports_the_state_then_the_shape(
     rho1, rho2, error, message
 ):
     # the order the povm-search command reports its errors in

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from statgeom import (
-    apply_channel,
     hermitian_part,
     random_density_matrix,
     random_invertible_density_matrix,
-    random_kraus_channel,
     random_povm,
     random_probability_vector,
     random_psd,
-    random_pure_state,
     random_stochastic_matrix,
     random_traceless_hermitian,
     random_unitary,
     substream,
 )
 from statgeom.errors import ValidationError
-from statgeom.sampling import _haar_isometry
+from statgeom.sampling import _haar_isometry, _random_psd
+
+from samplers import apply_channel, random_kraus_channel, random_pure_state
 
 
 def test_substream_is_deterministic():
@@ -207,7 +206,32 @@ def test_state_generators_keep_their_draws_at_valid_sizes():
     g = raw.standard_normal((2, 2)) + 1j * raw.standard_normal((2, 2))
     m = g @ g.conj().T
     assert np.array_equal(random_density_matrix(2, rng), hermitian_part(m / np.trace(m).real))
+    # random_psd and random_traceless_hermitian as they were written per call,
+    # before the stacked sampler: the same bits, not just close values
+    for d in range(1, 7):
+        g = raw.standard_normal((d, d)) + 1j * raw.standard_normal((d, d))
+        m = g @ g.conj().T
+        oracle = hermitian_part(m * (1.0 / np.linalg.norm(m)))
+        assert random_psd(d, rng).tobytes() == oracle.tobytes()
+    for d in range(2, 7):
+        g = raw.standard_normal((d, d)) + 1j * raw.standard_normal((d, d))
+        h = hermitian_part(g)
+        h -= np.trace(h) / d * np.eye(d)
+        oracle = h * (1.0 / np.linalg.norm(h))
+        assert random_traceless_hermitian(d, rng).tobytes() == oracle.tobytes()
     assert rng.bit_generator.state == raw.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("shape", [(), (5,), (256, 2)])
+def test_the_psd_stack_has_the_bits_of_consecutive_calls(shape, dim):
+    # operator_monotone_test draws its blocks as (n, 2) stacks
+    rng, again = substream(dim, "psd-stack"), substream(dim, "psd-stack")
+    stack = _random_psd(shape, dim, rng)
+    assert stack.shape == (*shape, dim, dim)
+    for index in np.ndindex(shape):
+        assert stack[index].tobytes() == random_psd(dim, again).tobytes()
+    assert rng.bit_generator.state == again.bit_generator.state
 
 
 def _random_povm_loop(dim, n_outcomes, rng):
