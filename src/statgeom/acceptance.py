@@ -55,10 +55,10 @@ from .measurement import (
 )
 from .monotone import monotone_ds2
 from .sampling import (
+    _random_psd,
     random_density_matrix,
     random_povm,
     random_probability_vector,
-    random_psd,
     random_traceless_hermitian,
     substream,
 )
@@ -152,8 +152,7 @@ def criterion_4_means(seed: int) -> tuple[list[Gate], dict]:
     min_slack = np.inf
     for k in range(1000):
         dim = 2 + k % 5
-        a = random_psd(dim, rng) + 0.01 * np.eye(dim)
-        b = random_psd(dim, rng) + 0.01 * np.eye(dim)
+        a, b = _random_psd((2,), dim, rng) + 0.01 * np.eye(dim)
         h = harmonic_mean(a, b)
         g = geometric_mean(a, b)
         m = arithmetic_mean(a, b)

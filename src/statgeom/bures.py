@@ -24,10 +24,10 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _eig, _floored, _half_sum, _hermitian
-from .linalg import hermitian_part
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _as_square, _eig, _floored
+from .linalg import _half_sum, _hermitian, _square_stack, hermitian_part
 from .means import _Pair
-from .monotone import _square, _states, density_matrix
+from .monotone import _states, density_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -78,10 +78,7 @@ class _StatePair(_Pair):
         """Validate two states check by check: each converts and is square, in
         argument order, then the two share one shape, then the one state check
         of density_matrix runs over their stack and raises its errors."""
-        a, b = _square(rho1), _square(rho2)
-        if a.shape != b.shape:
-            raise DimensionMismatchError(f"states have shapes {a.shape} and {b.shape}")
-        (self.x, self.y), (w, v) = _states(np.array((a, b)))
+        (self.x, self.y), (w, v) = _states(_square_stack((rho1, rho2), "states", "density matrix"))
         self.rho1, self.rho2 = self.x, self.y
         self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
         self.spectrum = EigenSystem(w[0], v[0])  # _Pair's cached spectrum, from the check's eigh
@@ -182,7 +179,7 @@ def bures_angle(rho1, rho2) -> float:
 
 def purification(a) -> np.ndarray:
     """Validate a purification: square complex matrix with Tr A A* = 1 (to 1e-10)."""
-    a = _square(a, "purification")
+    a = _as_square(a, "purification")
     norm2 = float(np.sum(np.abs(a) ** 2))
     if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails
         raise ValidationError(f"purification has squared norm {norm2!r}, expected 1")
@@ -192,7 +189,8 @@ def purification(a) -> np.ndarray:
 def purify(rho) -> np.ndarray:
     """Canonical purification A = sqrt(rho), the positive-root gauge choice;
     one eigh validates rho and gives the bits of matrix_sqrt(density_matrix(rho))."""
-    return _apply_spectrum(_floored(_states(_square(rho))[1], 0.0), np.sqrt)
+    spectrum = _states(_as_square(rho, "density matrix"))[1]
+    return _apply_spectrum(_floored(spectrum, 0.0), np.sqrt)
 
 
 def project(a) -> np.ndarray:

@@ -73,9 +73,16 @@ def _as_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.n
     return a
 
 
-def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+def _square_stack(arrays, noun: str, name: str = "matrix") -> np.ndarray:
+    """An owned (K, n, n) complex stack of ``arrays``, checked check by check:
+    each converts and is square (:func:`_as_square`, named ``name``), in
+    order, then each shares the first one's shape (naming the ``noun``)."""
+    squares = [_as_square(a, name) for a in arrays]
+    first = squares[0].shape
+    for square in squares[1:]:
+        if square.shape != first:
+            raise DimensionMismatchError(f"{noun} have shapes {first} and {square.shape}")
+    return np.array(squares)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -130,17 +137,6 @@ def _hermitian_checked(a: np.ndarray) -> tuple:
         norms = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
         scale = np.maximum(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), 1.0)
         return _half_sum(h, a), norms <= 1e-10 * scale
-
-
-def _hermitian_pair(x, y, noun: str) -> tuple:
-    """(an owned (2, n, n) stack of x and y, its hermitian_part, the verdict of
-    :func:`is_hermitian` on each); raises as x or y does not convert, then as
-    their shapes differ (naming the ``noun``), then as x is not square."""
-    a, b = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"{noun} have shapes {a.shape} and {b.shape}")
-    stack = np.array((_as_square(a), b))  # b has a's shape
-    return (stack, *_hermitian_checked(stack))
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -262,9 +258,7 @@ def min_eigenvalue(h: np.ndarray):
 
 def psd_order_geq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff A >= B in the PSD order, i.e. min eig(A - B) >= -tol."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    _require_same_shape(a, b)
+    a, b = _square_stack((a, b), "operands")
     return min_eigenvalue(a - b) >= -tol
 
 
@@ -275,7 +269,8 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    _require_same_shape(a, b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.sum(np.conj(a) * b))
 
 

@@ -31,8 +31,9 @@ from .linalg import (
     _apply_spectrum,
     _floored,
     _hermitian,
-    _hermitian_pair,
+    _hermitian_checked,
     _invertible_root,
+    _square_stack,
     hs_norm,
     min_eigenvalue,
     psd_order_geq,
@@ -84,7 +85,8 @@ class _Pair:
     """
 
     def __init__(self, x, y):
-        stack, self.hermitian_stack, valid = _hermitian_pair(x, y, "operands")
+        stack = _square_stack((x, y), "operands")
+        self.hermitian_stack, valid = _hermitian_checked(stack)
         if not valid.all():
             raise ValidationError("operator means need Hermitian operands")
         self.x, self.y = stack
@@ -201,8 +203,7 @@ def mean_axioms_check(f, seed: int, trials: int) -> dict:
     rng = substream(seed, "mean-axioms")
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     for _ in range(trials):
-        a = random_psd(3, rng) + 0.05 * np.eye(3)
-        b = random_psd(3, rng) + 0.05 * np.eye(3)
+        a, b = _random_psd((2,), 3, rng) + 0.05 * np.eye(3)
         m = operator_mean(a, b, f)
         scale = max(1.0, hs_norm(m))
 
@@ -275,14 +276,14 @@ def operator_monotone_test(f, dim: int, seed: int, trials: int) -> dict:
 
 
 def _apply_scalar(f, h: np.ndarray) -> np.ndarray:
-    """f lifted to each matrix of a stack the library made, with a finiteness
-    check on f(spectrum)."""
+    """f lifted to each matrix of a stack the library made exactly Hermitian,
+    with a finiteness check on f(spectrum)."""
     def clipped(w):
         fw = np.asarray(f(np.clip(w, 0.0, None)), dtype=float)
         if not np.all(np.isfinite(fw)):
             raise DomainError("f is undefined on part of the sampled spectrum")
         return fw
-    return _apply_spectrum(EigenSystem(*np.linalg.eigh(_hermitian(h))), clipped)
+    return _apply_spectrum(EigenSystem(*np.linalg.eigh(h)), clipped)
 
 
 def square_monotonicity_counterexample() -> dict:

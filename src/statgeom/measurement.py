@@ -23,7 +23,7 @@ import numpy as np
 
 from .classical import fr_geodesic_distance, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import _as_square, _hermitian_checked, hermitian_part
+from .linalg import _hermitian_checked, _square_stack, hermitian_part
 from .monotone import density_matrix
 from .bures import _bloch_vector, _pair
 
@@ -43,10 +43,10 @@ _PSD_FLOOR = 1e-12  # a POVM element passes when its least eigenvalue is >= -thi
 def povm(elements) -> list[np.ndarray]:
     """Validate a POVM: PSD elements of equal shape resolving the identity.
 
-    Check by check, each over all elements: every element converts, the
-    first is square and the rest share its shape, each is Hermitian, each is
-    PSD (to -1e-12), then they sum to I (to 1e-10); the first element that
-    fails a check names it."""
+    Check by check, each over all elements: every element converts and is
+    square, in element order, then shares the first one's shape, each is
+    Hermitian, each is PSD (to -1e-12), then they sum to I (to 1e-10); the
+    first element that fails a check names it or its shape."""
     return list(_povm_stack(elements))
 
 
@@ -55,11 +55,7 @@ def _povm_stack(elements) -> np.ndarray:
     one Hermiticity test and one eigvalsh, each of the whole stack."""
     if len(elements) == 0:
         raise ValidationError("a POVM needs at least one element")
-    arrays = [np.asarray(e, dtype=complex) for e in elements]
-    _as_square(arrays[0])  # the one shape every element must share
-    if any(e.shape != arrays[0].shape for e in arrays):
-        raise DimensionMismatchError("POVM elements must share one shape")
-    stack, hermitian = _hermitian_checked(np.stack(arrays))
+    stack, hermitian = _hermitian_checked(_square_stack(elements, "POVM elements"))
     if not hermitian.all():
         raise ValidationError(f"POVM element {np.argmin(hermitian)} is not Hermitian")
     # the stack is its own hermitian_part, as in density_matrix
@@ -198,11 +194,13 @@ def qubit_povm_search(rho1, rho2) -> dict:
     The states are validated through the pair the Bures views share, then
     the qubit shape, so two square states of different shapes, which the
     pair rejects before its state checks, raise "Bloch vector is defined
-    for qubits only".
+    for qubits only"; a state that is not square raises as the pair does.
     """
     try:
         pair = _pair(rho1, rho2)
-    except DimensionMismatchError:  # two square states of different shapes
+    except DimensionMismatchError as exc:
+        if not str(exc).startswith("states have shapes"):
+            raise
         raise DimensionMismatchError("Bloch vector is defined for qubits only") from None
     r1, r2 = _bloch_vector(pair.rho1), _bloch_vector(pair.rho2)
     # orthonormal columns whose span holds r1 and r2, whatever their rank,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError, ValidationError
-from .linalg import EigenSystem, _hermitian_checked
+from .errors import BoundaryError, DimensionMismatchError, DomainError, ValidationError
+from .linalg import EigenSystem, _as_square, _hermitian_checked
 from .means import mean_function
 
 __all__ = [
@@ -30,17 +30,9 @@ __all__ = [
 ]
 
 
-def _square(a, noun: str = "density matrix") -> np.ndarray:
-    """``a`` as a complex array, once it is checked to be one square matrix."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{noun} must be square, got shape {a.shape}")
-    return a
-
-
 def density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: square, Hermitian, unit trace, PSD (to -1e-12)."""
-    return _states(_square(rho))[0]
+    return _states(_as_square(rho, "density matrix"))[0]
 
 
 def _states(stack: np.ndarray) -> tuple:
@@ -64,7 +56,7 @@ def _states(stack: np.ndarray) -> tuple:
 
 def tangent_perturbation(drho) -> np.ndarray:
     """Validate a tangent perturbation: Hermitian and traceless."""
-    drho, hermitian = _hermitian_checked(_square(drho, "perturbation"))
+    drho, hermitian = _hermitian_checked(_as_square(drho, "perturbation"))
     if not hermitian:
         raise ValidationError("perturbation must be Hermitian")
     scale = max(1.0, float(np.abs(drho).sum()))
@@ -84,10 +76,11 @@ def monotone_ds2(rho: np.ndarray, drho: np.ndarray, f="arithmetic") -> float:
     """
     if isinstance(f, str):
         f = mean_function(f)
-    _, (lam, v) = _states(_square(rho))  # one eigh validates rho and serves the metric
+    # one eigh validates rho and serves the metric
+    _, (lam, v) = _states(_as_square(rho, "density matrix"))
     drho = tangent_perturbation(drho)
     if v.shape != drho.shape:
-        raise ValidationError(
+        raise DimensionMismatchError(
             f"state has shape {v.shape}, perturbation {drho.shape}"
         )
     if lam[0] <= 1e-10:

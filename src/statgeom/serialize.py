@@ -19,7 +19,6 @@ from .errors import ParseError, ValidationError
 
 __all__ = [
     "dumps_canonical",
-    "dump_canonical",
     "load_json",
     "parse_real_vector",
     "parse_complex_matrix",
@@ -88,11 +87,6 @@ def _fill(template: str, values: np.ndarray) -> str:
 def dumps_canonical(obj) -> str:
     """Serialize to the canonical JSON text (sorted keys, 17-digit reals)."""
     return _encode(obj) + "\n"
-
-
-def dump_canonical(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_canonical(obj))
 
 
 def load_json(path: str):

@@ -178,13 +178,14 @@ def cases() -> list[list[str]]:
         for mean in ("arithmetic", "geometric", "harmonic"):
             out.append(["mean", f(a), f(b), "--f", mean])
     for a, b in (("pd2a", "pd2b"), ("pure2", "pd2a"), ("pd2a", "notpsd2"),
-                 ("nonherm2", "pd2a"), ("pd2a", "pd3a"), ("ragged", "pd2a")):
+                 ("nonherm2", "pd2a"), ("pd2a", "pd3a"), ("ragged", "pd2a"),
+                 ("rect", "pd2a"), ("pd2a", "rect")):
         out.append(["mean", f(a), f(b)])
     for metric in ("arithmetic", "geometric", "harmonic"):
         out.append(["monotone-metric", f("s2a"), f("drho2"), "--f", metric])
         out.append(["monotone-metric", f("s3a"), f("drho3"), "--f", metric])
     for rho, drho in (("pure2", "drho2"), ("s2a", "badtrace_drho2"), ("s2a", "drho3"),
-                      ("trace2", "drho2")):
+                      ("trace2", "drho2"), ("rect", "drho2"), ("s2a", "rect")):
         out.append(["monotone-metric", f(rho), f(drho)])
     vectors = ("p3", "p4", "pneg", "psum", "pbool", "pstr", "pempty", "pnan",
                "unparsable", "missing")

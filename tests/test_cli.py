@@ -49,6 +49,7 @@ def files(tmp_path_factory):
         "qutrit": write("qutrit.json", [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]),
         "negative": write("negative.json", [[1.2, 0], [0, -0.2]]),
         "ragged": write("ragged.json", [[1, 0], [0]]),
+        "rect": write("rect.json", [[0.5, 0, 0], [0, 0.5, 0]]),
         "missing": str(root / "missing.json"),
         "dir": str(root),
     }
@@ -567,6 +568,9 @@ def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files
     assert out == json.dumps(envelope, sort_keys=True) + "\n"
 
 
+_NOT_SQUARE = "density matrix must be square, got shape (2, 3)"
+
+
 @pytest.mark.parametrize(
     "a, b, error",
     [
@@ -577,6 +581,9 @@ def test_a_negative_first_state_is_reported_before_the_second_file(capsys, files
         ("qutrit", "rho1", ("DimensionMismatchError", "Bloch vector is defined for qubits only")),
         # both files are read before the states are validated
         ("nonherm", "missing", ("ParseError", _MISSING)),
+        # a state that is not square keeps the pair's error
+        ("rect", "rho1", ("DimensionMismatchError", _NOT_SQUARE)),
+        ("rho1", "rect", ("DimensionMismatchError", _NOT_SQUARE)),
     ],
 )
 def test_povm_search_rejects_bad_inputs(capsys, files, a, b, error):

@@ -13,6 +13,7 @@ from statgeom import (
     SingularError,
     ValidationError,
     eig_hermitian,
+    fidelity,
     fix_phases,
     fuchs_caves_operator,
     geodesic,
@@ -28,9 +29,13 @@ from statgeom import (
     matrix_sqrt,
     min_eigenvalue,
     density_matrix,
+    monotone_ds2,
     operator_mean,
     povm,
+    povm_classical_angle,
     psd_order_geq,
+    purification,
+    purify,
     random_density_matrix,
     tangent_perturbation,
 )
@@ -41,8 +46,8 @@ from statgeom.linalg import (
     _floored,
     _hermitian,
     _hermitian_checked,
-    _hermitian_pair,
     _invertible_root,
+    _square_stack,
 )
 from statgeom.means import _Pair
 
@@ -534,33 +539,51 @@ def test_matrix_function_domain_floor_rejects_real_negatives():
 
 
 _RAGGED = [[1.0, 0.0], [0.0]]
+_NOT_SQUARE = "{name} must be square, got shape (2, 3)"
+
+# the public routines that stack a pair through linalg._square_stack, with
+# the noun of its shape error and the name of its square error
+_STACKING = {
+    "states": (fidelity, "states", "density matrix"),
+    "operands": (geometric_mean, "operands", "matrix"),
+    "psd-order": (psd_order_geq, "operands", "matrix"),
+    "povm": (lambda x, y: povm([x, y]), "POVM elements", "matrix"),
+}
 
 
-@pytest.mark.parametrize("noun", ["states", "operands"])
+@pytest.mark.parametrize("routine", list(_STACKING))
 @pytest.mark.parametrize(
     "x, y, error, message",
     [
         (_RAGGED, np.eye(3), ValueError, "inhomogeneous"),
-        (np.ones((2, 3)), _RAGGED, ValueError, "inhomogeneous"),
-        (np.ones((2, 3)), np.eye(3), DimensionMismatchError, "{} have shapes (2, 3) and (3, 3)"),
-        (np.ones(3), np.eye(3), DimensionMismatchError, "{} have shapes (3,) and (3, 3)"),
+        # each argument converts and is square, in order, before any shape is
+        # compared: the first one's square error comes before the second's faults
+        (np.ones((2, 3)), _RAGGED, DimensionMismatchError, _NOT_SQUARE),
+        (np.ones((2, 3)), np.eye(3), DimensionMismatchError, _NOT_SQUARE),
+        (np.ones(3), np.eye(3), DimensionMismatchError, "{name} must be square, got shape (3,)"),
         (np.ones((2, 3)), np.ones((2, 3)), DimensionMismatchError, "square, got shape (2, 3)"),
         (np.ones((2, 2, 2)), np.ones((2, 2, 2)), DimensionMismatchError, "square, got shape (2, 2,"),
+        (np.eye(3), np.ones((2, 3)), DimensionMismatchError, _NOT_SQUARE),
+        (np.eye(2), np.eye(3), DimensionMismatchError, "{noun} have shapes (2, 2) and (3, 3)"),
     ],
-    ids=["ragged-first", "ragged-second", "shape", "vector-shape", "square", "not-a-stack"],
+    ids=["ragged-first", "ragged-second", "shape", "vector-shape", "square", "not-a-stack",
+         "square-second", "shapes"],
 )
-def test_the_pair_check_raises_ragged_then_shape_then_square(noun, x, y, error, message):
-    # one routine checks the Bures state pair and the operands of a mean
+def test_the_pair_check_raises_ragged_then_shape_then_square(routine, x, y, error, message):
+    # state pairs, operand pairs and POVMs are stacked by one routine, so
+    # each public entry raises the same error for the same inputs
+    call, noun, name = _STACKING[routine]
     with pytest.raises(error) as caught:
-        _hermitian_pair(x, y, noun)
-    assert message.format(noun) in str(caught.value)
+        call(x, y)
+    assert message.format(noun=noun, name=name) in str(caught.value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_the_pair_check_owns_one_stack_and_checks_each_slice(rng, n):
     x = rng.normal(size=(n, n))
     y = hermitian_part(x + 1j * rng.normal(size=(n, n)))
-    stack, part, verdict = _hermitian_pair(x, y, "operands")
+    stack = _square_stack((x, y), "operands")
+    part, verdict = _hermitian_checked(stack)
     assert stack.shape == (2, n, n) and stack.dtype == complex and stack.flags.owndata
     assert stack[0].tobytes() == x.astype(complex).tobytes()
     assert stack[1].tobytes() == y.tobytes() and not np.shares_memory(stack, y)
@@ -723,7 +746,9 @@ def test_an_empty_matrix_function_raises_as_before():
     its shape: matrix_function raises as eig_hermitian does, and so does every
     public entry.  Each raised IndexError, or numpy's ValueError from an empty
     argmax, which matrix_function's own guard repeated; hermitian_part and
-    is_hermitian returned an empty array and True."""
+    is_hermitian returned an empty array and True.  The state, perturbation
+    and purification checks let 0 x 0 through to a trace or a shape error,
+    or returned an empty array."""
     empty = np.zeros((0, 0))
     with pytest.raises(DimensionMismatchError) as old:
         _floored_reference(eig_hermitian(empty), 0.0)
@@ -731,18 +756,28 @@ def test_an_empty_matrix_function_raises_as_before():
         matrix_function(empty, np.sqrt, domain_floor=0.0)
     message = "matrix must not be empty, got shape (0, 0)"
     assert str(new.value) == str(old.value) == message
+    rho, drho = np.diag([0.5, 0.5]), np.diag([0.1, -0.1])
     for call, expected in [
         (matrix_sqrt, message),
         (matrix_inv_sqrt, message),
         (min_eigenvalue, message),
         (hermitian_part, message),
         (is_hermitian, message),
-        (lambda h: psd_order_geq(h, h), "a must not be empty, got shape (0, 0)"),
+        (lambda h: psd_order_geq(h, h), message),
         (lambda h: geometric_mean(h, h), message),
         (lambda h: harmonic_mean(h, h), message),
         (lambda h: operator_mean(h, h, "arithmetic"), message),
         (lambda h: povm([h]), message),
         (lambda h: hermitian_part(h[None]), "matrix must not be empty, got shape (1, 0, 0)"),
+        (density_matrix, "density " + message),
+        (purify, "density " + message),
+        (purification, message.replace("matrix", "purification")),
+        (tangent_perturbation, message.replace("matrix", "perturbation")),
+        (lambda h: monotone_ds2(h, drho), "density " + message),
+        (lambda h: monotone_ds2(rho, h), message.replace("matrix", "perturbation")),
+        (lambda h: fidelity(h, rho), "density " + message),
+        (lambda h: fidelity(rho, h), "density " + message),
+        (lambda h: povm_classical_angle([h], rho, rho), message),
     ]:
         with pytest.raises(DimensionMismatchError) as caught:
             call(empty)

@@ -220,6 +220,7 @@ def test_qubit_povm_search_rejects_non_qubits(rng):
 _QUTRIT = np.eye(3) / 3
 _QUBIT = np.diag([0.7, 0.3])
 _TRACE_TWO = np.diag([1.2, 0.8])
+_RECT = np.ones((2, 3)) / 2
 
 
 @pytest.mark.parametrize(
@@ -233,8 +234,12 @@ _TRACE_TWO = np.diag([1.2, 0.8])
         # two square states of different shapes: the qubit check, not the pair's
         (_QUBIT, _QUTRIT, DimensionMismatchError, "qubits only"),
         (_QUTRIT, _QUBIT, DimensionMismatchError, "qubits only"),
+        # a state that is not square: the pair's own error, not the qubit check
+        (_RECT, _QUBIT, DimensionMismatchError, r"must be square, got shape \(2, 3\)"),
+        (_QUBIT, _RECT, DimensionMismatchError, r"must be square, got shape \(2, 3\)"),
     ],
-    ids=["state-first", "state-then-shape", "qubit-qutrit", "qutrit-qubit"],
+    ids=["state-first", "state-then-shape", "qubit-qutrit", "qutrit-qubit", "rect-qubit",
+         "qubit-rect"],
 )
 def test_qubit_povm_search_reports_the_state_then_the_shape(
     rho1, rho2, error, message
@@ -440,11 +445,14 @@ def _povm_reference(elements):
     order: the stacked check must match it."""
     if len(elements) == 0:
         raise ValidationError("a POVM needs at least one element")
+    for e in elements:
+        is_hermitian(e)  # converts it; DimensionMismatchError if it is not square
     elements = [np.asarray(e, dtype=complex) for e in elements]
-    is_hermitian(elements[0])  # DimensionMismatchError if it is not square
     for e in elements:
         if e.shape != elements[0].shape:
-            raise DimensionMismatchError("POVM elements must share one shape")
+            raise DimensionMismatchError(
+                f"POVM elements have shapes {elements[0].shape} and {e.shape}"
+            )
     for k, e in enumerate(elements):
         if not is_hermitian(e):
             raise ValidationError(f"POVM element {k} is not Hermitian")
@@ -533,7 +541,7 @@ def _conversion_message(a):
         (
             [_NON_HERMITIAN, np.eye(3)],
             DimensionMismatchError,
-            "POVM elements must share one shape",
+            "POVM elements have shapes (2, 2) and (3, 3)",
         ),
         (
             [np.diag([1.5, 1.0]), _NEGATIVE, _NON_HERMITIAN],
@@ -554,7 +562,7 @@ def _conversion_message(a):
         (
             [np.eye(2), np.eye(3)],
             DimensionMismatchError,
-            "POVM elements must share one shape",
+            "POVM elements have shapes (2, 2) and (3, 3)",
         ),
         (
             [np.ones((2, 3)), np.ones((2, 3))],
@@ -566,12 +574,18 @@ def _conversion_message(a):
             ValidationError,
             "POVM elements must sum to the identity",
         ),
+        pytest.param(
+            [np.eye(2), np.ones((2, 3)), np.eye(3)],
+            DimensionMismatchError,
+            "matrix must be square, got shape (2, 3)",
+            id="elements8-square-before-shape",
+        ),
     ],
 )
 def test_povm_errors_keep_element_order(elements, error, message):
-    # check by check over all elements: conversion, the first element
-    # square and the rest of its shape, Hermiticity, positivity, the sum;
-    # within a check the lowest-index offending element wins
+    # check by check over all elements: conversion and squareness in element
+    # order, then the first element's shape, Hermiticity, positivity, the
+    # sum; within a check the lowest-index offending element wins
     for check in (povm, _povm_reference):
         with pytest.raises(error) as caught:
             check(elements)

@@ -9,7 +9,6 @@ import pytest
 from statgeom.cli import _csv_text
 from statgeom.errors import ParseError, ValidationError
 from statgeom.serialize import (
-    dump_canonical,
     dumps_canonical,
     load_json,
     parse_complex_matrix,
@@ -117,7 +116,7 @@ def test_file_round_trip(tmp_path):
     assert np.allclose(read_vector_file(str(vec_file)), [0.25, 0.75])
 
     mat_file = tmp_path / "m.json"
-    dump_canonical(np.array([[0.5, 0.5j], [-0.5j, 0.5]]), str(mat_file))
+    mat_file.write_text(dumps_canonical(np.array([[0.5, 0.5j], [-0.5j, 0.5]])))
     m = read_matrix_file(str(mat_file))
     assert m[0, 1] == 0.5j
 
@@ -132,7 +131,7 @@ def test_file_round_trip(tmp_path):
 )
 def test_file_round_trip_keeps_signed_zeros(tmp_path, m):
     path = tmp_path / "m.json"
-    dump_canonical(m, str(path))
+    path.write_text(dumps_canonical(m))
     assert read_matrix_file(str(path)).tobytes() == m.astype(complex).tobytes()
     # -0.0 is written as the token -0, which plain json.loads reads as the integer 0
     assert repr(json.loads(path.read_text())[0][0]) in ("0", "[0, 0]")
