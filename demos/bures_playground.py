@@ -40,7 +40,7 @@ def fidelity_basics():
 def lift_alignment(rho1, rho2):
     print("== the aligned purification ==")
     a1 = purify(rho1)
-    a2 = horizontal_lift(rho1, rho2, a1)
+    a2 = horizontal_lift(rho1, rho2)
     print(f"lift reproduces rho2   : {np.linalg.norm(a2 @ a2.conj().T - rho2):.3e}")
     overlap = hs_inner(a1, a2)
     print(f"overlap <A1, A2>       : {overlap.real:.12f} + {overlap.imag:.1e}j")

@@ -241,7 +241,7 @@ def criterion_7_fidelity_lift(seed: int) -> tuple[list[Gate], dict]:
         # the views of one argument order in a row share one validated pair
         f12 = fidelity(rho1, rho2)
         a1 = matrix_sqrt(rho1)
-        a2 = horizontal_lift(rho1, rho2, a1)
+        a2 = horizontal_lift(rho1, rho2)
         m12 = fuchs_caves_operator(rho1, rho2)
         f21 = fidelity(rho2, rho1)
         m21 = fuchs_caves_operator(rho2, rho1)

@@ -35,9 +35,7 @@ __all__ = [
     "SIGMA_Z",
     "fidelity",
     "bures_angle",
-    "purification",
     "purify",
-    "project",
     "horizontal_lift",
     "GeodesicPath",
     "geodesic",
@@ -68,10 +66,11 @@ class _StatePair(_Pair):
     ``spectrum`` rho1's eigendecomposition, ``inner`` its ``root`` sqrt(rho1),
     ``outer`` its ``inv_root`` rho1^(-1/2), and ``core`` the unclamped spectrum
     of sqrt(rho1) rho2 sqrt(rho1), which serves F and M; ``coincide`` is True
-    when the validated states are equal.  F, M, the geodesic, eig(M) and the
-    optimal measurement are each computed on first use; one that raises is not
-    kept.  Public views copy what is kept, bar the read-only projectors,
-    matched later by identity; povm_classical_angle reads the states as they are.
+    when the validated states are equal.  F, M, the lift M sqrt(rho1), the
+    geodesic, eig(M) and the optimal measurement are each computed on first
+    use; one that raises is not kept.  Public views copy what is kept, bar
+    the read-only projectors, matched later by identity; povm_classical_angle
+    reads the states as they are.
     """
 
     def __init__(self, rho1, rho2):
@@ -134,6 +133,11 @@ class _StatePair(_Pair):
         return list(stack)
 
     @cached_property
+    def lift(self) -> np.ndarray:
+        """M sqrt(rho1): :func:`horizontal_lift`, and the geodesic's far end."""
+        return self.m @ self.root
+
+    @cached_property
     def path(self) -> GeodesicPath:
         """:func:`geodesic`, with ``e1`` the kept sqrt(rho1) itself."""
         for low in self.lows:
@@ -144,8 +148,7 @@ class _StatePair(_Pair):
                 )
         if self.coincide:
             raise DegenerateError("states coincide; the geodesic is not unique")
-        a1 = self.root
-        a2 = self.m @ a1
+        a1, a2 = self.root, self.lift
         overlap = float((a1.conj() * a2).sum().real)  # hs_inner(a1, a2) = sqrt(fidelity), real
         overlap = min(1.0, max(-1.0, overlap))
         sine = np.sqrt(max(0.0, 1.0 - overlap * overlap))
@@ -177,15 +180,6 @@ def bures_angle(rho1, rho2) -> float:
     return float(np.arccos(np.clip(np.sqrt(_pair(rho1, rho2).fidelity), 0.0, 1.0)))
 
 
-def purification(a) -> np.ndarray:
-    """Validate a purification: square complex matrix with Tr A A* = 1 (to 1e-10)."""
-    a = _as_square(a, "purification")
-    norm2 = float(np.sum(np.abs(a) ** 2))
-    if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails
-        raise ValidationError(f"purification has squared norm {norm2!r}, expected 1")
-    return a
-
-
 def purify(rho) -> np.ndarray:
     """Canonical purification A = sqrt(rho), the positive-root gauge choice;
     one eigh validates rho and gives the bits of matrix_sqrt(density_matrix(rho))."""
@@ -193,37 +187,20 @@ def purify(rho) -> np.ndarray:
     return _apply_spectrum(_floored(spectrum, 0.0), np.sqrt)
 
 
-def project(a) -> np.ndarray:
-    """Project a purification down to its density matrix A A*.
+def horizontal_lift(rho1, rho2) -> np.ndarray:
+    """Purification of rho2 aligned with the canonical purification sqrt(rho1).
 
-    Gauge invariant: project(A U) = project(A) for any unitary U.
-    """
-    a = purification(a)
-    rho = hermitian_part(a @ a.conj().T)
-    return density_matrix(rho / float(np.trace(rho).real))
-
-
-def horizontal_lift(rho1, rho2, a1: np.ndarray | None = None) -> np.ndarray:
-    """Purification of rho2 aligned with the purification a1 of rho1.
-
-    Returns A2 = M A1 with M = fuchs_caves_operator(rho1, rho2) = rho1^(-1) # rho2.
-    The alignment makes A1* A2 positive semidefinite with
+    Returns A2 = M sqrt(rho1) with M = fuchs_caves_operator(rho1, rho2) =
+    rho1^(-1) # rho2.  The alignment makes A1* A2 positive semidefinite with
     Tr(A1* A2) = sqrt(fidelity(rho1, rho2)) — the largest overlap any
     purification of rho2 can reach, so the straight-line (great-circle)
     distance from A1 to A2 realizes the Bures angle downstairs.
 
-    ``a1`` defaults to the canonical purification sqrt(rho1).  ``rho1``
-    must be invertible (SingularError otherwise).
+    Gauge rule: the lift of another purification A1 = sqrt(rho1) U, U
+    unitary, is M A1, that is ``fuchs_caves_operator(rho1, rho2) @ a1``.
+    ``rho1`` must be invertible (SingularError otherwise).
     """
-    pair = _pair(rho1, rho2)
-    if a1 is not None:
-        a1 = purification(a1)
-        if a1.shape != pair.rho1.shape:
-            raise DimensionMismatchError(f"a1 has shape {a1.shape}, rho1 {pair.rho1.shape}")
-        resid = float(np.linalg.norm(a1 @ a1.conj().T - pair.rho1))
-        if not resid <= 1e-8:
-            raise ValidationError(f"a1 does not purify rho1 (residual {resid:.3e})")
-    return pair.m @ (pair.root if a1 is None else a1)
+    return _pair(rho1, rho2).lift.copy()
 
 
 @dataclass(frozen=True)

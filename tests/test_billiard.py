@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from statgeom import (
     GeodesicPath,
@@ -217,6 +216,7 @@ def test_verify_theorem_on_random_states(rng):
 def test_closed_form_pairing_matches_best_assignment():
     # the pairing read off atan2(sin t*, cos t* - mu_j) is the assignment
     # that maximizes the total squared overlap, found here by scipy alone
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     rng = substream(6, "billiard-tests")
     for dim in range(2, 13):
         for _ in range(5):

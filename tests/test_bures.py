@@ -17,12 +17,11 @@ from statgeom import (
     density_matrix,
     fidelity,
     fubini_study_distance,
+    fuchs_caves_operator,
     geodesic,
     horizontal_lift,
     hs_inner,
     matrix_sqrt,
-    project,
-    purification,
     purify,
     qubit_bures_ds2,
     qubit_perturbation,
@@ -32,6 +31,8 @@ from statgeom import (
     random_unitary,
     verify_billiard_theorem,
 )
+
+from statgeom.bures import _pair
 
 from samplers import random_pure_state
 
@@ -84,7 +85,6 @@ def test_purify_project_roundtrip(rng):
     rho = random_density_matrix(4, rng)
     a = purify(rho)
     assert np.allclose(a @ a.conj().T, rho, atol=1e-12)
-    assert np.allclose(project(a), rho, atol=1e-12)
 
 
 def test_purify_is_the_root_of_the_validated_state(rng):
@@ -117,18 +117,6 @@ def test_purify_rejects_as_density_matrix_does(rho):
     assert str(got.value) == str(expected.value)
 
 
-def test_purification_validates():
-    with pytest.raises(ValidationError):
-        purification(np.eye(2))  # squared norm 2, not a unit vector of matrices
-    with pytest.raises(ValidationError, match="must be square"):
-        purification(np.ones((2, 3)) / math.sqrt(6.0))
-
-
-def test_project_rejects_zero():
-    with pytest.raises(ValidationError):
-        project(np.zeros((2, 2)))
-
-
 def test_horizontal_lift_contracts(rng):
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
@@ -142,12 +130,13 @@ def test_horizontal_lift_contracts(rng):
 
 
 def test_horizontal_lift_gauge_invariant_overlap(rng):
-    # lift off a rotated purification: the transition amplitude is unchanged
+    # the lift of a rotated purification A1 = sqrt(rho1) U is M A1: the
+    # transition amplitude is unchanged
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
     u = random_unitary(3, rng)
     a1 = purify(rho1) @ u
-    a2 = horizontal_lift(rho1, rho2, a1)
+    a2 = fuchs_caves_operator(rho1, rho2) @ a1
     assert np.allclose(a2 @ a2.conj().T, rho2, atol=1e-11)
     overlap = hs_inner(a1, a2)
     assert overlap.real == pytest.approx(
@@ -156,20 +145,27 @@ def test_horizontal_lift_gauge_invariant_overlap(rng):
     assert overlap.imag == pytest.approx(0.0, abs=1e-12)
 
 
-def test_horizontal_lift_rejects_wrong_purification(rng):
-    rho1 = random_invertible_density_matrix(3, rng)
-    rho2 = random_invertible_density_matrix(3, rng)
-    with pytest.raises(ValidationError):
-        horizontal_lift(rho1, rho2, purify(rho2))
-
-
-def test_horizontal_lift_rejects_a_purification_of_another_size(rng):
-    # checked before the residual a1 a1* - rho1, which would not broadcast
-    rho1 = random_invertible_density_matrix(2, rng)
-    rho2 = random_invertible_density_matrix(2, rng)
-    a1 = purify(random_invertible_density_matrix(3, rng))
-    with pytest.raises(DimensionMismatchError, match=r"a1 has shape \(3, 3\), rho1 \(2, 2\)"):
-        horizontal_lift(rho1, rho2, a1)
+def test_horizontal_lift_is_the_pairs_one_lift(rng):
+    """The lift is M sqrt(rho1) of the validated pair, formed once and kept:
+    the geodesic reads the same array as its far end, and each call to
+    horizontal_lift, before or after geodesic, returns a new copy of it."""
+    for dim in range(2, 6):
+        rho1 = random_invertible_density_matrix(dim, rng)
+        rho2 = random_invertible_density_matrix(dim, rng)
+        before = horizontal_lift(rho1, rho2)
+        pair = _pair(rho1, rho2)
+        kept = pair.lift
+        expected = pair.m @ matrix_sqrt(density_matrix(rho1))
+        assert before.tobytes() == expected.tobytes()
+        geodesic(rho1, rho2)
+        assert _pair(rho1, rho2) is pair and pair.lift is kept
+        after = horizontal_lift(rho1, rho2)
+        assert after.tobytes() == expected.tobytes()
+        assert not np.shares_memory(before, after)
+        assert not np.shares_memory(before, kept)
+        assert not np.shares_memory(after, kept)
+        after[...] = 0.0  # the caller's own array: the kept lift is untouched
+        assert horizontal_lift(rho1, rho2).tobytes() == expected.tobytes()
 
 
 def test_geodesic_endpoints_and_angle(rng):
@@ -324,8 +320,6 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: purification(np.full((2, 2), NAN)),
-        lambda: horizontal_lift(*_commuting_pair(), a1=np.full((2, 2), NAN)),
         lambda: qubit_state(NAN, 0.0, 0.0),
         lambda: qubit_bures_ds2(NAN, 0.0, 0.0, 1.0, 0.0, 0.0),
         lambda: fubini_study_distance([NAN, 1.0], [1.0, 0.0]),
@@ -333,7 +327,7 @@ NAN = float("nan")
         lambda: qubit_perturbation(NAN, 0.0, 0.0),
     ],
     ids=[
-        "purification", "horizontal_lift", "qubit_state", "qubit_bures_ds2",
+        "qubit_state", "qubit_bures_ds2",
         "fubini_study_distance", "qubit_bures_ds2_tangent", "qubit_perturbation",
     ],
 )

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from statgeom import (
     DimensionMismatchError,
@@ -34,7 +33,6 @@ from statgeom import (
     povm,
     povm_classical_angle,
     psd_order_geq,
-    purification,
     purify,
     random_density_matrix,
     tangent_perturbation,
@@ -491,8 +489,9 @@ def test_matrix_inv_sqrt_rejects_singular():
 
 
 def test_matrix_function_matches_expm(rng):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     h = hermitian_part(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    assert np.allclose(matrix_function(h, np.exp), scipy.linalg.expm(h), atol=1e-12)
+    assert np.allclose(matrix_function(h, np.exp), scipy_linalg.expm(h), atol=1e-12)
 
 
 def test_matrix_function_clamps_roundoff_negatives():
@@ -746,9 +745,9 @@ def test_an_empty_matrix_function_raises_as_before():
     its shape: matrix_function raises as eig_hermitian does, and so does every
     public entry.  Each raised IndexError, or numpy's ValueError from an empty
     argmax, which matrix_function's own guard repeated; hermitian_part and
-    is_hermitian returned an empty array and True.  The state, perturbation
-    and purification checks let 0 x 0 through to a trace or a shape error,
-    or returned an empty array."""
+    is_hermitian returned an empty array and True.  The state and
+    perturbation checks let 0 x 0 through to a trace or a shape error, or
+    returned an empty array."""
     empty = np.zeros((0, 0))
     with pytest.raises(DimensionMismatchError) as old:
         _floored_reference(eig_hermitian(empty), 0.0)
@@ -771,7 +770,6 @@ def test_an_empty_matrix_function_raises_as_before():
         (lambda h: hermitian_part(h[None]), "matrix must not be empty, got shape (1, 0, 0)"),
         (density_matrix, "density " + message),
         (purify, "density " + message),
-        (purification, message.replace("matrix", "purification")),
         (tangent_perturbation, message.replace("matrix", "perturbation")),
         (lambda h: monotone_ds2(h, drho), "density " + message),
         (lambda h: monotone_ds2(rho, h), message.replace("matrix", "perturbation")),
