@@ -99,7 +99,7 @@ def verify_billiard_theorem(rho1, rho2) -> dict:
     path = pair.path
     m_eigenvalues, m_vectors = pair.eig_m  # fuchs_caves_operator's eigenbasis
     ts, sizes, kernels, cols = _contacts(path, m_eigenvalues)
-    overlap2 = np.abs(kernels.conj() @ m_vectors) ** 2
+    overlap2 = np.abs(kernels.conj() @ fix_phases(m_vectors)) ** 2  # as it leaves the library
     bounce_ts, eigenvectors = ts.tolist(), cols.tolist()
     paired = overlap2[np.arange(ts.size), cols].tolist()
     return {

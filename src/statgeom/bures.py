@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _as_square, _eig, _floored
+from .linalg import EigenSystem, _PairSlot, _apply_spectrum, _as_square, _floored
 from .linalg import _half_sum, _hermitian, _square_stack, hermitian_part
 from .means import _Pair
 from .monotone import _states, density_matrix
@@ -65,22 +65,25 @@ class _StatePair(_Pair):
     The pair of :mod:`means` switched to states: rho1 and rho2 are its X and Y,
     ``spectrum`` rho1's eigendecomposition, ``inner`` its ``root`` sqrt(rho1),
     ``outer`` its ``inv_root`` rho1^(-1/2), and ``core`` the unclamped spectrum
-    of sqrt(rho1) rho2 sqrt(rho1), which serves F and M; ``coincide`` is True
-    when the validated states are equal.  F, M, the lift M sqrt(rho1), the
-    geodesic, eig(M) and the optimal measurement are each computed on first
-    use; one that raises is not kept.  Public views copy what is kept, bar
-    the read-only projectors, matched later by identity; povm_classical_angle
-    reads the states as they are.
+    of sqrt(rho1) rho2 sqrt(rho1), which serves F and M; ``lows`` and ``highs``
+    the extremes of rho1's and rho2's spectra; ``coincide`` is True when the
+    validated states are equal.  F, M, the lift M sqrt(rho1), the geodesic,
+    eig(M), with eigh's phases, and the optimal measurement are each computed
+    on first use; one that raises is not kept.  Public views copy what is
+    kept, bar the read-only projectors, matched later by identity;
+    povm_classical_angle reads the states as they are.
     """
 
     def __init__(self, rho1, rho2):
         """Validate two states check by check: each converts and is square, in
         argument order, then the two share one shape, then the one state check
-        of density_matrix runs over their stack and raises its errors."""
-        (self.x, self.y), (w, v) = _states(_square_stack((rho1, rho2), "states", "density matrix"))
+        of density_matrix runs over their stack and raises its errors, from
+        rho1's eigh and rho2's eigenvalues alone."""
+        stack = _square_stack((rho1, rho2), "states", "density matrix")
+        (self.x, self.y), (self.spectrum, w2) = _states(stack)  # _Pair's cached spectrum
         self.rho1, self.rho2 = self.x, self.y
-        self.lows, self.highs = tuple(w[:, 0].tolist()), tuple(w[:, -1].tolist())
-        self.spectrum = EigenSystem(w[0], v[0])  # _Pair's cached spectrum, from the check's eigh
+        w1 = self.spectrum.eigenvalues
+        self.lows, self.highs = (float(w1[0]), w2[0]), (float(w1[-1]), w2[-1])
         self.coincide = bool((self.x == self.y).all())
 
     inner = property(lambda self: self.root)
@@ -113,7 +116,7 @@ class _StatePair(_Pair):
 
     @cached_property
     def eig_m(self) -> EigenSystem:
-        return _eig(_hermitian(self.m))  # symmetrizes M first
+        return EigenSystem(*np.linalg.eigh(_hermitian(self.m)))  # symmetrizes M first
 
     @cached_property
     def projectors(self) -> list[np.ndarray]:

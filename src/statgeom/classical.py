@@ -140,7 +140,11 @@ def fr_geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     Equals the great-circle arc between the sphere embeddings of p and q,
     and lies in [0, pi/2].  Finite on the simplex boundary.
     """
-    p, q = _simplex_pair("Fisher-Rao distance", p, q)
+    return _fr_angle(*_simplex_pair("Fisher-Rao distance", p, q))
+
+
+def _fr_angle(p: np.ndarray, q: np.ndarray) -> float:
+    """:func:`fr_geodesic_distance` of two float arrays of one shape on the simplex, not checked."""
     return math.acos(min(1.0, float(np.sqrt(p * q).sum())))
 
 

@@ -25,6 +25,7 @@ from .classical import (
     probability_vector,
 )
 from .errors import NumericalError, ValidationError
+from .linalg import fix_phases
 from .means import operator_mean
 from .measurement import optimal_measurement, povm_classical_angle, qubit_povm_search
 from .monotone import monotone_ds2
@@ -129,12 +130,12 @@ def _cmd_geodesic(args):
 
 def _cmd_optimal_measurement(args) -> dict:
     a, b = _read_pair(args)
-    eigenvalues, eigenvectors = _pair(a, b).eig_m  # eig(M) has no public view
+    eigenvalues, eigenvectors = _pair(a, b).eig_m  # eig(M) has no public view; eigh's phases
     return {
         "bures_angle": bures_angle(a, b),
         "classical_angle": povm_classical_angle(optimal_measurement(a, b), a, b),
         "m_eigenvalues": eigenvalues,
-        "m_eigenvectors": eigenvectors,
+        "m_eigenvectors": fix_phases(eigenvectors),
     }
 
 

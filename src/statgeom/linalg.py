@@ -18,7 +18,8 @@ formed; :func:`matrix_function`, :func:`matrix_sqrt` and
 :func:`matrix_inv_sqrt`, built on it, take one matrix.
 
 Phases are fixed only where eigenvectors leave the library (:func:`_eig`, the
-billiard's kernels): V f(w) V† is blind to column phases, so it takes eigh's own.
+billiard's kernels, M's eigenvectors in the CLI and the billiard): V f(w) V†
+and a projector v v† are blind to column phases, so they take eigh's own.
 
 The public functions convert and check their input; the private cores
 :func:`_hermitian` and :func:`_eig` take arrays the library made, already

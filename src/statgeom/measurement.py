@@ -21,7 +21,7 @@ from operator import is_
 
 import numpy as np
 
-from .classical import fr_geodesic_distance, probability_vector
+from .classical import _fr_angle, probability_vector
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import _hermitian_checked, _square_stack, hermitian_part
 from .monotone import density_matrix
@@ -107,6 +107,8 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
     own Hermitian part, with least eigenvalue -O(u), far inside the -1e-12 of
     that check.  Their sum, whose error rests on eigh's accuracy, is checked once
     per pair.  Other elements, byte-equal copies too, are validated as any POVM.
+    The outcome distributions are checked once, as probability_vector
+    normalizes them: their arc is fr_geodesic_distance's, not checked again.
     """
     pair = _pair(rho1, rho2)
     # only projectors already made: another POVM must not pay for eig(M)
@@ -117,8 +119,7 @@ def povm_classical_angle(elements, rho1, rho2) -> float:
             pair.checked_stack = _resolving_identity(stack)
     else:
         stack = _povm_stack(elements)
-    p, q = _distribution(stack, pair.rho1), _distribution(stack, pair.rho2)
-    return fr_geodesic_distance(p, q)
+    return _fr_angle(_distribution(stack, pair.rho1), _distribution(stack, pair.rho2))
 
 
 def fuchs_caves_operator(rho1, rho2) -> np.ndarray:

@@ -35,12 +35,21 @@ def density_matrix(rho) -> np.ndarray:
     return _states(_as_square(rho, "density matrix"))[0]
 
 
+# eigvalsh and eigh round an eigenvalue at most 2.55 n u max|lambda| apart (u = 2^-53; 4,800
+# Hermitian matrices at d = 2..33: HS states, states with lambda_min in {+-1e-12, 0, -2e-12},
+# indefinite spectra up to 1e6).  A pair's rho2 takes eigh's eigenvalues when eigvalsh's least
+# is within this times n max|lambda| of -1e-12 (the state check) or +1e-12 (the geodesic's
+# endpoint check), so each verdict is the one density_matrix's eigh gives.
+_EIGVALSH_BAND = 16 * 2.0**-53
+
+
 def _states(stack: np.ndarray) -> tuple:
-    """(hermitian_part(stack), its eigh) for a square state or an (..., n, n)
-    stack of them, checked check by check over the whole stack: Hermitian,
-    unit trace, then PSD by the one eigh that serves the caller (a stacked
-    eigh has the bits of a 2-D eigh on each slice).  The first state that
-    fails a check raises density_matrix's error."""
+    """(hermitian_part(stack), its spectra) for a square state or a (2, n, n)
+    pair, checked check by check over the whole stack: Hermitian, unit trace,
+    then PSD by the least eigenvalue of each state.  A state's spectrum is the
+    eigh that serves the caller; a pair's, rho1's eigh and rho2's eigenvalues
+    alone, as floats (eigvalsh, or eigh in the band above).  The first state
+    that fails a check raises density_matrix's error."""
     h, hermitian = _hermitian_checked(stack)
     if not hermitian.all():
         raise ValidationError("density matrix must be Hermitian")
@@ -48,10 +57,18 @@ def _states(stack: np.ndarray) -> tuple:
     off = traces[abs(traces - 1.0) > 1e-12]
     if off.size:
         raise ValidationError(f"density matrix trace is {float(off[0])!r}, expected 1")
-    spectrum = EigenSystem(*np.linalg.eigh(h))  # h is its own hermitian_part
-    if spectrum.eigenvalues[..., 0].min() < -1e-12:
+    if h.ndim == 2:
+        spectra = EigenSystem(*np.linalg.eigh(h))  # h is its own hermitian_part
+        low = spectra.eigenvalues[0]
+    else:
+        w = np.linalg.eigvalsh(h[1]).tolist()
+        if abs(abs(w[0]) - 1e-12) <= _EIGVALSH_BAND * len(w) * max(abs(w[0]), w[-1]):
+            w = np.linalg.eigh(h[1])[0].tolist()  # near -1e-12 or +1e-12
+        spectra = EigenSystem(*np.linalg.eigh(h[0])), w
+        low = min(spectra[0].eigenvalues[0], w[0])
+    if low < -1e-12:
         raise ValidationError("density matrix has a negative eigenvalue")
-    return h, spectrum
+    return h, spectra
 
 
 def tangent_perturbation(drho) -> np.ndarray:

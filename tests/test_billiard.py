@@ -12,6 +12,7 @@ from statgeom import (
     ScanFailureError,
     eig_hermitian,
     fidelity,
+    fix_phases,
     fuchs_caves_operator,
     geodesic,
     random_invertible_density_matrix,
@@ -271,14 +272,15 @@ def test_verify_theorem_builds_m_once(lapack_calls):
     # the endpoint spectra were computed twice (6 eigh, 6 eigvalsh before).
     # One stacked eigh validates the pair and gives sqrt(rho1); the 2
     # validating eigvalsh and the eigh of rho1 were 3 calls (4 eigh and 2
-    # eigvalsh before).  The contacts come from eig(M), with no solve and no
-    # general eigvals of e1^-1 e2 (one of each before)
+    # eigvalsh before); now rho1's eigh and one eigvalsh of rho2, whose
+    # eigenvectors nothing reads.  The contacts come from eig(M), with no
+    # solve and no general eigvals of e1^-1 e2 (one of each before)
     rng = np.random.default_rng(4)
     rho1 = random_invertible_density_matrix(4, rng)
     rho2 = random_invertible_density_matrix(4, rng)
     calls = lapack_calls("eigh", "eigvalsh", "eigvals", "solve")
     report = verify_billiard_theorem(rho1, rho2)
-    assert calls == {"eigh": 4}
+    assert calls == {"eigh": 4, "eigvalsh": 1}
     m_eigenvalues = eig_hermitian(fuchs_caves_operator(rho1, rho2)).eigenvalues
     assert np.array_equal(report["m_eigenvalues"], m_eigenvalues)
 
@@ -403,10 +405,11 @@ def _nearest_eigenvector(ts, t_star, mu):
 def _report_contact_by_contact(rho1, rho2):
     """verify_billiard_theorem's report assembled one contact at a time: each
     kernel state from eig_hermitian of the state at its contact, each
-    pairing the eigenvector of M whose predicted contact is nearest."""
+    pairing the eigenvector of M, phases fixed as they leave the library,
+    whose predicted contact is nearest."""
     pair = bures._pair(rho1, rho2)
     path = pair.path
-    m_eigenvalues, m_vectors = pair.eig_m
+    m_eigenvalues, m_vectors = pair.eig_m.eigenvalues, fix_phases(pair.eig_m.eigenvectors)
     ts, sizes = billiard._contacts(path, m_eigenvalues)[:2]
     ts, sizes = [float(t) for t in ts], [int(size) for size in sizes]
     kernels = [eig_hermitian(path.state(t)).eigenvectors[:, 0] for t in ts]

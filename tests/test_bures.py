@@ -229,13 +229,14 @@ def test_geodesic_rejects_singular_endpoint():
 def test_geodesic_reads_each_endpoint_spectrum_once(lapack_calls, rng):
     # the singular-endpoint check reuses the validation's smallest
     # eigenvalue instead of a second eigvalsh per endpoint (4 before); one
-    # stacked eigh validates both endpoints and gives sqrt(rho1) (2
-    # eigvalsh and 2 eigh before), and one eigh gives M's core
+    # eigh of rho1 and an eigvalsh of rho2 validate both endpoints and give
+    # sqrt(rho1) (2 eigvalsh and 2 eigh before, then one stacked eigh), and
+    # one eigh gives M's core
     rho1 = random_invertible_density_matrix(3, rng)
     rho2 = random_invertible_density_matrix(3, rng)
     calls = lapack_calls("eigvalsh", "eigh")
     geodesic(rho1, rho2)
-    assert calls == {"eigh": 2}
+    assert calls == {"eigh": 2, "eigvalsh": 1}
 
 
 def test_geodesic_rejects_identical_states():

@@ -596,19 +596,22 @@ def test_povm_search_rejects_bad_inputs(capsys, files, a, b, error):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # one stacked eigh validates both files, then what each command
-        # computes; each command used to validate the files again inside the
-        # library, then validated them with 2 eigvalsh and decomposed them
-        # again for sqrt(rho1) and sqrt(rho2); F is summed from the eigh of
-        # the core that M is formed from, where it took an eigvalsh of its own
-        (["fidelity"], {"eigh": 2}),  # 5 eigvalsh, then 3 and 1 eigh, then 1 and 1
-        (["bures-distance"], {"eigh": 2}),  # as fidelity
-        # 7 eigvalsh, then 3 and 2 eigh
-        (["geodesic", "--samples", "5"], {"eigh": 2, "eigvalsh": 1}),
-        # 13 eigvalsh, then 4 before the Cholesky, then 3 and 4 eigh, then 1 and 3
-        (["optimal-measurement"], {"eigh": 3}),
-        # 7, then 3 and 1, then 1 and 1
-        (["povm-search"], {"eigh": 2}),
+        # rho1's eigh and rho2's eigvalsh validate both files (one stacked
+        # eigh did, whose rho2 eigenvectors nothing read), then what each
+        # command computes; each command used to validate the files again
+        # inside the library, then validated them with 2 eigvalsh and
+        # decomposed them again for sqrt(rho1) and sqrt(rho2); F is summed
+        # from the eigh of the core that M is formed from, where it took an
+        # eigvalsh of its own
+        (["fidelity"], {"eigh": 2, "eigvalsh": 1}),  # 5 eigvalsh, then 3 and 1 eigh, then 2
+        (["bures-distance"], {"eigh": 2, "eigvalsh": 1}),  # as fidelity
+        # 7 eigvalsh, then 3 and 2 eigh, then 2 eigh and the samples' eigvalsh
+        (["geodesic", "--samples", "5"], {"eigh": 2, "eigvalsh": 2}),
+        # 13 eigvalsh, then 4 before the Cholesky, then 3 and 4 eigh, then
+        # 1 and 3, then 3 eigh
+        (["optimal-measurement"], {"eigh": 3, "eigvalsh": 1}),
+        # 7, then 3 and 1, then 1 and 1, then 2 eigh
+        (["povm-search"], {"eigh": 2, "eigvalsh": 1}),
     ],
     ids=["fidelity", "bures-distance", "geodesic", "optimal-measurement", "povm-search"],
 )
@@ -626,11 +629,13 @@ def test_state_commands_validate_each_file_once(
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        # the library validates the sampled pair once, by one stacked eigh;
-        # the CLI used to as well, and then by one eigvalsh per state
-        (["--dim", "3", "--seed", "0"], {"eigh": 4}),  # 4 eigvalsh, then 2 and 4 eigh
-        # 5 eigvalsh, then 3 and 2 eigh; the one left is the scan's
-        (["--dim", "3", "--seed", "0", "--format", "csv"], {"eigh": 2, "eigvalsh": 1}),
+        # the library validates the sampled pair once, by rho1's eigh and
+        # rho2's eigvalsh (one stacked eigh before); the CLI used to as well,
+        # and then by one eigvalsh per state
+        # 4 eigvalsh, then 2 and 4 eigh, then 4 eigh
+        (["--dim", "3", "--seed", "0"], {"eigh": 4, "eigvalsh": 1}),
+        # 5 eigvalsh, then 3 and 2 eigh, then 2 eigh and the scan's eigvalsh
+        (["--dim", "3", "--seed", "0", "--format", "csv"], {"eigh": 2, "eigvalsh": 2}),
     ],
     ids=["json", "csv"],
 )

@@ -36,7 +36,7 @@ from statgeom import (
     random_unitary,
     verify_billiard_theorem,
 )
-from statgeom import bures, measurement
+from statgeom import bures, measurement, monotone
 from statgeom.linalg import hermitian_part, matrix_inv_sqrt, matrix_sqrt
 from statgeom.monotone import density_matrix
 
@@ -96,13 +96,14 @@ def _assert_same_bits(got, expected):
             assert a.tobytes() == b.tobytes()
 
 
-def test_state_pairs_request_makes_three_lapack_calls(lapack_calls):
-    # 1 stacked eigh validates the pair and gives sqrt(rho1) and rho1^(-1/2),
-    # 1 eigh of the core gives both F and M, and 1 eig(M); the pair's own
-    # projectors need no Cholesky to certify them as a POVM, as they once
-    # did.  It was 7 calls: 2 validating eigvalsh, and one eigh each of rho1
-    # and rho2 where the stacked eigh serves now; then 4, with an eigvalsh
-    # of sqrt(rho2) rho1 sqrt(rho2) for F
+def test_state_pairs_request_makes_four_lapack_calls(lapack_calls):
+    # rho1's eigh validates it and gives sqrt(rho1) and rho1^(-1/2), rho2's
+    # eigvalsh validates it, 1 eigh of the core gives both F and M, and 1
+    # eig(M); the pair's own projectors need no Cholesky to certify them as a
+    # POVM, as they once did.  It was 7 calls: 2 validating eigvalsh, and one
+    # eigh each of rho1 and rho2; then 4, with an eigvalsh of
+    # sqrt(rho2) rho1 sqrt(rho2) for F; then 3, with one stacked eigh of
+    # rho1 and rho2, whose rho2 eigenvectors nothing read
     rho1, rho2 = _states(2, 4, 11)
     calls = lapack_calls("eigvalsh", "eigh", "cholesky")
     fidelity(rho1, rho2)
@@ -111,15 +112,16 @@ def test_state_pairs_request_makes_three_lapack_calls(lapack_calls):
     classical = povm_classical_angle(elements, rho1, rho2)
     path = geodesic(rho1, rho2)
     path.state(path.t_star / 2)
-    assert dict(calls) == {"eigh": 3}
+    assert dict(calls) == {"eigh": 3, "eigvalsh": 1}
     assert classical == pytest.approx(angle, abs=1e-9)
     assert path.t_star == pytest.approx(angle, abs=1e-9)
 
 
 def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
-    # the search validates through the pair (1 stacked eigh), bures_angle
-    # adds the core that gives F and M (1 eigh), and fuchs_caves_operator
-    # forms M from it (none; it was 1 eigvalsh for F and 1 eigh for M)
+    # the search validates through the pair (rho1's eigh and rho2's
+    # eigvalsh, where 1 stacked eigh was), bures_angle adds the core that
+    # gives F and M (1 eigh), and fuchs_caves_operator forms M from it
+    # (none; it was 1 eigvalsh for F and 1 eigh for M)
     rho1, rho2 = _states(2, 2, 23)
     calls = lapack_calls("eigvalsh", "eigh")
     qubit_povm_search(rho1, rho2)
@@ -127,7 +129,7 @@ def test_the_qubit_search_shares_the_pair_with_the_bures_views(lapack_calls):
     bures_angle(rho1, rho2)
     fuchs_caves_operator(rho1, rho2)
     assert bures._pair(rho1, rho2) is pair is bures._pairs.entry[1] is not None
-    assert dict(calls) == {"eigh": 2}
+    assert dict(calls) == {"eigh": 2, "eigvalsh": 1}
 
 
 def test_the_projectors_sum_is_checked_once_per_pair(monkeypatch):
@@ -159,27 +161,29 @@ def test_a_projectors_sum_that_fails_raises_on_every_call():
 
 
 def test_a_classical_angle_leaves_its_pair_to_the_bures_angle(lapack_calls):
-    # povm_classical_angle validates the states through the pair (1 stacked
-    # eigh) and the POVM (1 eigvalsh); bures_angle adds the core (1 eigh,
-    # where F took 1 eigvalsh).  It was 4 eigvalsh, with one per state
-    # before the pair was made
+    # povm_classical_angle validates the states through the pair (rho1's
+    # eigh and rho2's eigvalsh, where 1 stacked eigh was) and the POVM (1
+    # eigvalsh); bures_angle adds the core (1 eigh, where F took 1
+    # eigvalsh).  It was 4 eigvalsh, with one per state before the pair was
+    # made
     rho1, rho2 = _states(2, 3, 27)
     elements = random_povm(3, 5, np.random.default_rng(27))
     calls = lapack_calls("eigvalsh", "eigh")
     excess = povm_classical_angle(elements, rho1, rho2) - bures_angle(rho1, rho2)
-    assert dict(calls) == {"eigh": 2, "eigvalsh": 1}
+    assert dict(calls) == {"eigh": 2, "eigvalsh": 2}
     assert excess <= 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
 def test_one_stacked_decomposition_gives_the_bits_of_one_per_state(dim):
-    """sqrt(rho1), the core, M and F from the pair's stacked eigh have the
-    bytes of one decomposition per state: matrix_sqrt and matrix_inv_sqrt of
-    rho1, eigh of sqrt(rho1) rho2 sqrt(rho1), M formed from its
-    clamped spectrum (the identity for equal states), and F summed from it
-    above the pair's noise floor.
-    Its smallest eigenvalues, from eigh, are within the N u |rho| <= N u
-    that a backward stable eigvalsh is of the exact ones."""
+    """sqrt(rho1), the core, M and F from the pair's eigh of rho1 (once a
+    stacked eigh of both states) have the bytes of one decomposition per
+    state: matrix_sqrt and matrix_inv_sqrt of rho1, eigh of
+    sqrt(rho1) rho2 sqrt(rho1), M formed from its clamped spectrum (the
+    identity for equal states), and F summed from it above the pair's noise
+    floor.  Its smallest eigenvalues, from eigh of rho1 and eigvalsh of
+    rho2, are within the N u |rho| <= N u that a backward stable eigvalsh is
+    of the exact ones."""
     for rho1, rho2 in zip(*[iter(_states(20, dim, 60 + dim))] * 2):
         pair = bures._StatePair(rho1, rho2)
         a, b = density_matrix(rho1), density_matrix(rho2)
@@ -367,10 +371,91 @@ def test_the_views_accept_what_density_matrix_accepts_at_the_limit(dim):
     assert outcomes == {True, False}  # both sides of the limit were drawn
 
 
+def _rotated(spectrum, rng):
+    """A Hermitian matrix with ``spectrum`` in a Haar-random basis."""
+    u = random_unitary(len(spectrum), rng)
+    return (u * spectrum) @ u.conj().T
+
+
+def _state_with_least(low, dim, rng):
+    """A state with least eigenvalue ``low``, the rest uniform on the simplex."""
+    rest = rng.random(dim - 1)
+    return _rotated(np.concatenate(([low], (1.0 - low) * rest / rest.sum())), rng)
+
+
+def test_eigvalsh_and_eigh_round_within_a_quarter_of_the_band():
+    """The pair may take rho2's eigenvalues from eigvalsh away from -1e-12 and
+    +1e-12 because the two solvers round an eigenvalue apart by less than
+    the band.  HS states, states with least eigenvalue +-1e-12, 0 or -2e-12
+    and indefinite spectra up to 1e6, at d = 2..33: the gap stays below a
+    quarter of the band.  It reached 2.55 n u max|lambda| (u = 2^-53) over
+    4,800 such matrices, and 2.4 over 9,600 at two other seeds; a quarter
+    of the band is 4 n u max|lambda|."""
+    rng = np.random.default_rng(4800)
+    for dim in range(2, 34):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        indefinite = rng.standard_normal(dim) * 10.0 ** rng.uniform(0.0, 6.0)
+        matrices = [g @ g.conj().T / np.trace(g @ g.conj().T).real, _rotated(indefinite, rng)]
+        matrices += [_state_with_least(low, dim, rng) for low in (1e-12, -1e-12, 0.0, -2e-12)]
+        for h in map(hermitian_part, matrices):
+            w, exact = np.linalg.eigvalsh(h), np.linalg.eigh(h)[0]
+            band = monotone._EIGVALSH_BAND * dim * max(abs(exact[0]), abs(exact[-1]))
+            assert np.abs(w - exact).max() < band / 4
+
+
+@pytest.mark.parametrize("threshold", [-1e-12, 1e-12])
+def test_a_rho2_that_straddles_a_threshold_gets_eighs_verdict(lapack_calls, threshold):
+    """rho2 with least eigenvalue at the state check's -1e-12 or the geodesic
+    endpoint's +1e-12, drawn until eigvalsh and eigh of it give opposite
+    verdicts there: fidelity and fuchs_caves_operator raise exactly what
+    density_matrix raises, geodesic adds SingularError exactly when eigh's
+    least eigenvalue is at most 1e-12, and the pair takes rho2's eigenvalues
+    from eigh each time."""
+    rng = np.random.default_rng((41, threshold > 0))
+    fails = (lambda low: low < threshold) if threshold < 0 else (lambda low: low <= threshold)
+    calls = lapack_calls("eigh", "eigvalsh")
+    straddles = 0
+    for draw in range(2000):
+        dim = 2 + draw % 7
+        rho1 = _states(1, dim, draw)[0]
+        rho2 = _state_with_least(threshold, dim, rng)
+        h = hermitian_part(rho2)
+        low = np.linalg.eigh(h)[0][0]
+        if fails(np.linalg.eigvalsh(h)[0]) == fails(low):
+            continue
+        straddles += 1
+        calls.clear()
+        _first_error(lambda: bures._StatePair(rho1, rho2))
+        assert calls == {"eigh": 2, "eigvalsh": 1}  # rho1's eigh, and eigh's for rho2
+        expected = _first_error(lambda: density_matrix(rho1), lambda: density_matrix(rho2))
+        for call in (bures._StatePair, fidelity, fuchs_caves_operator):
+            assert _first_error(lambda: call(rho1, rho2)) == expected
+        if expected is None and low <= 1e-12:
+            expected = (
+                SingularError,
+                f"geodesic endpoint has eigenvalue {low:.3e}; "
+                "both endpoints must be strictly positive",
+            )
+        assert _first_error(lambda: geodesic(rho1, rho2)) == expected
+        if straddles == 12:
+            break
+    assert straddles == 12
+
+
+def _rho2_eigenvalues(rho):
+    """The eigenvalues the pair reads of a valid rho2: eigvalsh's, or eigh's
+    where eigvalsh's least lies in the band around -1e-12 or +1e-12."""
+    w = np.linalg.eigvalsh(rho)
+    if abs(abs(w[0]) - 1e-12) <= monotone._EIGVALSH_BAND * len(w) * max(abs(w[0]), w[-1]):
+        return np.linalg.eigh(rho)[0]
+    return w
+
+
 @pytest.mark.parametrize("dim", range(1, 34))
 def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
-    """rho1, rho2, rho1's spectrum and the smallest eigenvalue of each equal
-    density_matrix and eigh of each state alone, byte for byte."""
+    """rho1, rho2, rho1's spectrum and its extremes equal density_matrix and
+    eigh of each state alone, byte for byte; rho2's extremes equal those of
+    eigvalsh of rho2 alone, or of eigh where the pair falls back to it."""
     rng = np.random.default_rng(dim)
     for _ in range(4):
         states = []
@@ -381,9 +466,10 @@ def test_the_pair_holds_the_bits_of_the_per_state_route(dim):
         pair = bures._StatePair(*states)
         expected = [density_matrix(rho) for rho in states]
         _assert_same_bits([[pair.rho1, pair.rho2]], [expected])
-        spectra = [np.linalg.eigh(rho) for rho in expected]
-        _assert_same_bits([pair.spectrum], [spectra[0]])
-        assert pair.lows == tuple(float(w[0]) for w, _ in spectra)
+        spectrum = np.linalg.eigh(expected[0])
+        _assert_same_bits([pair.spectrum], [spectrum])
+        extremes = [(w[0], w[-1]) for w in (spectrum[0], _rho2_eigenvalues(expected[1]))]
+        assert (pair.lows, pair.highs) == tuple(zip(*extremes))
 
 
 def test_spoiled_results_do_not_reach_later_calls():
@@ -484,11 +570,11 @@ def test_the_pairs_own_projectors_are_not_validated_again(lapack_calls):
     assert not calls  # no Cholesky or eigvalsh for the POVM, the states are kept
     _forget()
     calls.clear()
-    # validated as any POVM, with a fresh pair: one stacked eigh for the
-    # states (one eigvalsh each before they came from the pair), one
-    # eigvalsh for the elements
+    # validated as any POVM, with a fresh pair: rho1's eigh and rho2's
+    # eigvalsh for the states (one eigvalsh each before they came from the
+    # pair, then one stacked eigh), one eigvalsh for the elements
     assert _classical(elements, rho1, rho2) == angle
-    assert calls == {"eigh": 1, "eigvalsh": 1}
+    assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
 def _entered(call):
